@@ -7,7 +7,8 @@ under each predictor backend, once through the columnar
 ``estimate``/``estimate_batch`` protocol, i.e. the pre-columnar call
 shapes).  Results append to a trajectory file (``BENCH_decide.json`` by
 default) so the decisions/sec history is tracked across changes to the
-decision core.
+decision core; each entry records the host's ``cpu_count`` beside its
+rates.
 
 Wall-clock timing is deliberate and allowed here: this module lives in
 ``repro/experiments/``, the RL001 allowlist.  The *decisions* being
@@ -321,6 +322,7 @@ def run_bench_decide(
         "quick": quick,
         "benchmark": benchmark_name,
         "cases": len(cases),
+        "cpu_count": os.cpu_count(),
         "backends": {
             "rf": _bench_backend("rf", rf, space, cases, min_decisions),
             "oracle": _bench_backend(

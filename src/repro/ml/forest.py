@@ -8,11 +8,12 @@ subset at every split, and the forest predicts the mean of its trees.
 
 Prediction runs on a *flattened* forest: every fitted tree's node
 arrays are concatenated into one contiguous block (child pointers
-shifted by per-tree offsets) so a whole batch descends all trees in a
-single vectorized loop instead of one Python call per tree.  The flat
-arrays are derived state — rebuilt at fit/unpickle time and memoized in
-a module-level WeakKeyDictionary — so pickles and structural
-fingerprints of the forest are byte-identical to the per-tree layout.
+shifted by per-tree offsets, each leaf a self-loop) so a whole batch
+descends all trees in a fixed number of identical vectorized levels
+instead of one Python call per tree.  The flat arrays are derived
+state — rebuilt at fit/unpickle time and memoized in a module-level
+WeakKeyDictionary — so pickles and structural fingerprints of the
+forest are byte-identical to the per-tree layout.
 """
 
 from __future__ import annotations
@@ -32,19 +33,25 @@ __all__ = ["RandomForestRegressor", "mean_absolute_percentage_error"]
 
 @dataclass(frozen=True)
 class _FlatForest:
-    """One forest's trees concatenated into contiguous node arrays.
+    """One forest's trees as one contiguous block of self-looping nodes.
 
-    ``feature[i] == -1`` marks node ``i`` as a leaf; internal nodes
-    carry global (offset-shifted) ``left``/``right`` child indices, so
-    a descent never needs to know which tree a lane belongs to.
+    A lane at global node ``i`` steps to
+    ``right[i] - (x[feature[i]] <= threshold[i])``: its right child, or
+    its left child one slot before it (``DecisionTreeRegressor.fit``
+    creates both children as an adjacent pair).  A leaf reads the
+    constant sentinel column ``width`` of the padded input against a
+    ``+inf`` threshold and has ``right[i] == i + 1``, so it always steps
+    back to itself.  ``depth`` identical levels thus bring every lane
+    of every tree to its leaf.
     """
 
-    feature: np.ndarray  # int64, -1 marks a leaf
-    threshold: np.ndarray  # float64 split thresholds
-    left: np.ndarray  # int64 global child indices, -1 for leaves
-    right: np.ndarray  # int64 global child indices, -1 for leaves
+    feature: np.ndarray  # int64 split columns; the sentinel ``width`` at leaves
+    threshold: np.ndarray  # float64 split thresholds; +inf at leaves
+    right: np.ndarray  # int64 global right children; i + 1 at leaf i
     value: np.ndarray  # float64 node means (leaf predictions)
     roots: np.ndarray  # int64 per-tree root offsets
+    width: int  # input columns the splits read: highest split column + 1
+    depth: int  # levels of the deepest tree: the descent's loop count
     trees: Tuple[DecisionTreeRegressor, ...]
     node_arrays: Tuple[np.ndarray, ...]
 
@@ -62,36 +69,58 @@ class _FlatForest:
 
 
 def _flatten(trees: Sequence[DecisionTreeRegressor]) -> _FlatForest:
-    """Concatenate fitted trees into one contiguous node block."""
-    offsets: List[int] = []
-    total = 0
-    for tree in trees:
-        if tree._feature is None:
-            raise RuntimeError("tree is not fitted")
-        offsets.append(total)
-        total += tree._feature.size
-    feature = np.empty(total, dtype=np.int64)
-    threshold = np.empty(total, dtype=float)
-    left = np.empty(total, dtype=np.int64)
-    right = np.empty(total, dtype=np.int64)
-    value = np.empty(total, dtype=float)
-    for tree, offset in zip(trees, offsets):
-        assert tree._feature is not None  # checked above
-        span = slice(offset, offset + tree._feature.size)
-        feature[span] = tree._feature
-        threshold[span] = tree._threshold
-        value[span] = tree._value
-        # Child pointers shift by the tree's node offset; -1 leaf
-        # markers must stay -1.
-        left[span] = np.where(tree._left >= 0, tree._left + offset, -1)
-        right[span] = np.where(tree._right >= 0, tree._right + offset, -1)
+    """Concatenate fitted trees into one block of self-looping nodes.
+
+    Raises:
+        RuntimeError: A tree is not fitted.
+        ValueError: An internal node's children are not an adjacent
+            ``(right - 1, right)`` pair, which the single ``right``
+            child array cannot represent.
+    """
+    if any(tree._feature is None for tree in trees):
+        raise RuntimeError("tree is not fitted")
+    sizes = [tree.node_count for tree in trees]
+    total = sum(sizes)
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    width = max(int(tree._feature.max(initial=-1)) for tree in trees) + 1
+    # Leaf defaults first: the sentinel column, a +inf threshold, and
+    # right == i + 1 at global index i, so a leaf's ``right - 1`` step
+    # is a self-loop.  Each tree then writes its internal nodes.
+    feature = np.full(total, width, dtype=np.int64)
+    threshold = np.full(total, np.inf)
+    right = np.arange(1, total + 1, dtype=np.int64)
+    for index, (tree, offset) in enumerate(zip(trees, roots)):
+        internal = tree._feature >= 0
+        apart = np.flatnonzero(internal & (tree._left != tree._right - 1))
+        if apart.size:
+            node = int(apart[0])
+            raise ValueError(
+                f"tree {index} node {node}: children {tree._left[node]} "
+                f"and {tree._right[node]} are not adjacent"
+            )
+        span = slice(offset, offset + internal.size)
+        np.copyto(feature[span], tree._feature, where=internal)
+        np.copyto(threshold[span], tree._threshold, where=internal)
+        # Child pointers shift by the tree's node offset.
+        np.add(tree._right, offset, out=right[span], where=internal)
+    # The loop count: a breadth-first walk of all trees at once, one
+    # level per pass; the passes together visit each node once.
+    internal = feature < width
+    depth = 0
+    frontier = roots[internal[roots]]
+    while frontier.size:
+        depth += 1
+        children = right[frontier]
+        frontier = np.concatenate((children - 1, children))
+        frontier = np.compress(internal[frontier], frontier)
     return _FlatForest(
         feature=feature,
         threshold=threshold,
-        left=left,
         right=right,
-        value=value,
-        roots=np.asarray(offsets, dtype=np.int64),
+        value=np.concatenate([tree._value for tree in trees]),
+        roots=roots,
+        width=width,
+        depth=depth,
         trees=tuple(trees),
         node_arrays=tuple(t._feature for t in trees),  # type: ignore[misc]
     )
@@ -234,32 +263,41 @@ class RandomForestRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean prediction across all trees for a batch of samples.
 
-        One iterative vectorized descent walks every (tree, sample)
-        lane of the flattened forest simultaneously; per-tree values
-        are then accumulated in tree order (sequential ``+=``, exactly
-        the float semantics of the historical per-tree loop) and
-        averaged.
+        Every (tree, sample) lane of the flattened forest descends at
+        once through exactly ``depth`` identical levels of one
+        gather-compare-step expression; a lane that reaches its leaf
+        early loops on it.  Per-tree values are then accumulated in
+        tree order (sequential ``+=``, exactly the float semantics of
+        the historical per-tree loop) and averaged.
+
+        Raises:
+            RuntimeError: The forest is not fitted.
+            ValueError: ``X`` has fewer columns than the splits read.
         """
         if not self.trees:
             raise RuntimeError("forest is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         flat = _flat_forest(self)
-        n = X.shape[0]
+        n, columns = X.shape
+        if columns < flat.width:
+            raise ValueError(
+                f"X has {columns} columns but the forest splits on column "
+                f"{flat.width - 1}, so it needs at least {flat.width}"
+            )
+        # Row-major copy of the split columns plus the leaves' sentinel
+        # column ``width``, whose 0.0 is always <= their +inf threshold.
+        stride = flat.width + 1
+        padded = np.zeros((n, stride))
+        padded[:, : flat.width] = X[:, : flat.width]
+        x = padded.ravel()
         n_trees = len(self.trees)
         # Lane i*n + j descends tree i with sample j.
         nodes = np.repeat(flat.roots, n)
-        cols = np.tile(np.arange(n), n_trees)
-        active = flat.feature[nodes] >= 0
-        # Each iteration pushes every still-internal lane one level
-        # down; terminates after at most max(tree depth) iterations.
-        while np.any(active):
-            current = nodes[active]
-            feats = flat.feature[current]
-            go_left = X[cols[active], feats] <= flat.threshold[current]
-            nodes[active] = np.where(
-                go_left, flat.left[current], flat.right[current]
+        row_base = np.tile(np.arange(0, n * stride, stride), n_trees)
+        for _ in range(flat.depth):
+            nodes = flat.right[nodes] - (
+                x[row_base + flat.feature[nodes]] <= flat.threshold[nodes]
             )
-            active = flat.feature[nodes] >= 0
         per_tree = flat.value[nodes].reshape(n_trees, n)
         # Sequential accumulation in tree order: float-for-float
         # identical to `for tree: acc += tree.predict(X)` (np.sum's

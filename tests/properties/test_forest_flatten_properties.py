@@ -1,14 +1,18 @@
 """Property tests: the flattened forest is float-identical to per-tree.
 
-The flattening's contract is *exact* equality: the iterative vectorized
-descent over concatenated node arrays must return the same float64
-values as the historical per-tree loop (sequential accumulation in tree
-order), because the golden-result suite pins simulation outputs
-byte-for-byte.  The references here are reconstructed independently —
-per-tree ``tree.predict`` calls and a pure-Python recursive descent of
-the tree arrays — so a drift in either layout fails loudly.  Pickle
-bytes are asserted invariant under prediction: flat arrays are derived
-state and must never leak into serialized forests.
+The flattening's contract is *exact* equality: the fixed-depth
+vectorized descent over concatenated self-looping node arrays must
+return the same float64 values as the historical per-tree loop
+(sequential accumulation in tree order), because the golden-result
+suite pins simulation outputs byte-for-byte.  The references here are
+reconstructed independently — per-tree ``tree.predict`` calls and a
+pure-Python recursive descent of the tree arrays — so a drift in either
+layout fails loudly.  Queries mix in NaN and ±inf, which a split must
+send right (NaN) or compare as ordinary floats (±inf) while a leaf's
+self-loop ignores them, and targets are often constant but for a row
+or two, so bootstrap resamples fit root-only trees beside deep ones.
+Pickle bytes are asserted invariant under prediction: flat arrays are
+derived state and must never leak into serialized forests.
 """
 
 import pickle
@@ -27,24 +31,59 @@ forest_params_st = st.tuples(
     st.integers(0, 2**16),  # seed
 )
 
+
+def _spiked(n, level, spikes):
+    """A constant target but for at most a few rows."""
+    y = np.full(n, level)
+    for row, value in spikes.items():
+        y[row] = value
+    return y
+
+
+def _targets(n):
+    return st.one_of(
+        arrays(np.float64, (n,), elements=st.floats(-100, 100), fill=st.nothing()),
+        st.builds(
+            _spiked,
+            st.just(n),
+            st.floats(-100, 100),
+            st.dictionaries(
+                st.integers(0, n - 1), st.floats(-100, 100), min_size=1, max_size=2
+            ),
+        ),
+    )
+
+
+query_st = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 12), st.just(4)),
+    elements=st.one_of(
+        st.floats(-50, 50), st.sampled_from([np.nan, np.inf, -np.inf])
+    ),
+)
+
 dataset_st = st.integers(8, 60).flatmap(
     lambda n: st.tuples(
-        arrays(np.float64, (n, 4), elements=st.floats(-50, 50)),
-        arrays(np.float64, (n,), elements=st.floats(-100, 100)),
+        # Every entry drawn on its own (no fill value), so features
+        # have the distinct values deep splits need.
+        arrays(np.float64, (n, 4), elements=st.floats(-50, 50), fill=st.nothing()),
+        _targets(n),
+        query_st,
     )
 )
 
 
 def _fit(params, data):
+    """The fitted forest and its inputs: training rows, then queries."""
     n_estimators, max_depth, min_samples_leaf, seed = params
-    X, y = data
+    X, y, queries = data
     forest = RandomForestRegressor(
         n_estimators=n_estimators,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
         seed=seed,
     )
-    return forest.fit(X, y), X
+    return forest.fit(X, y), np.vstack((X, queries))
 
 
 def _per_tree_reference(forest, X):
@@ -125,6 +164,24 @@ def test_refit_invalidates_stale_flat_arrays(params, data):
     forest, X = _fit(params, data)
     forest.predict(X)  # memoize the first flattening
     rng = np.random.default_rng(1234)
-    y2 = rng.normal(size=X.shape[0])
-    forest.fit(X, y2)  # refit in place: new node arrays
+    train = data[0]
+    forest.fit(train, rng.normal(size=train.shape[0]))  # refit in place
     assert np.array_equal(forest.predict(X), _per_tree_reference(forest, X))
+
+
+@settings(max_examples=25, deadline=None)
+@given(forest_params_st, dataset_st)
+def test_nan_row_takes_the_right_branch_at_every_split(params, data):
+    forest, _ = _fit(params, data)
+
+    def rightmost_leaf_value(tree):
+        node = 0
+        while tree._feature[node] >= 0:
+            node = int(tree._right[node])
+        return float(tree._value[node])
+
+    acc = 0.0
+    for tree in forest.trees:
+        acc += rightmost_leaf_value(tree)
+    expected = acc / len(forest.trees)
+    assert forest.predict(np.full((1, 4), np.nan))[0] == expected

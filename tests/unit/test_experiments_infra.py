@@ -114,6 +114,25 @@ class TestBenchDecide:
         )
         assert _load_trajectory(str(path)) == [{"label": "seed"}]
 
+    def test_entry_records_cpu_count_under_schema_v1(self, tmp_path, monkeypatch):
+        import json
+        import os
+
+        from repro.experiments import bench_decide
+
+        # Stub the timed parts: only the entry's shape is under test.
+        monkeypatch.setattr(bench_decide, "train_predictor", lambda **_: None)
+        monkeypatch.setattr(
+            bench_decide, "_bench_backend", lambda name, *_: {"backend": name}
+        )
+        monkeypatch.setattr(bench_decide, "_bench_health_overhead", lambda *_: {})
+        path = tmp_path / "bench.json"
+        entry = bench_decide.run_bench_decide(quick=True, output=str(path))
+        assert entry["cpu_count"] == os.cpu_count()
+        saved = json.loads(path.read_text())
+        assert saved["schema"] == "repro/bench_decide/v1"
+        assert saved["trajectory"] == [entry]
+
     def test_format_entry_lists_every_backend(self):
         from repro.experiments.bench_decide import format_entry
 

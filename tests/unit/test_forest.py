@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.forest import RandomForestRegressor, mean_absolute_percentage_error
+from repro.ml.tree import DecisionTreeRegressor
 
 
 def _noisy_surface(n=500, seed=3):
@@ -11,6 +12,17 @@ def _noisy_surface(n=500, seed=3):
     X = rng.uniform(0, 1, size=(n, 4))
     y = 3 * X[:, 0] + np.sin(6 * X[:, 1]) + 0.1 * rng.normal(size=n)
     return X, y
+
+
+def _stump(left, right):
+    """A hand-built one-split tree on column 0 with four node slots."""
+    tree = DecisionTreeRegressor()
+    tree._feature = np.array([0, -1, -1, -1])
+    tree._threshold = np.array([0.5, 0.0, 0.0, 0.0])
+    tree._left = np.array([left, -1, -1, -1])
+    tree._right = np.array([right, -1, -1, -1])
+    tree._value = np.array([0.0, 1.0, 2.0, 3.0])
+    return tree
 
 
 class TestValidation:
@@ -31,6 +43,23 @@ class TestValidation:
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
             RandomForestRegressor().predict(np.ones((1, 4)))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_narrow_input_rejected(self, rows):
+        # The splits read column 3; a narrower X must fail loudly, not
+        # read a neighbouring row's entries.
+        X, y = _noisy_surface()
+        forest = RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
+        with pytest.raises(ValueError, match="X has 3 columns .* at least 4"):
+            forest.predict(X[:rows, :3])
+
+    def test_non_adjacent_children_rejected(self):
+        forest = RandomForestRegressor(n_estimators=1)
+        forest.trees = [_stump(left=2, right=3)]
+        assert forest.predict(np.array([[0.0], [1.0]])).tolist() == [2.0, 3.0]
+        forest.trees = [_stump(left=1, right=3)]
+        with pytest.raises(ValueError, match="children 1 and 3 are not adjacent"):
+            forest.predict(np.array([[0.0]]))
 
 
 class TestFitting:
