@@ -4,9 +4,9 @@
 runtime, and obs layers rely on but cannot enforce at runtime:
 simulated-time discipline (RL001), seeded randomness (RL002),
 cache-fingerprint and serializer coverage (RL003), process-pool pickle
-safety (RL004), observability purity (RL005), mutable-default
-hygiene (RL006), columnar/scalar parity (RL007), trace-schema
-coverage (RL008), and — via the flow-sensitive tier
+safety (RL004), observability purity (RL005), mutable-default hygiene
+(RL006), trace-schema coverage (RL008), fleet budget conservation
+(RL013), and — via the flow-sensitive tier
 (:mod:`repro.analysis.flow`: per-function CFGs plus dataflow
 fixpoints) — lock discipline (RL009), shared-memory lifecycle
 (RL010), memo staleness (RL011), and unguarded shared-state mutation

@@ -8,7 +8,6 @@ Rule ids:
 * ``RL004`` worker-pickle-safety (:mod:`.concurrency`)
 * ``RL005`` obs-purity (:mod:`.obs`)
 * ``RL006`` mutable-default-config (:mod:`.config`)
-* ``RL007`` scalar-path-drift (:mod:`.hotpath`)
 * ``RL008`` trace-schema-coverage (:mod:`.traces`)
 * ``RL009`` lock-discipline (:mod:`.locks`) — flow-sensitive
 * ``RL010`` shm-lifecycle (:mod:`.lifecycle`) — flow-sensitive
@@ -23,7 +22,6 @@ from repro.analysis.rules import (  # noqa: F401
     config,
     determinism,
     fingerprint,
-    hotpath,
     lifecycle,
     locks,
     memo,
@@ -38,7 +36,6 @@ __all__ = [
     "config",
     "determinism",
     "fingerprint",
-    "hotpath",
     "lifecycle",
     "locks",
     "memo",

@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     decide = bench_sub.add_parser(
         "decide",
-        help="decisions/sec of the hill-climb, scalar vs. columnar paths",
+        help="decisions/sec of the hill-climb, per-session vs. batched sweeps",
     )
     decide.add_argument(
         "--quick", action="store_true",
@@ -222,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="migrate sessions from the most- to the least-loaded node "
         "at epoch boundaries",
     )
-    fleet_run.add_argument("--scalar", action="store_true",
-                           help="force the scalar decision-core path")
     fleet_run.add_argument("--cache-dir", default=".cache",
                            help="Random Forest cache directory")
     fleet_run.add_argument(
@@ -259,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("trace", help="JSONL kernel-launch trace file")
     replay.add_argument("--no-check", action="store_true",
                         help="skip comparing against recorded decisions")
-    replay.add_argument("--scalar", action="store_true",
-                        help="force the scalar decision-core path")
     replay.add_argument("--cache-dir", default=".cache",
                         help="Random Forest cache directory")
     _add_obs_flags(replay)
@@ -726,7 +722,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             max_sessions_per_node=args.max_sessions_per_node,
             max_queued=args.max_queued,
             rebalance=args.rebalance,
-            use_matrix=not args.scalar,
             cache_dir=args.cache_dir,
         )
     except ValueError as exc:
@@ -809,7 +804,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         report = TraceReplayer(
             trace,
             check=not args.no_check,
-            use_matrix=not args.scalar,
             cache_dir=args.cache_dir,
         ).replay()
         print(

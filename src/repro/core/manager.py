@@ -85,10 +85,6 @@ class MPCPowerManager(PowerPolicy):
             window members are not reserved at fail-safe, reverting to
             per-kernel constraint checking (the window's future can no
             longer repay or restrict the current kernel's slack).
-        use_matrix: Decision-core path selector, passed through to the
-            hill-climb optimizer; ``False`` forces the scalar reference
-            path, which the vectorization contract keeps float-identical
-            to the columnar one (asserted by ``tests/differential/``).
         obs: Optional instrumentation; decisions annotate the current
             trace span (mode, horizon, predictions) and emit registry
             metrics.  Defaults to the shared no-op.
@@ -111,7 +107,6 @@ class MPCPowerManager(PowerPolicy):
         fail_safe: HardwareConfig = FAILSAFE_CONFIG,
         use_search_order: bool = True,
         window_reserve: bool = True,
-        use_matrix: bool = True,
         obs: Optional[Instrumentation] = None,
     ) -> None:
         if not math.isfinite(target_throughput) or target_throughput <= 0:
@@ -127,7 +122,7 @@ class MPCPowerManager(PowerPolicy):
         self.obs = or_noop(obs)
         self.space = space if space is not None else ConfigSpace()
         self.optimizer = GreedyHillClimbOptimizer(
-            self.space, predictor, fail_safe, obs=self.obs, use_matrix=use_matrix
+            self.space, predictor, fail_safe, obs=self.obs
         )
         self.tracker = PerformanceTracker(target_throughput)
         self.extractor = KernelPatternExtractor()

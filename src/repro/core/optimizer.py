@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,12 +72,12 @@ class GreedyHillClimbOptimizer:
 
     The search runs on the columnar decision core: candidate
     configurations are flat :class:`~repro.hardware.table.ConfigTable`
-    indices, knob moves are stride arithmetic, and estimates come from
-    the predictor's ``estimate_matrix`` batch interface when it has one
-    (falling back to the scalar ``estimate``/``estimate_batch`` protocol
-    for duck-typed predictors that don't).  Chosen configurations,
-    estimate floats, and evaluation counts are identical to the scalar
-    search — the golden-result suite depends on that.
+    indices, knob moves are stride arithmetic, and each search issues
+    one whole-lattice ``estimate_matrix`` sweep whose rows every probe
+    and climb step reads.  Chosen configurations, estimate floats, and
+    evaluation counts are identical to a per-configuration search —
+    ``tests/differential/`` replays every scenario family against such
+    a reference, and the golden-result suite depends on that.
 
     Args:
         space: The searchable configuration space.
@@ -88,16 +88,12 @@ class GreedyHillClimbOptimizer:
             step counts and matrix-path batch statistics onto the
             current trace span and emit registry counters.  Defaults to
             the shared no-op.
-        use_matrix: When ``False``, force the scalar predictor protocol
-            even if the predictor offers ``estimate_matrix`` — the
-            comparison baseline for ``repro bench decide``.
     """
 
     def __init__(self, space: ConfigSpace, predictor: PerfPowerPredictor,
                  fail_safe: HardwareConfig = FAILSAFE_CONFIG,
                  max_passes: int = 3,
-                 obs: Optional[Instrumentation] = None,
-                 use_matrix: bool = True) -> None:
+                 obs: Optional[Instrumentation] = None) -> None:
         if max_passes < 1:
             raise ValueError("max_passes must be at least 1")
         self.space = space
@@ -134,7 +130,6 @@ class GreedyHillClimbOptimizer:
             "Predictor requests served from the per-search memo",
         ).labelled()
         self._m_lock = registry.lock
-        self.use_matrix = use_matrix
         self.table = ConfigTable(space)
         self._fail_safe_index = self.table.index_of_config(self.fail_safe)
         # Whole-lattice estimate batches preloaded by a batched caller
@@ -142,11 +137,6 @@ class GreedyHillClimbOptimizer:
         # counter vector.  Searches consult it before issuing their own
         # sweep; eval charging and telemetry are identical either way.
         self._preloaded: Dict[CounterVector, EstimateBatch] = {}
-
-    @property
-    def matrix_enabled(self) -> bool:
-        """Whether searches will run on the columnar predictor path."""
-        return self._matrix_path() is not None
 
     @property
     def lattice_key(self) -> Tuple:
@@ -168,21 +158,11 @@ class GreedyHillClimbOptimizer:
     ) -> List[EstimateBatch]:
         """One whole-lattice estimate batch per counter vector.
 
-        Uses the predictor's stacked ``estimate_matrix_many`` when it
-        has one, else one ``estimate_matrix`` call per vector.  No
-        evaluations are charged here — charging happens when a search
-        consumes rows, exactly as on the lazy path.
-
-        Raises:
-            RuntimeError: If the columnar path is disabled or absent.
+        A single stacked ``estimate_matrix_many`` call.  No evaluations
+        are charged here — charging happens when a search consumes
+        rows, exactly as on the lazy path.
         """
-        matrix_fn = self._matrix_path()
-        if matrix_fn is None:
-            raise RuntimeError("sweep_many requires the columnar predictor path")
-        many = getattr(self.predictor, "estimate_matrix_many", None)
-        if many is not None:
-            return list(many(list(counters_list), self.table))
-        return [matrix_fn(counters, self.table) for counters in counters_list]
+        return self.predictor.estimate_matrix_many(list(counters_list), self.table)
 
     # repro-lint: acquires-on-receiver=clear_preload
     def preload_lattice(
@@ -190,26 +170,14 @@ class GreedyHillClimbOptimizer:
     ) -> None:
         """Install whole-lattice sweeps for upcoming searches to reuse.
 
-        A no-op when the columnar path is disabled (the scalar baseline
-        must keep its exact call shapes).  Callers pair this with
-        :meth:`clear_preload` in a ``try``/``finally``.
+        Callers pair this with :meth:`clear_preload` in a
+        ``try``/``finally``.
         """
-        if self._matrix_path() is None:
-            return
         self._preloaded.update(batches)
 
     def clear_preload(self) -> None:
         """Drop all preloaded lattice sweeps."""
         self._preloaded.clear()
-
-    def _matrix_path(
-        self,
-    ) -> Optional[Callable[..., EstimateBatch]]:
-        """The predictor's columnar interface, or ``None`` when opted
-        out / absent (duck-typed scalar-only predictors)."""
-        if not self.use_matrix:
-            return None
-        return getattr(self.predictor, "estimate_matrix", None)
 
     def _failsafe_estimate(self, record: KernelRecord) -> KernelEstimate:
         """One predictor query at the fail-safe configuration.
@@ -217,17 +185,14 @@ class GreedyHillClimbOptimizer:
         Shared by the fail paths and the window reserve accounting; the
         caller charges the evaluation.
         """
-        matrix_fn = self._matrix_path()
-        if matrix_fn is not None:
-            preloaded = self._preloaded.get(record.counters)
-            if preloaded is not None:
-                return preloaded.estimate(self._fail_safe_index)
-            batch = matrix_fn(
-                record.counters, self.table,
-                np.asarray([self._fail_safe_index], dtype=np.intp),
-            )
-            return batch.estimate(0)
-        return self.predictor.estimate(record.counters, self.fail_safe)
+        preloaded = self._preloaded.get(record.counters)
+        if preloaded is not None:
+            return preloaded.estimate(self._fail_safe_index)
+        batch = self.predictor.estimate_matrix(
+            record.counters, self.table,
+            np.asarray([self._fail_safe_index], dtype=np.intp),
+        )
+        return batch.estimate(0)
 
     # ----- single kernel -------------------------------------------------------
 
@@ -249,62 +214,44 @@ class GreedyHillClimbOptimizer:
         climb_steps: Dict[str, int] = {}
         stats = {"batches": 0, "rows": 0, "memo_hits": 0}
         table = self.table
-        matrix_fn = self._matrix_path()
 
         # The whole search runs on flat table indices; configurations
-        # are materialized only for the returned result.  Every fetch
-        # charges one evaluation per requested index — the same budget
-        # the scalar protocol spends — regardless of the speculative
-        # lattice sweep, so overhead accounting is unchanged.
-        if matrix_fn is not None:
-            # One columnar sweep covers the whole lattice, so the
-            # dozens of tiny probe/climb batches a search issues all
-            # become row lookups.  Per-row forest traversal is
-            # independent, so each looked-up estimate is float-for-float
-            # what the equivalent small batch would have produced.
-            full: Optional[EstimateBatch] = None
-            memo: Dict[int, KernelEstimate] = {}
+        # are materialized only for the returned result.  One columnar
+        # sweep covers the whole lattice, so the dozens of tiny
+        # probe/climb requests a search makes all become row lookups;
+        # per-row model evaluation is independent, so each looked-up
+        # estimate is float-for-float what a query for that one
+        # configuration returns.  Every fetch charges one evaluation per
+        # requested index regardless of the speculative sweep — the
+        # search's modelled cost is its per-configuration budget.
+        full: Optional[EstimateBatch] = None
+        memo: Dict[int, KernelEstimate] = {}
 
-            def fetch_many(indices: Sequence[int]) -> List[KernelEstimate]:
-                nonlocal evals, full
-                evals += len(indices)
+        def fetch_many(indices: Sequence[int]) -> List[KernelEstimate]:
+            nonlocal evals, full
+            evals += len(indices)
+            if full is None:
+                # A batched caller may have preloaded this kernel's
+                # whole-lattice sweep; rows are float-identical to an
+                # own sweep, and the batch/row telemetry charges exactly
+                # as if the sweep ran here.
+                full = self._preloaded.get(record.counters)
                 if full is None:
-                    # A batched caller may have preloaded this kernel's
-                    # whole-lattice sweep; rows are float-identical to
-                    # an own sweep, and the batch/row telemetry charges
-                    # exactly as if the sweep ran here.
-                    full = self._preloaded.get(record.counters)
-                    if full is None:
-                        full = matrix_fn(record.counters, table)
-                    stats["batches"] += 1
-                    stats["rows"] += len(full)
-                out = []
-                for index in indices:
-                    est = memo.get(index)
-                    if est is None:
-                        memo[index] = est = full.estimate(index)
-                    else:
-                        stats["memo_hits"] += 1
-                    out.append(est)
-                return out
+                    full = self.predictor.estimate_matrix(record.counters, table)
+                stats["batches"] += 1
+                stats["rows"] += len(full)
+            out = []
+            for index in indices:
+                est = memo.get(index)
+                if est is None:
+                    memo[index] = est = full.estimate(index)
+                else:
+                    stats["memo_hits"] += 1
+                out.append(est)
+            return out
 
-            def fetch_one(index: int) -> KernelEstimate:
-                return fetch_many((index,))[0]
-        else:
-            # Scalar fallback: the pre-columnar call shapes, verbatim.
-            def fetch_many(indices: Sequence[int]) -> List[KernelEstimate]:
-                nonlocal evals
-                evals += len(indices)
-                return self.predictor.estimate_batch(
-                    record.counters, [table.config_at(i) for i in indices]
-                )
-
-            def fetch_one(index: int) -> KernelEstimate:
-                nonlocal evals
-                evals += 1
-                return self.predictor.estimate(
-                    record.counters, table.config_at(index)
-                )
+        def fetch_one(index: int) -> KernelEstimate:
+            return fetch_many((index,))[0]
 
         def feasible(est: KernelEstimate) -> bool:
             return tracker.admits(record.instructions, est.time_s)
@@ -413,7 +360,7 @@ class GreedyHillClimbOptimizer:
         )
 
     def _record_search(self, evals: int, climb_steps: Dict[str, int],
-                       stats: Optional[Dict[str, int]] = None) -> None:
+                       stats: Dict[str, int]) -> None:
         """Emit one search's step/evaluation telemetry (obs enabled).
 
         The span is resolved once and written directly (each
@@ -434,8 +381,7 @@ class GreedyHillClimbOptimizer:
                 span.inc(_climb_step_key(knob), climb_steps[knob])
             if knob not in by_knob:
                 by_knob[knob] = self._m_climb_steps.labelled(knob=knob)
-        matrix = stats is not None and self._matrix_path() is not None
-        if matrix and span is not None:
+        if span is not None:
             # Columnar-path telemetry: how many predictor batches the
             # search issued, how many table rows they covered, and how
             # many requests the per-search memo absorbed.
@@ -447,10 +393,9 @@ class GreedyHillClimbOptimizer:
             self._m_evaluations.inc_unlocked(evals)
             for knob in knobs:
                 by_knob[knob].inc_unlocked(climb_steps[knob])
-            if matrix:
-                self._m_matrix_batches.inc_unlocked(stats["batches"])
-                self._m_matrix_rows.inc_unlocked(stats["rows"])
-                self._m_memo_hits.inc_unlocked(stats["memo_hits"])
+            self._m_matrix_batches.inc_unlocked(stats["batches"])
+            self._m_matrix_rows.inc_unlocked(stats["rows"])
+            self._m_memo_hits.inc_unlocked(stats["memo_hits"])
 
     def optimize_kernel_batch(
         self,
@@ -472,11 +417,6 @@ class GreedyHillClimbOptimizer:
             One :class:`OptimizationResult` per case, in order.
         """
         cases = list(cases)
-        if not cases or self._matrix_path() is None:
-            return [
-                self.optimize_kernel(record, tracker)
-                for record, tracker in cases
-            ]
         unique: Dict[CounterVector, None] = {}
         for record, _ in cases:
             if record.counters not in self._preloaded:
@@ -504,51 +444,30 @@ class GreedyHillClimbOptimizer:
         and the search-cost experiment; the runtime system always uses
         :meth:`optimize_kernel`.
         """
-        matrix_fn = self._matrix_path()
-        if matrix_fn is not None:
-            # One columnar evaluation over the whole lattice; the
-            # selection scan works on the float columns directly.
-            batch = matrix_fn(record.counters, self.table)
-            evals = len(self.table)
-            times = batch.times_s
-            energies = batch.energy_j
-            best_index: Optional[int] = None
-            best_energy = 0.0
-            for i in range(len(batch)):
-                if not tracker.admits(record.instructions, float(times[i])):
-                    continue
-                energy = float(energies[i])
-                if best_index is None or energy < best_energy:
-                    best_index, best_energy = i, energy
-            if best_index is None:
-                return OptimizationResult(
-                    config=self.fail_safe,
-                    estimate=self._failsafe_estimate(record),
-                    evaluations=evals + 1, fail_safe=True,
-                )
-            return OptimizationResult(
-                config=self.table.config_at(best_index),
-                estimate=batch.estimate(best_index),
-                evaluations=evals, fail_safe=False,
-            )
-
-        configs = self.space.all_configs()
-        estimates = self.predictor.estimate_batch(record.counters, configs)
-        evals = len(configs)
-        best: Optional[Tuple[HardwareConfig, KernelEstimate]] = None
-        for config, estimate in zip(configs, estimates):
-            if not tracker.admits(record.instructions, estimate.time_s):
+        # One columnar evaluation over the whole lattice; the selection
+        # scan works on the float columns directly.
+        batch = self.predictor.estimate_matrix(record.counters, self.table)
+        evals = len(self.table)
+        times = batch.times_s
+        energies = batch.energy_j
+        best_index: Optional[int] = None
+        best_energy = 0.0
+        for i in range(len(batch)):
+            if not tracker.admits(record.instructions, float(times[i])):
                 continue
-            if best is None or estimate.energy_j < best[1].energy_j:
-                best = (config, estimate)
-        if best is None:
-            fail_est = self.predictor.estimate(record.counters, self.fail_safe)
+            energy = float(energies[i])
+            if best_index is None or energy < best_energy:
+                best_index, best_energy = i, energy
+        if best_index is None:
             return OptimizationResult(
-                config=self.fail_safe, estimate=fail_est,
+                config=self.fail_safe,
+                estimate=self._failsafe_estimate(record),
                 evaluations=evals + 1, fail_safe=True,
             )
         return OptimizationResult(
-            config=best[0], estimate=best[1], evaluations=evals, fail_safe=False,
+            config=self.table.config_at(best_index),
+            estimate=batch.estimate(best_index),
+            evaluations=evals, fail_safe=False,
         )
 
     # ----- MPC window ------------------------------------------------------------
@@ -662,8 +581,8 @@ class GreedyHillClimbOptimizer:
         """
         if not window:
             raise ValueError("window must contain at least the current kernel")
-        configs = self.space.all_configs()
-        combinations = len(configs) ** len(window)
+        table = self.table
+        combinations = len(table) ** len(window)
         if combinations > max_combinations:
             raise ValueError(
                 f"{combinations} combinations exceed the "
@@ -671,21 +590,13 @@ class GreedyHillClimbOptimizer:
                 "the configuration space"
             )
 
-        # Pre-evaluate each (kernel, config) pair once, one predictor
-        # batch (columnar when available) per kernel.
-        matrix_fn = self._matrix_path()
-        estimates: List[List[KernelEstimate]] = []
-        evals = 0
-        for record in window:
-            if matrix_fn is not None:
-                estimates.append(
-                    matrix_fn(record.counters, self.table).to_estimates()
-                )
-            else:
-                estimates.append(
-                    self.predictor.estimate_batch(record.counters, configs)
-                )
-            evals += len(configs)
+        # Pre-evaluate each (kernel, config) pair once, one whole-lattice
+        # sweep per kernel.
+        estimates = [
+            self.predictor.estimate_matrix(record.counters, table).to_estimates()
+            for record in window
+        ]
+        evals = len(table) * len(window)
 
         best_energy = None
         best_first: Optional[Tuple[HardwareConfig, KernelEstimate]] = None
@@ -693,7 +604,7 @@ class GreedyHillClimbOptimizer:
         base_time = tracker.time_s
         target = tracker.target_throughput
 
-        for assignment in itertools.product(range(len(configs)), repeat=len(window)):
+        for assignment in itertools.product(range(len(table)), repeat=len(window)):
             insts = base_insts
             time_s = base_time
             energy = 0.0
@@ -711,7 +622,7 @@ class GreedyHillClimbOptimizer:
             if best_energy is None or energy < best_energy:
                 best_energy = energy
                 first_index = assignment[0]
-                best_first = (configs[first_index], estimates[0][first_index])
+                best_first = (table.config_at(first_index), estimates[0][first_index])
 
         if best_first is None:
             fail_est = self._failsafe_estimate(window[0])

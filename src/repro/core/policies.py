@@ -94,8 +94,6 @@ class PPKPolicy(PowerPolicy):
             realistic scheme; the oracle for the Figure-4 limit study).
         space: Searchable configuration space.
         fail_safe: Fallback/startup configuration.
-        use_matrix: Decision-core path selector, passed through to the
-            hill-climb optimizer (``False`` forces the scalar path).
     """
 
     name = "PPK"
@@ -106,12 +104,9 @@ class PPKPolicy(PowerPolicy):
         predictor: PerfPowerPredictor,
         space: Optional[ConfigSpace] = None,
         fail_safe: HardwareConfig = FAILSAFE_CONFIG,
-        use_matrix: bool = True,
     ) -> None:
         self.space = space if space is not None else ConfigSpace()
-        self.optimizer = GreedyHillClimbOptimizer(
-            self.space, predictor, fail_safe, use_matrix=use_matrix
-        )
+        self.optimizer = GreedyHillClimbOptimizer(self.space, predictor, fail_safe)
         self.tracker = PerformanceTracker(target_throughput)
         self.extractor = KernelPatternExtractor()
         self._fail_safe = self.optimizer.fail_safe

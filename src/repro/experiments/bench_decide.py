@@ -2,13 +2,13 @@
 
 ``repro bench decide`` times :meth:`GreedyHillClimbOptimizer.optimize_kernel`
 — the per-kernel-boundary decision the MPC manager makes at runtime —
-under each predictor backend, once through the columnar
-``estimate_matrix`` path and once with ``use_matrix=False`` (the scalar
-``estimate``/``estimate_batch`` protocol, i.e. the pre-columnar call
-shapes).  Results append to a trajectory file (``BENCH_decide.json`` by
-default) so the decisions/sec history is tracked across changes to the
-decision core; each entry records the host's ``cpu_count`` beside its
-rates.
+under each predictor backend, once per session (one whole-lattice
+sweep per decision) and batched across interleaved sessions
+(:meth:`~GreedyHillClimbOptimizer.optimize_kernel_batch`, one stacked
+sweep per step).  Results append to a trajectory file
+(``BENCH_decide.json`` by default) so the decisions/sec history is
+tracked across changes to the decision core; each entry records the
+host's ``cpu_count`` beside its rates.
 
 Wall-clock timing is deliberate and allowed here: this module lives in
 ``repro/experiments/``, the RL001 allowlist.  The *decisions* being
@@ -247,24 +247,19 @@ def _bench_backend(
     cases: List[Tuple[KernelRecord, PerformanceTracker]],
     min_decisions: int,
 ) -> Dict[str, object]:
-    """Scalar-vs-matrix-vs-batched decisions/sec for one backend."""
-    matrix = GreedyHillClimbOptimizer(space, predictor, use_matrix=True)
-    scalar = GreedyHillClimbOptimizer(space, predictor, use_matrix=False)
-    matrix_rate, timed = _time_path(matrix, cases, min_decisions)
-    scalar_rate, _ = _time_path(scalar, cases, min_decisions)
+    """Per-session vs. batched decisions/sec for one backend."""
+    optimizer = GreedyHillClimbOptimizer(space, predictor)
+    matrix_rate, timed = _time_path(optimizer, cases, min_decisions)
     batched: Dict[str, object] = {}
     for sessions in BATCH_SESSIONS:
-        rate, _ = _time_batched(matrix, cases, sessions, min_decisions)
+        rate, _ = _time_batched(optimizer, cases, sessions, min_decisions)
         batched[str(sessions)] = {
             "decisions_per_s": round(rate, 2),
             "speedup_vs_matrix": round(rate / matrix_rate, 2),
-            "speedup_vs_scalar": round(rate / scalar_rate, 2),
         }
     return {
         "backend": name,
-        "scalar_decisions_per_s": round(scalar_rate, 2),
         "matrix_decisions_per_s": round(matrix_rate, 2),
-        "speedup": round(matrix_rate / scalar_rate, 2),
         "decisions_timed": timed,
         "batched": batched,
     }
@@ -353,23 +348,18 @@ def format_entry(entry: Dict[str, object]) -> str:
     lines = [
         f"== bench decide ({entry['label']}): {entry['benchmark']}, "
         f"{entry['cases']} kernels ==",
-        f"{'backend':8s} {'scalar/s':>10s} {'matrix/s':>10s} {'speedup':>8s}",
+        f"{'backend':8s} {'matrix/s':>10s}",
     ]
     backends = entry["backends"]
     assert isinstance(backends, dict)
     for name, stats in backends.items():
-        lines.append(
-            f"{name:8s} {stats['scalar_decisions_per_s']:>10.1f} "
-            f"{stats['matrix_decisions_per_s']:>10.1f} "
-            f"{stats['speedup']:>7.2f}x"
-        )
+        lines.append(f"{name:8s} {stats['matrix_decisions_per_s']:>10.1f}")
     for name, stats in backends.items():
         for sessions, batch in stats.get("batched", {}).items():
             lines.append(
                 f"{name:8s} batched@{sessions:>2s}: "
                 f"{batch['decisions_per_s']:>9.1f}/s "
-                f"({batch['speedup_vs_matrix']:.2f}x vs matrix, "
-                f"{batch['speedup_vs_scalar']:.2f}x vs scalar)"
+                f"({batch['speedup_vs_matrix']:.2f}x vs matrix)"
             )
     overhead = entry.get("health_overhead")
     if isinstance(overhead, dict):

@@ -41,7 +41,6 @@ class FleetNode:
         node_id: The node's id within the fleet (e.g. ``node-0``).
         enforce_tdp: Whether hosted sessions throttle into the TDP
             (taken from the trace header by the simulator).
-        use_matrix: Decision-core path for MPC/PPK sessions.
         batched: Feed each epoch's events through
             ``SessionManager.step_batch`` in maximal distinct-session
             chunks (the default); ``False`` dispatches one at a time.
@@ -60,13 +59,11 @@ class FleetNode:
         node_id: str,
         *,
         enforce_tdp: bool = False,
-        use_matrix: bool = True,
         batched: bool = True,
         cache_dir: str = ".cache",
         obs: Optional[Instrumentation] = None,
     ) -> None:
         self.node_id = node_id
-        self.use_matrix = use_matrix
         self.batched = batched
         self.cache_dir = cache_dir
         self.obs = obs if obs is not None else make_instrumentation()
@@ -105,7 +102,6 @@ class FleetNode:
             apu=self.apu,
             overhead=self.overhead,
             obs=self.obs,
-            use_matrix=self.use_matrix,
             cache_dir=self.cache_dir,
         )
         self.manager.add_session(

@@ -122,7 +122,6 @@ class FleetSimulator:
             by two or more (snapshot/restore migration; decisions are
             placement-invariant, so rebalancing never changes them).
         min_floor_w / headroom_frac: Allocator policy knobs.
-        use_matrix: Decision-core path for MPC/PPK sessions.
         batched: Step nodes through ``step_batch`` chunks (default) or
             one event at a time.
         cache_dir: Random Forest cache directory.
@@ -141,7 +140,6 @@ class FleetSimulator:
         rebalance: bool = False,
         min_floor_w: float = DEFAULT_MIN_FLOOR_W,
         headroom_frac: float = DEFAULT_HEADROOM_FRAC,
-        use_matrix: bool = True,
         batched: bool = True,
         cache_dir: str = ".cache",
     ) -> None:
@@ -163,7 +161,6 @@ class FleetSimulator:
         self.max_sessions_per_node = max_sessions_per_node
         self.max_queued = max_queued
         self.rebalance = rebalance
-        self.use_matrix = use_matrix
         self.batched = batched
         self.cache_dir = cache_dir
         self.allocator = (
@@ -180,7 +177,6 @@ class FleetSimulator:
     def _build_shards(self, stack: Any) -> List[Any]:
         node_kwargs = {
             "enforce_tdp": self.trace.header.enforce_tdp,
-            "use_matrix": self.use_matrix,
             "batched": self.batched,
             "cache_dir": self.cache_dir,
         }

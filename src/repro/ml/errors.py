@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.hardware.config import HardwareConfig
-from repro.ml.predictors import KernelEstimate, PerfPowerPredictor
+from repro.hardware.table import ConfigTable
+from repro.ml.predictors import EstimateBatch, PerfPowerPredictor
 from repro.workloads.counters import CounterVector
 
 __all__ = ["SyntheticErrorPredictor", "half_normal_sigma"]
@@ -72,12 +74,27 @@ class SyntheticErrorPredictor(PerfPowerPredictor):
             max(0.05, 1.0 + power_sign * power_err),
         )
 
-    def estimate(self, counters: CounterVector,
-                 config: HardwareConfig) -> KernelEstimate:
-        base = self.inner.estimate(counters, config)
-        time_factor, power_factor = self._factors(counters, config)
-        return KernelEstimate(
-            time_s=base.time_s * time_factor,
-            gpu_power_w=base.gpu_power_w * power_factor,
-            cpu_power_w=base.cpu_power_w,
+    def estimate_matrix_many(
+        self,
+        counters_list: Sequence[CounterVector],
+        table: ConfigTable,
+        indices: Optional[np.ndarray] = None,
+    ) -> List[EstimateBatch]:
+        """The inner predictor's batches, scaled row by row by :meth:`_factors`."""
+        configs = (
+            table.configs if indices is None
+            else [table.config_at(int(i)) for i in indices]
         )
+        batches = []
+        for counters, base in zip(
+            counters_list, self.inner.estimate_matrix_many(counters_list, table, indices)
+        ):
+            factors = np.asarray(
+                [self._factors(counters, config) for config in configs], dtype=float
+            ).reshape(-1, 2)
+            batches.append(EstimateBatch(
+                times_s=base.times_s * factors[:, 0],
+                gpu_power_w=base.gpu_power_w * factors[:, 1],
+                cpu_power_w=base.cpu_power_w,
+            ))
+        return batches

@@ -118,15 +118,6 @@ class EstimateBatch:
         ]
 
     @classmethod
-    def from_estimates(cls, estimates: Sequence[KernelEstimate]) -> "EstimateBatch":
-        """Columnar view of scalar estimates (adapter for stub predictors)."""
-        return cls(
-            times_s=[e.time_s for e in estimates],
-            gpu_power_w=[e.gpu_power_w for e in estimates],
-            cpu_power_w=[e.cpu_power_w for e in estimates],
-        )
-
-    @classmethod
     def empty(cls) -> "EstimateBatch":
         """A zero-row batch."""
         return cls(np.empty(0), np.empty(0), np.empty(0))
@@ -172,76 +163,31 @@ class CpuPowerModel:
 
 
 class PerfPowerPredictor(abc.ABC):
-    """Interface of the performance and power predictor (Figure 6)."""
+    """Interface of the performance and power predictor (Figure 6).
+
+    One primitive, :meth:`estimate_matrix_many`, answers every query:
+    columnar estimates for many kernels over the same
+    :class:`~repro.hardware.table.ConfigTable` rows.  The one-kernel
+    (:meth:`estimate_matrix`), configuration-list
+    (:meth:`estimate_batch`) and single-configuration (:meth:`estimate`)
+    entry points are views of it, so every caller sees the same floats.
+    """
 
     @abc.abstractmethod
-    def estimate(self, counters: CounterVector,
-                 config: HardwareConfig) -> KernelEstimate:
-        """Predict a kernel's behaviour at a candidate configuration.
-
-        Args:
-            counters: The kernel's Table-III counters (from the pattern
-                extractor's store).
-            config: Candidate hardware configuration.
-
-        Returns:
-            Predicted time and component powers.
-        """
-
-    def estimate_batch(self, counters: CounterVector,
-                       configs: Sequence[HardwareConfig]) -> List[KernelEstimate]:
-        """Estimates for one kernel over many candidate configurations.
-
-        The default loops over :meth:`estimate`; predictors with a
-        vectorizable model (the Random Forest) override it so the
-        optimizer's probe sweeps cost one forest traversal per batch.
-        """
-        return [self.estimate(counters, config) for config in configs]
-
-    def estimate_matrix(self, counters: CounterVector, table: ConfigTable,
-                        indices: Optional[np.ndarray] = None) -> EstimateBatch:
-        """Columnar estimates for one kernel over table rows.
-
-        This is the decide hot path's native interface: the optimizer
-        hands a :class:`~repro.hardware.table.ConfigTable` plus flat row
-        indices and gets struct-of-arrays estimates back.  The default
-        loops over the scalar :meth:`estimate` (so wrapper predictors
-        like :class:`~repro.ml.errors.SyntheticErrorPredictor` stay
-        correct for free); the Random Forest and the oracle override it
-        with genuinely vectorized models.  Overrides must stay
-        float-for-float identical to the scalar path — the golden-result
-        suite depends on that.
-
-        Args:
-            counters: The kernel's Table-III counters.
-            table: Columnar configuration set.
-            indices: Optional flat row indices; all rows when ``None``.
-        """
-        if indices is None:
-            configs: Sequence[HardwareConfig] = table.configs
-        else:
-            configs = [table.config_at(int(i)) for i in indices]
-        return EstimateBatch.from_estimates(
-            [self.estimate(counters, config) for config in configs]
-        )
-
     def estimate_matrix_many(
         self,
         counters_list: Sequence[CounterVector],
         table: ConfigTable,
         indices: Optional[np.ndarray] = None,
     ) -> List[EstimateBatch]:
-        """Columnar estimates for *many* kernels over the same table rows.
+        """Columnar estimates for many kernels over the same table rows.
 
-        The multi-session hot path: ``SessionManager.step_batch``
-        collects the counter vectors of every ready session and sweeps
-        them in one call.  The default loops over
-        :meth:`estimate_matrix` (one batch per counter vector — always
-        correct); the Random Forest overrides it to stack all kernels
-        into a single ``(sessions × configs)`` feature matrix and one
-        flattened-forest descent.  Overrides must return batches
-        float-for-float identical to per-kernel :meth:`estimate_matrix`
-        calls — the differential step_batch suite depends on that.
+        The decide hot path's native interface: the optimizer sweeps
+        one kernel's whole lattice, and ``SessionManager.step_batch``
+        stacks the counter vectors of every ready session into one
+        call.  Each returned batch must be float-for-float identical to
+        a call for its counter vector alone — the differential
+        step_batch suite and the golden-result suite depend on that.
 
         Args:
             counters_list: One Table-III counter vector per kernel.
@@ -252,10 +198,23 @@ class PerfPowerPredictor(abc.ABC):
             One :class:`EstimateBatch` per input counter vector, in
             order.
         """
-        return [
-            self.estimate_matrix(counters, table, indices)
-            for counters in counters_list
-        ]
+
+    def estimate_matrix(self, counters: CounterVector, table: ConfigTable,
+                        indices: Optional[np.ndarray] = None) -> EstimateBatch:
+        """Columnar estimates for one kernel over table rows."""
+        return self.estimate_matrix_many([counters], table, indices)[0]
+
+    def estimate_batch(self, counters: CounterVector,
+                       configs: Sequence[HardwareConfig]) -> List[KernelEstimate]:
+        """Estimates for one kernel over a list of configurations."""
+        if not configs:
+            return []
+        return self.estimate_matrix(counters, ConfigTable.from_configs(configs)).to_estimates()
+
+    def estimate(self, counters: CounterVector,
+                 config: HardwareConfig) -> KernelEstimate:
+        """Predicted time and component powers at one configuration."""
+        return self.estimate_matrix(counters, ConfigTable.from_configs((config,))).estimate(0)
 
 
 class RandomForestPredictor(PerfPowerPredictor):
@@ -274,59 +233,24 @@ class RandomForestPredictor(PerfPowerPredictor):
         self.power_forest = power_forest
         self.cpu_model = cpu_model
 
-    def estimate(self, counters: CounterVector,
-                 config: HardwareConfig) -> KernelEstimate:
-        """Scalar estimate; thin wrapper over :meth:`estimate_matrix`."""
-        table = ConfigTable.from_configs((config,))
-        return self.estimate_matrix(counters, table).estimate(0)
-
-    def estimate_batch(self, counters: CounterVector,
-                       configs: Sequence[HardwareConfig]) -> List[KernelEstimate]:
-        """Vectorized estimates; thin wrapper over :meth:`estimate_matrix`."""
-        if not configs:
-            return []
-        table = ConfigTable.from_configs(configs)
-        return self.estimate_matrix(counters, table).to_estimates()
-
-    def estimate_matrix(self, counters: CounterVector, table: ConfigTable,
-                        indices: Optional[np.ndarray] = None) -> EstimateBatch:
-        """Native columnar path: one forest traversal per batch.
-
-        The feature matrix is assembled by broadcasting the kernel's
-        counter row next to the table's precomputed hardware feature
-        block — the same floats :func:`~repro.ml.dataset.build_features`
-        concatenates per config, without the per-row Python work.  CPU
-        power is a gather from the table's memoized per-P-state column.
-        """
-        block = table.feature_block if indices is None else table.feature_block[indices]
-        n = block.shape[0]
-        if n == 0:
-            return EstimateBatch.empty()
-        counter_row = counters.as_array()
-        X = np.empty((n, counter_row.shape[0] + block.shape[1]))
-        X[:, : counter_row.shape[0]] = counter_row
-        X[:, counter_row.shape[0]:] = block
-        times = np.exp(self.time_forest.predict(X))
-        powers = np.maximum(0.1, self.power_forest.predict(X))
-        cpu = table.cpu_power_column(self.cpu_model)
-        if indices is not None:
-            cpu = cpu[indices]
-        return EstimateBatch(times_s=times, gpu_power_w=powers, cpu_power_w=cpu)
-
     def estimate_matrix_many(
         self,
         counters_list: Sequence[CounterVector],
         table: ConfigTable,
         indices: Optional[np.ndarray] = None,
     ) -> List[EstimateBatch]:
-        """Native multi-kernel path: one stacked descent for all sessions.
+        """One stacked forest descent for all kernels.
 
-        All kernels' feature rows are stacked into one
-        ``(kernels · configs, features)`` matrix, so each forest is
-        descended once for the whole batch.  Tree traversal is
-        row-independent and the per-batch slices are views of the same
-        prediction arrays, so every returned batch is float-for-float
-        identical to a per-kernel :meth:`estimate_matrix` call.
+        Each kernel's counter row is broadcast next to the table's
+        precomputed hardware feature block — the same floats
+        :func:`~repro.ml.dataset.build_features` concatenates per config,
+        without the per-row Python work — and all kernels' rows are
+        stacked into one ``(kernels · configs, features)`` matrix, so
+        each forest is descended once for the whole batch.  Tree
+        traversal is row-independent and the per-kernel slices are views
+        of the same prediction arrays, so every returned batch is
+        float-for-float what a call for that kernel alone returns.  CPU
+        power is a gather from the table's memoized per-P-state column.
         """
         if not counters_list:
             return []
@@ -390,44 +314,27 @@ class OraclePredictor(PerfPowerPredictor):
         distance = np.sum(((self._nominal - observed) / scale) ** 2, axis=1)
         return self._specs[int(np.argmin(distance))]
 
-    def estimate(self, counters: CounterVector,
-                 config: HardwareConfig) -> KernelEstimate:
-        spec = self.resolve(counters)
-        measurement = self.apu.execute(spec, config)
-        return KernelEstimate(
-            time_s=measurement.time_s,
-            gpu_power_w=measurement.gpu_power_w,
-            cpu_power_w=measurement.cpu_power_w,
-        )
+    def estimate_matrix_many(
+        self,
+        counters_list: Sequence[CounterVector],
+        table: ConfigTable,
+        indices: Optional[np.ndarray] = None,
+    ) -> List[EstimateBatch]:
+        """One ground-truth matrix evaluation per kernel.
 
-    def estimate_batch(self, counters: CounterVector,
-                       configs: Sequence[HardwareConfig]) -> List[KernelEstimate]:
-        """Batch estimates resolving the kernel once per batch.
-
-        The base-class default would re-run nearest-counter resolution
-        per config; the answer cannot change within one batch, so this
-        resolves once and evaluates the ground-truth model columnwise.
+        Each row is float-for-float :meth:`APUModel.execute
+        <repro.hardware.apu.APUModel.execute>` of the resolved kernel at
+        that row's configuration.
         """
-        if not configs:
-            return []
-        spec = self.resolve(counters)
-        matrix = self.apu.execute_matrix(spec, ConfigTable.from_configs(configs))
-        return EstimateBatch(
-            times_s=matrix.times_s,
-            gpu_power_w=matrix.gpu_power_w,
-            cpu_power_w=matrix.cpu_power_w,
-        ).to_estimates()
-
-    def estimate_matrix(self, counters: CounterVector, table: ConfigTable,
-                        indices: Optional[np.ndarray] = None) -> EstimateBatch:
-        """Native columnar path: one ground-truth matrix evaluation."""
-        spec = self.resolve(counters)
-        matrix = self.apu.execute_matrix(spec, table, indices)
-        return EstimateBatch(
-            times_s=matrix.times_s,
-            gpu_power_w=matrix.gpu_power_w,
-            cpu_power_w=matrix.cpu_power_w,
-        )
+        batches = []
+        for counters in counters_list:
+            matrix = self.apu.execute_matrix(self.resolve(counters), table, indices)
+            batches.append(EstimateBatch(
+                times_s=matrix.times_s,
+                gpu_power_w=matrix.gpu_power_w,
+                cpu_power_w=matrix.cpu_power_w,
+            ))
+        return batches
 
 
 # ----- training -------------------------------------------------------------

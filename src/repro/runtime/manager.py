@@ -239,7 +239,7 @@ class SessionManager:
         requests: Dict[Any, List[Any]] = {}
         for event, session in zip(events, sessions):
             optimizer = getattr(session.policy, "optimizer", None)
-            if optimizer is None or not getattr(optimizer, "matrix_enabled", False):
+            if optimizer is None:
                 continue
             try:
                 wanted = tuple(session.prefetch_counters(event))

@@ -77,7 +77,6 @@ def build_policy(
     apu: APUModel,
     overhead: OverheadModel,
     obs: Optional[Instrumentation] = None,
-    use_matrix: bool = True,
     cache_dir: str = ".cache",
 ) -> PowerPolicy:
     """Instantiate the policy a session spec describes.
@@ -88,10 +87,6 @@ def build_policy(
         apu: Ground-truth hardware model of the replay.
         overhead: Decision-overhead model of the replay.
         obs: Instrumentation shared with the hosting session.
-        use_matrix: Decision-core path selector — ``False`` forces the
-            scalar hill-climb (float-identical to the columnar path by
-            the vectorization contract; the differential harness
-            asserts exactly that).
         cache_dir: Random Forest cache directory (``forest`` predictor).
     """
     if spec.kind == "turbo":
@@ -108,9 +103,7 @@ def build_policy(
 
         predictor = train_predictor(apu=apu, cache_dir=cache_dir)
     if spec.kind == "ppk":
-        return PPKPolicy(
-            spec.target_throughput, predictor, use_matrix=use_matrix
-        )
+        return PPKPolicy(spec.target_throughput, predictor)
     if spec.kind == "mpc":
         return MPCPowerManager(
             spec.target_throughput,
@@ -119,7 +112,6 @@ def build_policy(
             adaptive_horizon=spec.adaptive_horizon,
             overhead_model=overhead,
             obs=obs,
-            use_matrix=use_matrix,
         )
     raise ValueError(f"unknown policy kind {spec.kind!r}")
 
@@ -252,8 +244,6 @@ class TraceReplayer:
         apu: Ground-truth hardware model; defaults to the standard APU.
         counters: Counter synthesizer; defaults to the standard seed.
         overhead: Decision-overhead model; defaults to the standard one.
-        use_matrix: Decision-core path for MPC/PPK sessions (``False``
-            selects the scalar hill-climb).
         batched: Feed events through ``SessionManager.step_batch`` in
             maximal distinct-session chunks instead of one at a time.
             Decisions and stats are identical to streaming (asserted by
@@ -271,7 +261,6 @@ class TraceReplayer:
         apu: Optional[APUModel] = None,
         counters: Optional[CounterSynthesizer] = None,
         overhead: Optional[OverheadModel] = None,
-        use_matrix: bool = True,
         batched: bool = False,
         check: bool = True,
         cache_dir: str = ".cache",
@@ -280,7 +269,6 @@ class TraceReplayer:
         self.apu = apu if apu is not None else APUModel()
         self.counters = counters if counters is not None else CounterSynthesizer()
         self.overhead = overhead if overhead is not None else OverheadModel()
-        self.use_matrix = use_matrix
         self.batched = batched
         self.check = check
         self.cache_dir = cache_dir
@@ -305,7 +293,6 @@ class TraceReplayer:
                 apu=self.apu,
                 overhead=self.overhead,
                 obs=self.obs,
-                use_matrix=self.use_matrix,
                 cache_dir=self.cache_dir,
             )
             manager.add_session(

@@ -97,36 +97,6 @@ def test_rl006_allows_none_and_default_factory():
     assert lint_fixture("rl006/good_defaults.py").findings == []
 
 
-def test_rl007_flags_scalar_estimate_loops_in_core():
-    result = lint_fixture("rl007/repro/core/bad_scalar_loop.py")
-    findings = _by_rule(result, "RL007")
-    assert len(findings) == 3
-    assert all("estimate_matrix" in f.message for f in findings)
-
-
-def test_rl007_allows_matrix_batches_and_helper_fallbacks():
-    assert lint_fixture("rl007/repro/core/good_matrix_loop.py").findings == []
-
-
-def test_rl007_ignores_scalar_loops_outside_core():
-    # The same bad code outside repro/core/ is out of the rule's scope.
-    result = lint_fixture("rl001/repro/sim/good_clock.py", select=["RL007"])
-    assert result.findings == []
-
-
-def test_rl007_flags_per_tree_predicts_in_runtime():
-    result = lint_fixture("rl007/repro/runtime/bad_tree_predict.py")
-    findings = _by_rule(result, "RL007")
-    # The loop body call, the subscripted trees[0] call, and the alias.
-    assert len(findings) == 3
-    assert all("RandomForest.predict" in f.message for f in findings)
-
-
-def test_rl007_allows_forest_predicts_and_non_tree_models():
-    result = lint_fixture("rl007/repro/runtime/good_forest_predict.py")
-    assert result.findings == []
-
-
 def test_rl008_flags_trace_format_and_comparator_gaps():
     result = lint_fixture("rl008")
     findings = _by_rule(result, "RL008")

@@ -10,7 +10,6 @@ test, so a drift in either path fails loudly.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +17,7 @@ from repro.hardware.apu import APUModel
 from repro.hardware.config import KNOBS, ConfigSpace
 from repro.hardware.table import ConfigTable
 from repro.ml.dataset import build_features
+from repro.ml.errors import SyntheticErrorPredictor
 from repro.ml.predictors import OraclePredictor, train_predictor
 from repro.workloads.counters import CounterSynthesizer
 from repro.workloads.kernel import KernelSpec, ScalingClass
@@ -88,14 +88,19 @@ def test_rf_scalar_facades_equal_matrix_rows(k, i):
 @settings(max_examples=60, deadline=None)
 @given(kernel_st, index_st)
 def test_oracle_matrix_row_equals_scalar_estimate(k, i):
+    # The scalar reference is one ground-truth execution: what the
+    # oracle's per-configuration estimate computed before it became a
+    # view of the columnar path.
     counters = COUNTERS[k]
     config = TABLE.config_at(i)
+    truth = APU.execute(KERNELS[k], config)
     row = ORACLE.estimate_matrix(counters, TABLE).estimate(i)
     single = ORACLE.estimate(counters, config)
-    assert single.time_s == row.time_s
-    assert single.gpu_power_w == row.gpu_power_w
-    assert single.cpu_power_w == row.cpu_power_w
-    assert single.energy_j == row.energy_j
+    for est in (row, single):
+        assert est.time_s == truth.time_s
+        assert est.gpu_power_w == truth.gpu_power_w
+        assert est.cpu_power_w == truth.cpu_power_w
+        assert est.energy_j == (truth.gpu_power_w + truth.cpu_power_w) * truth.time_s
 
 
 def test_oracle_matrix_matches_ground_truth_execution():
@@ -103,8 +108,8 @@ def test_oracle_matrix_matches_ground_truth_execution():
     batch = ORACLE.estimate_matrix(counters, TABLE)
     for i in (0, len(TABLE) // 2, len(TABLE) - 1):
         truth = APU.execute(spec, TABLE.config_at(i))
-        assert float(batch.times_s[i]) == pytest.approx(truth.time_s)
-        assert float(batch.gpu_power_w[i]) == pytest.approx(truth.gpu_power_w)
+        assert float(batch.times_s[i]) == truth.time_s
+        assert float(batch.gpu_power_w[i]) == truth.gpu_power_w
 
 
 def test_config_table_roundtrip_covers_full_lattice():
@@ -172,10 +177,47 @@ def test_rf_estimate_matrix_many_with_indices(ks, idx):
 @settings(max_examples=20, deadline=None)
 @given(st.lists(kernel_st, min_size=0, max_size=3))
 def test_oracle_estimate_matrix_many_equals_per_counter_sweeps(ks):
-    # The oracle inherits the generic loop default; same contract.
+    # Same contract as the forest's stacked descent.
     counters_list = [COUNTERS[k] for k in ks]
     stacked = ORACLE.estimate_matrix_many(counters_list, TABLE)
     for counters, batch in zip(counters_list, stacked):
         single = ORACLE.estimate_matrix(counters, TABLE)
         assert np.array_equal(batch.times_s, single.times_s)
         assert np.array_equal(batch.energy_j, single.energy_j)
+
+
+# ----- synthetic-error wrapper (Figure 13) ------------------------------------
+
+NOISY = SyntheticErrorPredictor(ORACLE, time_error=0.15, power_error=0.10, seed=3)
+
+
+def _noisy_reference(k, config):
+    """The wrapper's per-configuration formula: ground truth x error factors."""
+    truth = APU.execute(KERNELS[k], config)
+    time_factor, power_factor = NOISY._factors(COUNTERS[k], config)
+    return (
+        truth.time_s * time_factor,
+        truth.gpu_power_w * power_factor,
+        truth.cpu_power_w,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(kernel_st, min_size=0, max_size=3),
+    st.none() | st.lists(index_st, min_size=0, max_size=12),
+)
+def test_synthetic_error_rows_equal_scalar_reference(ks, idx):
+    # idx None sweeps the whole table; a list picks a random subset.
+    indices = None if idx is None else np.asarray(idx, dtype=np.intp)
+    rows = range(len(TABLE)) if idx is None else idx
+    batches = NOISY.estimate_matrix_many([COUNTERS[k] for k in ks], TABLE, indices)
+    assert len(batches) == len(ks)
+    for k, batch in zip(ks, batches):
+        assert len(batch) == len(rows)
+        for row, i in enumerate(rows):
+            time_s, gpu_power_w, cpu_power_w = _noisy_reference(k, TABLE.config_at(i))
+            assert float(batch.times_s[row]) == time_s
+            assert float(batch.gpu_power_w[row]) == gpu_power_w
+            assert float(batch.cpu_power_w[row]) == cpu_power_w
+            assert float(batch.energy_j[row]) == (gpu_power_w + cpu_power_w) * time_s

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies import FixedConfigPolicy, PPKPolicy
 from repro.hardware.config import FAILSAFE_CONFIG
-from repro.ml.predictors import OraclePredictor
+from repro.ml.predictors import OraclePredictor, PerfPowerPredictor
 from repro.runtime.events import launch_events
 from repro.sim.simulator import Simulator
 from repro.sim.turbocore import TurboCorePolicy
@@ -14,13 +14,10 @@ from .conftest import APP, make_manager, turbo_target
 pytestmark = pytest.mark.runtime
 
 
-class _RaisingPredictor:
+class _RaisingPredictor(PerfPowerPredictor):
     """A predictor whose every estimate blows up."""
 
-    def estimate(self, counters, config):
-        raise RuntimeError("predictor exploded")
-
-    def estimate_batch(self, counters, configs):
+    def estimate_matrix_many(self, counters_list, table, indices=None):
         raise RuntimeError("predictor exploded")
 
 

@@ -37,10 +37,6 @@ def test_replay_faithful_trace_exits_zero(stamped_file, capsys):
     assert "0 mismatches" not in out  # faithful replays don't warn
 
 
-def test_replay_scalar_path_exits_zero(stamped_file):
-    assert main(["trace", "replay", stamped_file, "--scalar"]) == 0
-
-
 def test_replay_tampered_trace_exits_one(stamped_file, tmp_path, capsys):
     trace = Trace.load(stamped_file)
     decisions = [e.decision for e in trace.events]

@@ -140,13 +140,33 @@ class TestBenchDecide:
             "label": "seed", "benchmark": "kmeans", "cases": 2,
             "backends": {
                 "rf": {
-                    "scalar_decisions_per_s": 10.0,
-                    "matrix_decisions_per_s": 40.0, "speedup": 4.0,
+                    "matrix_decisions_per_s": 40.0,
+                    "batched": {
+                        "64": {"decisions_per_s": 160.0, "speedup_vs_matrix": 4.0},
+                    },
                 },
             },
         }
         text = format_entry(entry)
-        assert "rf" in text and "4.00x" in text
+        assert "rf" in text and "4.00x vs matrix" in text
+
+    def test_backend_entry_times_matrix_and_batched_paths_only(self):
+        from repro.experiments import bench_decide
+        from repro.hardware.apu import APUModel
+        from repro.hardware.config import ConfigSpace
+        from repro.ml.predictors import OraclePredictor
+
+        apu, space = APUModel(), ConfigSpace()
+        cases, kernels = bench_decide._decision_cases(apu, space, "kmeans")
+        entry = bench_decide._bench_backend(
+            "oracle", OraclePredictor(apu, kernels), space, cases, 1
+        )
+        assert set(entry) == {
+            "backend", "matrix_decisions_per_s", "decisions_timed", "batched",
+        }
+        assert set(entry["batched"]) == {str(n) for n in bench_decide.BATCH_SESSIONS}
+        for batch in entry["batched"].values():
+            assert set(batch) == {"decisions_per_s", "speedup_vs_matrix"}
 
     def test_format_entry_renders_health_overhead_budget(self):
         from repro.experiments.bench_decide import format_entry
@@ -155,8 +175,10 @@ class TestBenchDecide:
             "label": "full", "benchmark": "kmeans", "cases": 2,
             "backends": {
                 "rf": {
-                    "scalar_decisions_per_s": 10.0,
-                    "matrix_decisions_per_s": 40.0, "speedup": 4.0,
+                    "matrix_decisions_per_s": 40.0,
+                    "batched": {
+                        "64": {"decisions_per_s": 160.0, "speedup_vs_matrix": 4.0},
+                    },
                 },
             },
             "health_overhead": {

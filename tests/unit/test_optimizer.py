@@ -7,7 +7,8 @@ from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
 from repro.hardware.apu import APUModel
 from repro.hardware.config import ConfigSpace
-from repro.ml.predictors import OraclePredictor
+from repro.ml.predictors import OraclePredictor, PerfPowerPredictor, train_predictor
+from repro.ml.tree import DecisionTreeRegressor
 from repro.workloads.counters import CounterSynthesizer
 from repro.workloads.kernel import KernelSpec, ScalingClass
 
@@ -156,3 +157,85 @@ class TestWindow:
         t_alone = apu.execute(COMPUTE, alone.config).time_s
         t_with = apu.execute(COMPUTE, with_memory_first.config).time_s
         assert t_with <= t_alone + 1e-9
+
+
+# ----- one predictor query per search ---------------------------------------
+
+
+class _CountingPredictor(PerfPowerPredictor):
+    """Records the shape of every predictor call, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []  # (kernels, rows requested or None for all)
+
+    def estimate_matrix_many(self, counters_list, table, indices=None):
+        self.calls.append(
+            (len(counters_list), None if indices is None else len(indices))
+        )
+        return self.inner.estimate_matrix_many(counters_list, table, indices)
+
+
+def _targets(apu, space):
+    baseline = _baseline_time(apu, COMPUTE, space)
+    return {
+        "easy": COMPUTE.instructions / (2 * baseline),
+        "tight": COMPUTE.instructions / (1.02 * baseline),
+        "infeasible": 2 * COMPUTE.instructions / baseline,
+    }
+
+
+class TestPredictorCalls:
+    @pytest.mark.parametrize("target", ["easy", "tight", "infeasible"])
+    def test_search_issues_one_whole_lattice_call(self, apu, space, target):
+        predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE]))
+        optimizer = GreedyHillClimbOptimizer(space, predictor)
+        result = optimizer.optimize_kernel(
+            _record(COMPUTE), PerformanceTracker(_targets(apu, space)[target])
+        )
+        assert result.fail_safe == (target == "infeasible")
+        assert result.evaluations > 1
+        assert predictor.calls == [(1, None)]
+
+    @pytest.mark.parametrize("target", ["easy", "infeasible"])
+    def test_exhaustive_search_issues_at_most_two_calls(self, apu, space, target):
+        predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE]))
+        optimizer = GreedyHillClimbOptimizer(space, predictor)
+        optimizer.exhaustive_kernel_search(
+            _record(COMPUTE), PerformanceTracker(_targets(apu, space)[target])
+        )
+        # The sweep, plus the fail-safe row when nothing is feasible.
+        expected = [(1, None)] + ([(1, 1)] if target == "infeasible" else [])
+        assert predictor.calls == expected
+
+    def test_batch_issues_one_stacked_call(self, apu, space):
+        predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE, MEMORY]))
+        optimizer = GreedyHillClimbOptimizer(space, predictor)
+        target = _targets(apu, space)["easy"]
+        cases = [
+            (_record(COMPUTE if i % 2 else MEMORY), PerformanceTracker(target))
+            for i in range(8)
+        ]
+        results = optimizer.optimize_kernel_batch(cases)
+        assert len(results) == 8
+        assert predictor.calls == [(2, None)]
+
+
+def test_forest_backed_searches_never_descend_single_trees(apu, space, monkeypatch):
+    predictor = train_predictor(
+        apu=apu, kernels=[COMPUTE, MEMORY], n_estimators=3, max_depth=5
+    )
+    optimizer = GreedyHillClimbOptimizer(space, predictor)
+
+    def refuse(self, X):
+        raise AssertionError("per-tree predict on the decision path")
+
+    monkeypatch.setattr(DecisionTreeRegressor, "predict", refuse)
+    target = _targets(apu, space)["easy"]
+    single = optimizer.optimize_kernel(_record(COMPUTE), PerformanceTracker(target))
+    batch = optimizer.optimize_kernel_batch(
+        [(_record(spec), PerformanceTracker(target)) for spec in (COMPUTE, MEMORY)]
+    )
+    for result in [single, *batch]:
+        assert result.config in space
+        assert result.evaluations > 1
