@@ -8,9 +8,8 @@ safety (RL004), observability purity (RL005), mutable-default hygiene
 (RL006), trace-schema coverage (RL008), fleet budget conservation
 (RL013), and — via the flow-sensitive tier
 (:mod:`repro.analysis.flow`: per-function CFGs plus dataflow
-fixpoints) — lock discipline (RL009), shared-memory lifecycle
-(RL010), memo staleness (RL011), and unguarded shared-state mutation
-(RL012).  See ``docs/ANALYSIS.md`` for the full catalogue, the
+fixpoints) — lock discipline (RL009), memo staleness (RL011), and
+unguarded shared-state mutation (RL012).  See ``docs/ANALYSIS.md`` for the full catalogue, the
 suppression and annotation syntax, and how to add a rule.
 
 Public API::

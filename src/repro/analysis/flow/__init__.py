@@ -1,6 +1,6 @@
 """Flow-sensitive analysis tier: CFGs, dataflow, contracts, call graph.
 
-This package powers RL009–RL012.  Layering, bottom-up:
+This package powers RL009, RL011 and RL012.  Layering, bottom-up:
 
 * :mod:`repro.analysis.flow.cfg` — per-function control-flow graphs
   with normal and exceptional edges.

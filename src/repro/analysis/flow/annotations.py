@@ -1,4 +1,4 @@
-"""Flow annotations: the comment grammar that feeds RL009–RL012.
+"""Flow annotations: the comment grammar that feeds RL009, RL011 and RL012.
 
 The pattern-match rules (RL001–RL008) read code as-is; the flow rules
 additionally honor machine-checked *contract comments*, styled after
@@ -6,22 +6,14 @@ the existing suppression directives and scanned the same way (via
 :mod:`tokenize`, so strings never match)::
 
     # repro-lint: requires-lock=lock          (on a def, or line above)
-    # repro-lint: acquires=close              (def: caller owns result)
-    # repro-lint: acquires-on-receiver=clear_preload
     # repro-lint: shared-state=_metrics,sources   (on a class)
     # repro-lint: memo-guard=matches          (on a module-level cache)
     # repro-lint: memo-guard=keyed
-    # repro-lint: shm-attach                  (def: worker attach path)
 
 * ``requires-lock=<attr>`` — the function may only run while the
   receiver's ``<attr>`` lock is held; RL009 checks every call site and
   seeds the lock as held inside the body.  Methods named ``*_unlocked``
   get this contract implicitly (attr ``lock``).
-* ``acquires=<method>`` — the function returns an owned resource that
-  the caller must release via ``<method>`` on every path (RL010).
-* ``acquires-on-receiver=<method>`` — calling the function puts its
-  *receiver* into an acquired state released by ``<method>`` (the
-  ``preload_lattice``/``clear_preload`` pairing).
 * ``shared-state=<a>,<b>`` — the named attributes of the class are
   mutated from multiple threads; RL012 requires every write outside
   ``__init__`` to happen under a lock frame.
@@ -29,8 +21,6 @@ the existing suppression directives and scanned the same way (via
   contract of a module-level ``WeakKeyDictionary`` cache (RL011):
   either reads validate payloads via ``payload.<method>(...)``, or the
   cache key itself encodes validity.
-* ``shm-attach`` — the function runs in a worker attaching to a
-  segment it does not own; RL010 forbids ``unlink`` calls inside it.
 
 Annotations attach to the statement on their own line, or to the
 statement directly below when written on a line of their own (above
@@ -65,8 +55,7 @@ __all__ = [
 #: One ``key`` or ``key=value`` contract inside a comment token.
 _ANNOTATION_RE = re.compile(
     r"repro-lint:\s*"
-    r"(?P<key>requires-lock|acquires-on-receiver|acquires"
-    r"|shared-state|memo-guard|shm-attach)"
+    r"(?P<key>requires-lock|shared-state|memo-guard)"
     r"(?:\s*=\s*(?P<value>[A-Za-z0-9_.,]+))?"
 )
 

@@ -10,12 +10,12 @@ things:
 
 * Method calls (``obj.helper(...)``) match annotated defs by attribute
   name — any class, any module.  The annotation grammar is sparse
-  enough (``requires-lock``, ``acquires``...) that name collisions
-  across unrelated classes would themselves be a smell.
+  enough (``requires-lock``) that name collisions across unrelated
+  classes would themselves be a smell.
 * Plain calls resolve through the module's import-alias map first, so
-  ``from repro.engine.shm import export_block`` and
-  ``shm.export_block(...)`` both land on the annotated
-  ``export_block`` definition; the match is on the final component.
+  ``from pkg.mod import helper`` and ``mod.helper(...)`` both land on
+  the annotated ``helper`` definition; the match is on the final
+  component.
 
 ``ProjectFlow`` also records the raw caller -> callee-name edges per
 function, which the stats output and the tests use to reason about
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.index import ModuleInfo, ProjectIndex
 
@@ -44,8 +44,7 @@ def call_name(call: ast.Call, module: Optional[ModuleInfo] = None) -> Optional[s
 
     Attribute calls yield the attribute (``registry.snapshot`` ->
     ``snapshot``); plain calls yield the last component of the
-    alias-resolved dotted name (``shm.export_block`` ->
-    ``export_block``).  Subscripted or computed callees yield the
+    alias-resolved dotted name (``mod.helper`` -> ``helper``).  Subscripted or computed callees yield the
     final attribute when there is one (``d[k].close`` -> ``close``),
     else ``None``.
     """
@@ -66,20 +65,11 @@ class ProjectFlow:
         requires_lock: Callee name -> lock attribute its callers must
             hold (explicit annotations only; the implicit
             ``*_unlocked`` convention needs no table).
-        acquires: Callee name -> release method of the owned resource
-            the call returns.
-        acquires_on_receiver: Callee name -> release method that must
-            be called on the *receiver* after this call.
-        shm_attach: Names of worker-attach functions (no unlink
-            allowed inside).
         calls: Function qualname (``rel_path::Class.method``) -> names
             it calls, for one-level propagation queries.
     """
 
     requires_lock: Dict[str, str] = field(default_factory=dict)
-    acquires: Dict[str, str] = field(default_factory=dict)
-    acquires_on_receiver: Dict[str, str] = field(default_factory=dict)
-    shm_attach: Set[str] = field(default_factory=set)
     calls: Dict[str, List[str]] = field(default_factory=dict)
 
     def required_lock_for_call(
@@ -97,45 +87,11 @@ class ProjectFlow:
             return "lock"
         return self.requires_lock.get(name)
 
-    def release_for_call(
-        self, call: ast.Call, module: Optional[ModuleInfo] = None
-    ) -> Optional[str]:
-        """Release method of the resource a call returns, or ``None``."""
-        name = call_name(call, module)
-        if name is None:
-            return None
-        return self.acquires.get(name)
-
-    def receiver_release_for_call(
-        self, call: ast.Call, module: Optional[ModuleInfo] = None
-    ) -> Optional[str]:
-        """Release method owed on the receiver after a call, or ``None``."""
-        name = call_name(call, module)
-        if name is None:
-            return None
-        return self.acquires_on_receiver.get(name)
-
-    def is_shm_attach_call(
-        self, call: ast.Call, module: Optional[ModuleInfo] = None
-    ) -> bool:
-        """Whether a call attaches to a shared segment (not owning)."""
-        name = call_name(call, module)
-        return name is not None and name in self.shm_attach
-
 
 def _register(flow: ProjectFlow, func: FunctionFlow) -> None:
-    annotations = func.annotations
-    required = annotations.get("requires-lock")
+    required = func.annotations.get("requires-lock")
     if required:
         flow.requires_lock[func.name] = required
-    release = annotations.get("acquires")
-    if release:
-        flow.acquires[func.name] = release
-    receiver_release = annotations.get("acquires-on-receiver")
-    if receiver_release:
-        flow.acquires_on_receiver[func.name] = receiver_release
-    if "shm-attach" in annotations:
-        flow.shm_attach.add(func.name)
 
 
 def project_flow(index: ProjectIndex) -> ProjectFlow:

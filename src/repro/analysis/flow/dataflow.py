@@ -5,12 +5,12 @@ A tiny worklist fixpoint engine.  Analyses plug in three pieces:
 * ``entry_state`` — the abstract state at function entry,
 * ``join`` — merge of states at control-flow joins (set intersection
   for *must* facts like "lock held", union for *may* facts like
-  "resource still live"), and
+  "payload not yet validated"), and
 * ``transfer`` / ``transfer_exc`` — the effect of one atom on the
   state along its normal and exceptional out-edges.  ``transfer_exc``
   defaults to the *pre*-state (an atom that raised did not complete),
-  which is exactly right for acquisitions: a failed ``export_block``
-  call never produced a handle, so nothing leaks on that edge.
+  which is exactly right for bindings: a cache read that raised never
+  bound its payload, so nothing is unvalidated on that edge.
 
 States must be immutable values with structural equality over a finite
 domain (``frozenset`` of tokens in all the shipped analyses), which

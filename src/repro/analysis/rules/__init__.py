@@ -10,7 +10,6 @@ Rule ids:
 * ``RL006`` mutable-default-config (:mod:`.config`)
 * ``RL008`` trace-schema-coverage (:mod:`.traces`)
 * ``RL009`` lock-discipline (:mod:`.locks`) — flow-sensitive
-* ``RL010`` shm-lifecycle (:mod:`.lifecycle`) — flow-sensitive
 * ``RL011`` memo-staleness (:mod:`.memo`) — flow-sensitive
 * ``RL012`` unguarded-shared-mutation (:mod:`.shared_state`) — flow-sensitive
 * ``RL013`` budget-conservation (:mod:`.budget`)
@@ -22,7 +21,6 @@ from repro.analysis.rules import (  # noqa: F401
     config,
     determinism,
     fingerprint,
-    lifecycle,
     locks,
     memo,
     obs,
@@ -36,7 +34,6 @@ __all__ = [
     "config",
     "determinism",
     "fingerprint",
-    "lifecycle",
     "locks",
     "memo",
     "obs",

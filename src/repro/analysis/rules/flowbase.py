@@ -1,21 +1,20 @@
-"""Shared plumbing for the flow-sensitive rules (RL009–RL012).
+"""Shared plumbing for the flow-sensitive rules (RL009, RL011, RL012).
 
-All four rules govern the same territory: modules under a ``repro/``
+All three rules govern the same territory: modules under a ``repro/``
 component, which matches both the shipped tree
 (``src/repro/obs/metrics.py``) and the fixture mirror-trees
 (``tests/analysis/fixtures/rl009/repro/obs/bad.py``) while leaving
 ordinary test files alone — tests exercise unlocked fast paths and
-fake lifecycles on purpose.
+unguarded caches on purpose.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.analysis.index import ModuleInfo, ProjectIndex, path_matches
 
-__all__ = ["FLOW_PATHS", "flow_modules", "names_in", "Seen"]
+__all__ = ["FLOW_PATHS", "flow_modules", "Seen"]
 
 #: Path fragments the flow rules govern.
 FLOW_PATHS = ("repro/",)
@@ -32,10 +31,3 @@ def flow_modules(index: ProjectIndex) -> List[ModuleInfo]:
         for module in index.modules
         if any(path_matches(module.rel_path, path) for path in FLOW_PATHS)
     ]
-
-
-def names_in(node: ast.AST) -> Iterator[str]:
-    """Every plain ``Name`` identifier occurring in a subtree."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            yield child.id

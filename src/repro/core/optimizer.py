@@ -164,7 +164,6 @@ class GreedyHillClimbOptimizer:
         """
         return self.predictor.estimate_matrix_many(list(counters_list), self.table)
 
-    # repro-lint: acquires-on-receiver=clear_preload
     def preload_lattice(
         self, batches: Dict[CounterVector, EstimateBatch]
     ) -> None:

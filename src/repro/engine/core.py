@@ -24,7 +24,6 @@ traceback; corrupt or truncated cache entries are silent misses.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import os
 import pickle
 import time
@@ -298,48 +297,22 @@ class ExperimentEngine:
         # once per worker via the pool initializer.
         if any("predictor" in VARIANTS[r.variant].needs(r) for r in todo):
             ctx.predictor
-        # Ship the static hardware feature block once through shared
-        # memory instead of once per worker through the pickled spec:
-        # it is a pure function of the config lattice, so every worker
-        # table adopting it is float-for-float the one it would build.
         max_workers = min(self.jobs, len(todo), os.cpu_count() or self.jobs)
-        with contextlib.ExitStack() as stack:
-            shared_spec = None
-            try:
-                from repro.engine.shm import export_block
-                from repro.hardware.table import (
-                    ConfigTable,
-                    lattice_feature_key,
-                )
-
-                table = ConfigTable(ctx.space)
-                shared_export = export_block(table.feature_block)
-                # Register the unlink before anything else can raise
-                # (RL010): it runs after the pool has fully exited
-                # (ExitStack callbacks run LIFO, pool shutdown first).
-                stack.callback(shared_export.close)
-                shared_spec = {
-                    "key": lattice_feature_key(ctx.space),
-                    "handle": shared_export.handle,
-                }
-            except Exception:
-                shared_spec = None  # workers build their own blocks
-            spec_bytes = pickle.dumps(
-                {
-                    "simulator": ctx.sim,
-                    "predictor": ctx._predictor,
-                    "cache_dir": ctx._cache_dir,
-                    "alpha": ctx.alpha,
-                    "obs": obs.enabled,
-                    "shared_table": shared_spec,
-                },
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_worker_init,
-                initargs=(spec_bytes,),
-            ))
+        spec_bytes = pickle.dumps(
+            {
+                "simulator": ctx.sim,
+                "predictor": ctx._predictor,
+                "cache_dir": ctx._cache_dir,
+                "alpha": ctx.alpha,
+                "obs": obs.enabled,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_worker_init,
+            initargs=(spec_bytes,),
+        ) as pool:
             # Results are collected in submission (request) order, not
             # completion order, so worker span re-emission — and the
             # first-failure raise — is deterministic across job counts.
@@ -412,26 +385,12 @@ _WORKER_CTX: Any = None
 _WORKER_OBS = False
 
 
-# repro-lint: shm-attach
 def _worker_init(spec_bytes: bytes) -> None:
     """Build this worker's private ExperimentContext from the spec."""
     global _WORKER_CTX, _WORKER_OBS
     from repro.experiments.common import ExperimentContext
 
     spec = pickle.loads(spec_bytes)
-    shared_table = spec.get("shared_table")
-    if shared_table is not None:
-        # Best-effort zero-copy adoption: any failure (e.g. the segment
-        # vanished) just leaves this worker building its own block.
-        try:
-            from repro.engine.shm import attach_block
-            from repro.hardware.table import register_shared_feature_block
-
-            register_shared_feature_block(
-                shared_table["key"], attach_block(shared_table["handle"])
-            )
-        except Exception:
-            pass
     _WORKER_CTX = ExperimentContext(
         simulator=spec["simulator"],
         predictor=spec["predictor"],

@@ -10,23 +10,20 @@ behind one post/collect protocol:
   (one per node, as the engine lane runs request workers), speaking a
   ``(command, args)`` / ``("ok" | "err", payload)`` pipe protocol.
   Worker failures re-raise parent-side as :class:`ShardError` with the
-  original remote traceback, mirroring ``EngineWorkerError``.
+  original remote traceback, mirroring ``EngineWorkerError``; a worker
+  that dies raises :class:`ShardError` naming its exit code.
 
 The protocol is split into :meth:`post` and :meth:`collect` so the
 parent can post one epoch's work to *every* node before collecting any
 result — the fan-out that buys wall-clock parallelism without threads
 (and therefore without new lock discipline for RL009/RL012 to check).
-
-Workers adopt the parent's exported shared-memory hardware feature
-block best-effort at startup (the PR 7 idiom), so N nodes do not build
-N copies of the config-lattice features.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
 from repro.fleet.node import FleetNode
 
@@ -34,7 +31,11 @@ __all__ = ["InlineShard", "ProcessShard", "ShardError"]
 
 
 class ShardError(RuntimeError):
-    """A shard worker failed; carries the original remote traceback."""
+    """A shard worker failed or died.
+
+    ``remote_traceback`` carries the worker's original traceback or, for
+    a worker lost mid-protocol, the reason naming its exit code.
+    """
 
     def __init__(self, node_id: str, command: str, remote_traceback: str) -> None:
         self.node_id = node_id
@@ -56,7 +57,6 @@ class InlineShard:
 
     def __init__(self, node_id: str, **node_kwargs: Any) -> None:
         self.node_id = node_id
-        node_kwargs.pop("shared_table", None)  # in-process: nothing to attach
         self.node = FleetNode(node_id, **node_kwargs)
         self._results: List[Any] = []
 
@@ -73,7 +73,6 @@ class InlineShard:
         """Release the shard (no-op in-process)."""
 
 
-# repro-lint: shm-attach
 def _shard_worker(conn: Any, config_bytes: bytes) -> None:
     """Long-lived worker loop: build the node, serve commands until EOF.
 
@@ -82,19 +81,6 @@ def _shard_worker(conn: Any, config_bytes: bytes) -> None:
     command cannot wedge the epoch protocol.
     """
     config = pickle.loads(config_bytes)
-    shared_table = config.pop("shared_table", None)
-    if shared_table is not None:
-        # Best-effort zero-copy adoption of the parent's exported
-        # feature block; any failure just builds locally.
-        try:
-            from repro.engine.shm import attach_block
-            from repro.hardware.table import register_shared_feature_block
-
-            register_shared_feature_block(
-                shared_table["key"], attach_block(shared_table["handle"])
-            )
-        except Exception:
-            pass
     node_id = config.pop("node_id")
     node = FleetNode(node_id, **config)
     while True:
@@ -119,17 +105,13 @@ class ProcessShard:
 
     Args:
         node_id: The node's fleet id.
-        shared_table: Optional ``{"key", "handle"}`` spec of the
-            parent's exported shared-memory feature block.
         **node_kwargs: Forwarded to the worker-side ``FleetNode``
             (``obs`` is not forwardable — the worker always builds its
             own live instrumentation and ships it back via
             ``drain_obs``).
     """
 
-    def __init__(self, node_id: str,
-                 shared_table: Optional[dict] = None,
-                 **node_kwargs: Any) -> None:
+    def __init__(self, node_id: str, **node_kwargs: Any) -> None:
         if "obs" in node_kwargs:
             raise ValueError(
                 "ProcessShard workers own their instrumentation; "
@@ -138,7 +120,6 @@ class ProcessShard:
         self.node_id = node_id
         config = dict(node_kwargs)
         config["node_id"] = node_id
-        config["shared_table"] = shared_table
         parent_conn, child_conn = multiprocessing.Pipe()
         self._conn = parent_conn
         self._pending: List[str] = []
@@ -150,16 +131,30 @@ class ProcessShard:
         self._process.start()
         child_conn.close()
 
+    def _lost(self, command: str, when: str) -> ShardError:
+        """The error for a pipe the worker closed by dying."""
+        self._process.join(timeout=5.0)
+        return ShardError(
+            self.node_id, command,
+            f"worker exited with code {self._process.exitcode} {when}",
+        )
+
     def post(self, command: str, *args: Any) -> None:
         """Send one command; the worker executes commands in order."""
-        self._conn.send((command, args))
+        try:
+            self._conn.send((command, args))
+        except OSError as exc:
+            raise self._lost(command, "before the command was sent") from exc
         self._pending.append(command)
 
     def collect(self) -> List[Any]:
         """Block for every posted command's result, in post order."""
         results = []
         while self._pending:
-            status, payload = self._conn.recv()
+            try:
+                status, payload = self._conn.recv()
+            except (EOFError, OSError) as exc:
+                raise self._lost(self._pending[0], "before replying") from exc
             command = self._pending.pop(0)
             if status != "ok":
                 raise ShardError(self.node_id, command, payload)

@@ -180,37 +180,10 @@ class FleetSimulator:
             "batched": self.batched,
             "cache_dir": self.cache_dir,
         }
+        shard_class = InlineShard if self.transport == "inline" else ProcessShard
         shards: List[Any] = []
-        if self.transport == "inline":
-            for i in range(self.nodes):
-                shard = InlineShard(f"node-{i}", **node_kwargs)
-                stack.callback(shard.close)
-                shards.append(shard)
-            return shards
-        # Process transport: export the hardware feature block once so
-        # N workers adopt one shared copy instead of building N (the
-        # engine-lane shm idiom; best-effort, workers fall back).
-        shared_table = None
-        try:
-            from repro.engine.shm import export_block
-            from repro.hardware.config import ConfigSpace
-            from repro.hardware.table import ConfigTable, lattice_feature_key
-
-            space = ConfigSpace()
-            export = export_block(ConfigTable(space).feature_block)
-            # Register the unlink before anything else can raise
-            # (RL010); ExitStack runs it after the shards have closed.
-            stack.callback(export.close)
-            shared_table = {
-                "key": lattice_feature_key(space),
-                "handle": export.handle,
-            }
-        except Exception:
-            shared_table = None
         for i in range(self.nodes):
-            shard = ProcessShard(
-                f"node-{i}", shared_table=shared_table, **node_kwargs
-            )
+            shard = shard_class(f"node-{i}", **node_kwargs)
             stack.callback(shard.close)
             shards.append(shard)
         return shards

@@ -38,67 +38,10 @@ import numpy as np
 
 from repro.hardware.config import KNOBS, ConfigSpace, HardwareConfig
 
-__all__ = [
-    "ConfigTable",
-    "lattice_feature_key",
-    "register_shared_feature_block",
-    "shared_feature_block",
-    "clear_shared_feature_blocks",
-]
+__all__ = ["ConfigTable"]
 
 #: Position of each knob in the canonical (cpu, nb, gpu, cu) order.
 _KNOB_POS = {knob: position for position, knob in enumerate(KNOBS)}
-
-#: Process-wide registry of zero-copy feature blocks keyed by
-#: :func:`lattice_feature_key`.  Engine workers attach the parent's
-#: ``multiprocessing.shared_memory`` export here (see
-#: :mod:`repro.engine.shm`) so every lattice table they build maps the
-#: one shared block instead of recomputing and re-pickling it per task.
-#: Module-level — never table state — so registration can't perturb
-#: pickles or fingerprints of existing tables.
-_SHARED_FEATURE_BLOCKS: Dict[Tuple, np.ndarray] = {}
-
-
-def lattice_feature_key(space: ConfigSpace) -> Tuple:
-    """Hashable identity of a space's feature block.
-
-    Two spaces with equal keys enumerate identical config lattices and
-    therefore identical feature blocks (the block is a deterministic
-    pure function of the axes).
-    """
-    return (
-        tuple(space.cpu_axis),
-        tuple(space.nb_axis),
-        tuple(space.gpu_axis),
-        tuple(space.cu_axis),
-    )
-
-
-def register_shared_feature_block(key: Tuple, block: np.ndarray) -> None:
-    """Adopt ``block`` for every lattice table built for ``key``'s space.
-
-    The block must be the exact ``(n_configs, 7)`` float64 feature
-    block the space would compute itself — callers ship it from a
-    process that did (the engine parent).  A read-only view is kept so
-    no table can scribble on shared pages.
-    """
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2 or block.shape[1] != 7:
-        raise ValueError(f"feature block must be (n, 7); got {block.shape}")
-    view = block.view()
-    view.setflags(write=False)
-    _SHARED_FEATURE_BLOCKS[key] = view
-
-
-def shared_feature_block(key: Tuple) -> Optional[np.ndarray]:
-    """The registered shared block for a lattice key, if any."""
-    return _SHARED_FEATURE_BLOCKS.get(key)
-
-
-def clear_shared_feature_blocks() -> None:
-    """Drop all registered shared blocks (tables already built keep
-    their views; the underlying segments outlive this registry)."""
-    _SHARED_FEATURE_BLOCKS.clear()
 
 #: Per-table memo of CPU-power columns, keyed by the CPU model's
 #: ``(coef, static)`` coefficients.  Module-level (weak-keyed) rather
@@ -132,10 +75,7 @@ class ConfigTable:
 
     def __init__(self, space: ConfigSpace) -> None:
         self.space: Optional[ConfigSpace] = space
-        self._init_columns(
-            tuple(space.all_configs()),
-            shared=_SHARED_FEATURE_BLOCKS.get(lattice_feature_key(space)),
-        )
+        self._init_columns(tuple(space.all_configs()))
         lengths = tuple(len(space.axis(knob)) for knob in KNOBS)
         n_cpu, n_nb, n_gpu, n_cu = lengths
         self._axis_lengths: Optional[Tuple[int, ...]] = lengths
@@ -164,19 +104,18 @@ class ConfigTable:
         table._init_columns(tuple(configs))
         return table
 
-    def _init_columns(
-        self,
-        configs: Tuple[HardwareConfig, ...],
-        shared: Optional[np.ndarray] = None,
-    ) -> None:
+    def _init_columns(self, configs: Tuple[HardwareConfig, ...]) -> None:
         self.configs = configs
-        if shared is not None and shared.shape == (len(configs), 7):
-            # Zero-copy adoption: the feature block maps the registered
-            # shared segment directly (read-only); the per-quantity
-            # columns are contiguous copies of its columns.  The block
-            # is a deterministic pure function of the config lattice,
-            # so these are the exact floats the loops below compute.
-            (
+        self.cpu_freq_ghz = np.array([c.cpu_state.freq_ghz for c in configs])
+        self.cpu_voltage = np.array([c.cpu_state.voltage for c in configs])
+        self.nb_freq_ghz = np.array([c.nb_state.freq_ghz for c in configs])
+        self.memory_bw_gbps = np.array([c.memory_bandwidth_gbps for c in configs])
+        self.gpu_freq_ghz = np.array([c.gpu_state.freq_ghz for c in configs])
+        self.rail_voltage = np.array([c.rail_voltage for c in configs])
+        self.cu_count = np.array([float(c.cu) for c in configs])
+        # Static hardware block of build_features(), FEATURE_NAMES order.
+        self.feature_block = np.column_stack(
+            [
                 self.cpu_freq_ghz,
                 self.cpu_voltage,
                 self.nb_freq_ghz,
@@ -184,31 +123,8 @@ class ConfigTable:
                 self.gpu_freq_ghz,
                 self.rail_voltage,
                 self.cu_count,
-            ) = (np.ascontiguousarray(shared[:, i]) for i in range(7))
-            # Assigned after the columns, matching the else-branch's
-            # attribute order: pickled __dict__ order must not depend
-            # on which branch built the table.
-            self.feature_block = shared
-        else:
-            self.cpu_freq_ghz = np.array([c.cpu_state.freq_ghz for c in configs])
-            self.cpu_voltage = np.array([c.cpu_state.voltage for c in configs])
-            self.nb_freq_ghz = np.array([c.nb_state.freq_ghz for c in configs])
-            self.memory_bw_gbps = np.array([c.memory_bandwidth_gbps for c in configs])
-            self.gpu_freq_ghz = np.array([c.gpu_state.freq_ghz for c in configs])
-            self.rail_voltage = np.array([c.rail_voltage for c in configs])
-            self.cu_count = np.array([float(c.cu) for c in configs])
-            # Static hardware block of build_features(), FEATURE_NAMES order.
-            self.feature_block = np.column_stack(
-                [
-                    self.cpu_freq_ghz,
-                    self.cpu_voltage,
-                    self.nb_freq_ghz,
-                    self.memory_bw_gbps,
-                    self.gpu_freq_ghz,
-                    self.rail_voltage,
-                    self.cu_count,
-                ]
-            )
+            ]
+        )
         # CPU power depends on the CPU P-state only; remember one
         # representative config per distinct P-state so a power column
         # is |P-states| scalar model calls plus one gather.

@@ -257,9 +257,10 @@ class SessionManager:
         preloaded: List[Any] = []
         swept = 0
         requested = 0
-        # Every preload must be cleared even when a later group's sweep
-        # or the obs counters raise (RL010), so the whole span from the
-        # first preload_lattice to dispatch sits under one finally.
+        # Every preload must be cleared even when a later group's sweep,
+        # the obs counters or a dispatch raise, so the whole span from
+        # the first preload_lattice to dispatch sits under one finally
+        # (test_preloads_cleared_when_a_decision_raises).
         try:
             for key, members in groups.items():
                 unique: Dict[Any, None] = {}

@@ -7,6 +7,8 @@ rule code runs unchanged against the real tree and the fixtures.
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import run_lint
 
 #: Repository root (tests/analysis/conftest.py -> repo).
@@ -25,3 +27,13 @@ def lint_fixture(*names, select=None, ignore=None):
     """
     paths = [str(FIXTURES / name) for name in names]
     return run_lint(paths, select=select, ignore=ignore, root=str(REPO_ROOT))
+
+
+@pytest.fixture(scope="session")
+def shipped_src_lint():
+    """Every rule over all of ``src``, linted once per test session.
+
+    Linting the whole tree is the slowest step in the suite, so the
+    whole-tree tests share this one result instead of each running it.
+    """
+    return run_lint([str(REPO_ROOT / "src")], root=str(REPO_ROOT))

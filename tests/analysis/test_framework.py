@@ -86,10 +86,10 @@ def test_files_checked_counts_every_file():
     assert result.files_checked == 3
 
 
-def test_twelve_rules_registered():
+def test_registered_rule_ids():
     ids = [rule.id for rule in all_rules()]
     assert ids == sorted(ids)
     assert set(ids) == {
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-        "RL008", "RL009", "RL010", "RL011", "RL012", "RL013",
+        "RL008", "RL009", "RL011", "RL012", "RL013",
     }

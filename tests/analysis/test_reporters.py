@@ -65,7 +65,7 @@ def test_catalogue_lists_every_rule_with_scope():
     catalogue = render_catalogue()
     for rule_id in (
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-        "RL008", "RL009", "RL010", "RL011", "RL012", "RL013",
+        "RL008", "RL009", "RL011", "RL012", "RL013",
     ):
         assert rule_id in catalogue
     assert "(module)" in catalogue

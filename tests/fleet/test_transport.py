@@ -1,5 +1,8 @@
 """Shard transports: the post/collect protocol and worker failures."""
 
+import os
+import signal
+
 import pytest
 
 from repro.fleet import InlineShard, ProcessShard, ShardError
@@ -71,6 +74,30 @@ def test_shard_error_is_attributed_to_the_right_command(mini):
         assert excinfo.value.command == "remove_session"
     finally:
         shard.close()
+
+
+def test_dead_worker_raises_shard_error_with_exit_code(mini):
+    spec, kernels, _ = mini
+    shard = ProcessShard("n")
+    try:
+        shard.post("session_ids")
+        assert shard.collect() == [[]]
+        # Stopped, the worker cannot answer the next post before it dies.
+        os.kill(shard._process.pid, signal.SIGSTOP)
+        shard.post("add_session", spec, kernels)
+        shard._process.kill()
+        shard._process.join()
+        with pytest.raises(ShardError) as excinfo:
+            shard.collect()
+        assert excinfo.value.command == "add_session"
+        assert "worker exited with code -9 before replying" in str(excinfo.value)
+        with pytest.raises(ShardError) as excinfo:
+            shard.post("demand")
+        assert excinfo.value.command == "demand"
+        assert "worker exited with code -9" in str(excinfo.value)
+    finally:
+        shard.close()
+    shard.close()  # closing a dead shard twice stays safe
 
 
 def test_process_shard_rejects_obs_kwarg():

@@ -4,7 +4,8 @@ The float-for-float equivalence of batched vs. streaming decisions is
 asserted per adversarial family in
 ``tests/differential/test_step_batch.py``; here the batching machinery
 itself is exercised — input validation, fault isolation of the
-advisory prefetch, preload cleanup, and the batching telemetry.
+advisory prefetch, preload cleanup on return and on raise, and the
+batching telemetry.
 """
 
 import pytest
@@ -20,9 +21,10 @@ from .conftest import APP, turbo_target
 pytestmark = pytest.mark.runtime
 
 
-def _manager(sim, obs=None):
+def _manager(sim, obs=None, **kw):
     return SessionManager(
-        apu=sim.apu, counters=sim.counters, overhead=sim.overhead, obs=obs
+        apu=sim.apu, counters=sim.counters, overhead=sim.overhead, obs=obs,
+        **kw,
     )
 
 
@@ -101,6 +103,36 @@ def test_preloads_cleared_after_batch(sim):
         for session_id in ("a", "b"):
             optimizer = manager.session(session_id).policy.optimizer
             assert optimizer._preloaded == {}
+
+
+def test_preloads_cleared_when_a_decision_raises(sim):
+    class DecideBoom(PPKPolicy):
+        def decide(self, index):
+            if index == 1:
+                self.preloaded_at_raise = dict(self.optimizer._preloaded)
+                raise RuntimeError("decide boom")
+            return super().decide(index)
+
+    manager = _manager(sim, isolate_faults=False)
+    manager.add_session("a", _ppk(sim))
+    manager.add_session(
+        "b",
+        DecideBoom(
+            turbo_target(sim), OraclePredictor(sim.apu, APP.unique_kernels)
+        ),
+    )
+    events = {
+        session_id: list(launch_events(APP, session_id=session_id))
+        for session_id in ("a", "b")
+    }
+    manager.step_batch([events["a"][0], events["b"][0]])
+    with pytest.raises(RuntimeError, match="decide boom"):
+        manager.step_batch([events["a"][1], events["b"][1]])
+    # The batch had preloaded b's sweep (and a's, dispatched first).
+    assert manager.session("b").policy.preloaded_at_raise
+    for session_id in ("a", "b"):
+        optimizer = manager.session(session_id).policy.optimizer
+        assert optimizer._preloaded == {}
 
 
 def test_batching_telemetry_counts_sweeps_and_dedup(sim):

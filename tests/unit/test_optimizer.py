@@ -220,6 +220,21 @@ class TestPredictorCalls:
         assert len(results) == 8
         assert predictor.calls == [(2, None)]
 
+    def test_batch_clears_preloads_when_a_search_raises(self, apu, space):
+        class ExplodingTracker(PerformanceTracker):
+            def admits(self, expected_instructions, expected_time_s):
+                raise RuntimeError("admits boom")
+
+        optimizer = _optimizer(apu, space, [COMPUTE, MEMORY])
+        target = _targets(apu, space)["easy"]
+        cases = [
+            (_record(COMPUTE), PerformanceTracker(target)),
+            (_record(MEMORY), ExplodingTracker(target)),
+        ]
+        with pytest.raises(RuntimeError, match="admits boom"):
+            optimizer.optimize_kernel_batch(cases)
+        assert optimizer._preloaded == {}
+
 
 def test_forest_backed_searches_never_descend_single_trees(apu, space, monkeypatch):
     predictor = train_predictor(
