@@ -3,14 +3,15 @@
 ``repro lint`` machine-checks the correctness properties the engine,
 runtime, and obs layers rely on but cannot enforce at runtime:
 simulated-time discipline (RL001), seeded randomness (RL002),
-cache-fingerprint and serializer coverage (RL003), process-pool pickle
-safety (RL004), observability purity (RL005), mutable-default hygiene
-(RL006), trace-schema coverage (RL008), fleet budget conservation
-(RL013), and — via the flow-sensitive tier
-(:mod:`repro.analysis.flow`: per-function CFGs plus dataflow
-fixpoints) — lock discipline (RL009), memo staleness (RL011), and
-unguarded shared-state mutation (RL012).  See ``docs/ANALYSIS.md`` for the full catalogue, the
-suppression and annotation syntax, and how to add a rule.
+process-pool pickle safety (RL004), observability purity (RL005),
+and — via the flow-sensitive tier (:mod:`repro.analysis.flow`:
+per-function CFGs plus dataflow fixpoints) — lock discipline (RL009),
+memo staleness (RL011), and unguarded shared-state mutation (RL012).
+Invariants a test can pin (serializer and trace-format coverage,
+describable fingerprint inputs, mutable defaults, budget
+conservation) are pinned by tests instead.  See ``docs/ANALYSIS.md``
+for the full catalogue, the suppression and annotation syntax, and how
+to add a rule.
 
 Public API::
 
@@ -21,7 +22,6 @@ Public API::
     raise SystemExit(result.exit_code)
 """
 
-from repro.analysis.baseline import BASELINE_SCHEMA, Baseline
 from repro.analysis.engine import (
     LintResult,
     PARSE_ERROR_ID,
@@ -40,8 +40,6 @@ from repro.analysis.reporters import (
 )
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "Baseline",
     "Finding",
     "LintResult",
     "PARSE_ERROR_ID",

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.index import ModuleInfo, ProjectIndex, build_module
 from repro.analysis.registry import Rule, resolve_selection
@@ -52,8 +51,6 @@ class LintResult:
         files_checked: Number of files parsed (or attempted).
         rules_run: Ids of the rules that executed.
         suppressed: Count of findings silenced by directives.
-        baselined: Count of findings absorbed by the ``--baseline``
-            file (zero when no baseline was given).
         timings: Wall-clock seconds per rule id (``--stats``).
             Excluded from equality and from the JSON report — timing
             jitter must not break report round-trips.
@@ -63,7 +60,6 @@ class LintResult:
     files_checked: int = 0
     rules_run: Tuple[str, ...] = ()
     suppressed: int = 0
-    baselined: int = 0
     timings: Dict[str, float] = field(default_factory=dict, compare=False)
 
     @property
@@ -165,7 +161,6 @@ def run_lint(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     root: Optional[str] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint a set of paths with the selected rules.
 
@@ -175,8 +170,6 @@ def run_lint(
         ignore: Rule ids to skip.
         root: Base directory for path scoping; defaults to the current
             working directory (paths outside it keep their given form).
-        baseline: Accepted pre-existing findings to absorb (applied
-            after suppressions, before sorting).
 
     Returns:
         The sorted, suppression-filtered :class:`LintResult`.
@@ -184,19 +177,15 @@ def run_lint(
     rules = resolve_selection(select, ignore)
     files = discover_files(paths)
     modules, findings = _parse_all(files, root)
-    index = ProjectIndex.build(modules)
+    index = ProjectIndex(modules=modules)
     rule_findings, timings = _run_rules(rules, modules, index)
     findings.extend(rule_findings)
     kept, suppressed = _apply_suppressions(findings, modules)
-    baselined = 0
-    if baseline is not None:
-        kept, baselined = baseline.apply(kept)
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return LintResult(
         findings=kept,
         files_checked=len(files),
         rules_run=tuple(rule.id for rule in rules),
         suppressed=suppressed,
-        baselined=baselined,
         timings=timings,
     )

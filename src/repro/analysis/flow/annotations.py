@@ -1,6 +1,6 @@
 """Flow annotations: the comment grammar that feeds RL009, RL011 and RL012.
 
-The pattern-match rules (RL001–RL008) read code as-is; the flow rules
+The pattern-match rules (RL001–RL005) read code as-is; the flow rules
 additionally honor machine-checked *contract comments*, styled after
 the existing suppression directives and scanned the same way (via
 :mod:`tokenize`, so strings never match)::

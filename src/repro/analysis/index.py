@@ -2,9 +2,11 @@
 
 The engine parses every discovered file once into a :class:`ModuleInfo`
 (AST, source, suppressions, normalized path) and aggregates them into a
-:class:`ProjectIndex`.  The index pre-extracts the facts that more than
-one rule needs — dataclass definitions with their fields, and per-module
-import alias maps — so individual rules stay small and single-purpose.
+:class:`ProjectIndex`.  Each module carries its import alias map, so
+every rule resolves ``np.random.default_rng`` and friends the same way;
+derived facts that more than one rule needs (the flow models and the
+call graph of :mod:`repro.analysis.flow`) live in the ``caches`` of the
+module or the index, so individual rules stay small and single-purpose.
 
 Path scoping uses the *normalized relative path* (``rel_path``, always
 ``/``-separated).  Rules match path fragments such as
@@ -18,13 +20,11 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.suppressions import Suppressions, scan_suppressions
 
 __all__ = [
-    "FieldInfo",
-    "DataclassInfo",
     "ModuleInfo",
     "ProjectIndex",
     "build_module",
@@ -73,44 +73,6 @@ def annotation_heads(node: Optional[ast.AST]) -> Set[str]:
         if not any(other != h and other.startswith(h + ".") for other in heads)
     }
     return maximal
-
-
-@dataclass(frozen=True)
-class FieldInfo:
-    """One dataclass field as written in source.
-
-    Attributes:
-        name: Field name.
-        annotation: The annotation expression, if any.
-        default: The default-value expression, if any (for
-            ``field(...)`` calls this is the call itself).
-        line: 1-based line of the field statement.
-        col: Column offset of the field statement.
-    """
-
-    name: str
-    annotation: Optional[ast.expr]
-    default: Optional[ast.expr]
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class DataclassInfo:
-    """One ``@dataclass``-decorated class definition.
-
-    Attributes:
-        name: Class name.
-        module_rel_path: ``rel_path`` of the defining module.
-        fields: Annotated fields in declaration order (``ClassVar``
-            annotations excluded).
-        line: 1-based line of the ``class`` statement.
-    """
-
-    name: str
-    module_rel_path: str
-    fields: Tuple[FieldInfo, ...]
-    line: int
 
 
 @dataclass
@@ -177,43 +139,6 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = dotted_name(target)
-        if name in ("dataclass", "dataclasses.dataclass"):
-            return True
-    return False
-
-
-def _is_classvar(annotation: ast.expr) -> bool:
-    return any(
-        head == "ClassVar" or head.endswith(".ClassVar")
-        for head in annotation_heads(annotation)
-    )
-
-
-def _dataclass_fields(node: ast.ClassDef) -> Tuple[FieldInfo, ...]:
-    fields: List[FieldInfo] = []
-    for stmt in node.body:
-        if not isinstance(stmt, ast.AnnAssign):
-            continue
-        if not isinstance(stmt.target, ast.Name):
-            continue
-        if _is_classvar(stmt.annotation):
-            continue
-        fields.append(
-            FieldInfo(
-                name=stmt.target.id,
-                annotation=stmt.annotation,
-                default=stmt.value,
-                line=stmt.lineno,
-                col=stmt.col_offset,
-            )
-        )
-    return tuple(fields)
-
-
 def build_module(path: str, root: Optional[str] = None) -> ModuleInfo:
     """Parse one source file into a :class:`ModuleInfo`.
 
@@ -238,57 +163,19 @@ def build_module(path: str, root: Optional[str] = None) -> ModuleInfo:
 
 @dataclass
 class ProjectIndex:
-    """Aggregated facts about every linted module.
+    """Every linted module, plus scratch space for cross-module facts.
 
     Attributes:
         modules: Every successfully parsed module, in discovery order.
-        dataclasses: Every ``@dataclass`` definition found.
         caches: Scratch space for derived cross-module facts (e.g. the
             call-graph layer of :mod:`repro.analysis.flow`), keyed by
             subsystem; never part of index identity.
     """
 
     modules: List[ModuleInfo] = field(default_factory=list)
-    dataclasses: List[DataclassInfo] = field(default_factory=list)
     caches: Dict[str, object] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    @classmethod
-    def build(cls, modules: List[ModuleInfo]) -> "ProjectIndex":
-        """Index a list of parsed modules."""
-        index = cls(modules=list(modules))
-        for module in modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef) and _is_dataclass_decorated(node):
-                    index.dataclasses.append(
-                        DataclassInfo(
-                            name=node.name,
-                            module_rel_path=module.rel_path,
-                            fields=_dataclass_fields(node),
-                            line=node.lineno,
-                        )
-                    )
-        return index
-
-    def module_for(self, rel_path: str) -> Optional[ModuleInfo]:
-        """The module with exactly this ``rel_path``, if indexed."""
-        for module in self.modules:
-            if module.rel_path == rel_path:
-                return module
-        return None
-
-    def modules_matching(self, fragment: str) -> List[ModuleInfo]:
-        """Modules whose ``rel_path`` contains a path fragment."""
-        return [m for m in self.modules if path_matches(m.rel_path, fragment)]
-
-    def dataclasses_in(self, fragment: str) -> List[DataclassInfo]:
-        """Dataclasses defined in modules matching a path fragment."""
-        return [
-            dc
-            for dc in self.dataclasses
-            if path_matches(dc.module_rel_path, fragment)
-        ]
 
 
 def path_matches(rel_path: str, fragment: str) -> bool:

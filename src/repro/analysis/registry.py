@@ -7,8 +7,7 @@ Three shapes exist:
   with ``(module, index)`` and yield findings for that file;
 * **project rules** (``scope="project"``) are called once per lint run
   with the whole :class:`~repro.analysis.index.ProjectIndex` and may
-  relate facts across files (e.g. dataclass fields in one module versus
-  the serializer that must cover them in another);
+  relate facts across files;
 * **flow rules** (``scope="flow"``) share the project-rule calling
   convention but additionally build per-function CFGs and run dataflow
   fixpoints (:mod:`repro.analysis.flow`) — the most expensive tier,

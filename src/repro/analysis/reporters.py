@@ -9,10 +9,11 @@ Schema history:
 * **1** — findings + summary (files/findings/errors/warnings/
   suppressed).
 * **2** — adds per-rule metadata (``rules``: id/name/scope/severity
-  and whether the rule needs the cross-module index) and
-  ``summary.baselined`` for ``--baseline`` runs.  Per-rule timings
+  and whether the rule needs the cross-module index) and a summary
+  count of findings absorbed by a baseline file.  Per-rule timings
   are deliberately *not* serialized: reports must be byte-stable for
   identical trees.
+* **3** — drops that summary count together with baseline files.
 """
 
 from __future__ import annotations
@@ -34,25 +35,18 @@ __all__ = [
 ]
 
 #: Bump when the JSON report layout changes.
-REPORT_SCHEMA = 2
-
-
-def _summary_line(result: LintResult) -> str:
-    line = (
-        f"{result.files_checked} files checked, "
-        f"{len(result.findings)} findings "
-        f"({result.errors} errors, {result.warnings} warnings), "
-        f"{result.suppressed} suppressed"
-    )
-    if result.baselined:
-        line += f", {result.baselined} baselined"
-    return line
+REPORT_SCHEMA = 3
 
 
 def render_text(result: LintResult) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = [finding.format() for finding in result.findings]
-    lines.append(_summary_line(result))
+    lines.append(
+        f"{result.files_checked} files checked, "
+        f"{len(result.findings)} findings "
+        f"({result.errors} errors, {result.warnings} warnings), "
+        f"{result.suppressed} suppressed"
+    )
     return "\n".join(lines)
 
 
@@ -87,7 +81,6 @@ def render_json(result: LintResult) -> str:
             "errors": result.errors,
             "warnings": result.warnings,
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -103,7 +96,6 @@ def parse_json(text: str) -> LintResult:
         files_checked=int(payload["summary"]["files_checked"]),
         rules_run=tuple(payload["rules_run"]),
         suppressed=int(payload["summary"]["suppressed"]),
-        baselined=int(payload["summary"]["baselined"]),
     )
 
 

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(report)
 
     lint = sub.add_parser(
-        "lint", help="run the AST invariant linter (RL001-RL013)"
+        "lint", help="run the AST invariant linter (rules: --list-rules)"
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -113,15 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue (id, scope, index needs) and exit",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="absorb findings recorded in this baseline file; only "
-        "new findings fail the run",
-    )
-    lint.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="snapshot the current findings into FILE and exit 0",
     )
     lint.add_argument(
         "--stats", action="store_true",
@@ -578,7 +569,6 @@ def _split_rules(value: Optional[str]) -> Optional[List[str]]:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
-        Baseline,
         render_catalogue,
         render_json,
         render_stats,
@@ -589,32 +579,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_catalogue())
         return 0
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
     try:
         result = run_lint(
             args.paths,
             select=_split_rules(args.select),
             ignore=_split_rules(args.ignore),
-            baseline=baseline,
         )
     except (FileNotFoundError, KeyError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline is not None:
-        snapshot = Baseline.from_findings(result.findings)
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(snapshot.render() + "\n")
-        print(
-            f"repro lint: wrote baseline of {len(result.findings)} "
-            f"findings to {args.write_baseline}"
-        )
-        return 0
     render = render_json if args.lint_format == "json" else render_text
     print(render(result))
     if args.stats:

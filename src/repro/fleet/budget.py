@@ -21,8 +21,8 @@ node power-policy managers (snippet 2):
 
 Conservation is the invariant the fleet's safety rests on: the sum of
 apportioned budgets never exceeds the cap.  It is asserted inside
-:meth:`BudgetAllocator.apportion` itself (the RL013 lint rule checks
-the assertion is present) and re-checked per epoch by the fleet tests.
+:meth:`BudgetAllocator.apportion` itself, property-tested over random
+load vectors, and re-checked per epoch by the fleet tests.
 """
 
 from __future__ import annotations

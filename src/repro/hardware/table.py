@@ -23,7 +23,7 @@ Every column is computed eagerly in ``__init__`` from the same scalar
 ``HardwareConfig`` properties the scalar path reads, so columnar math
 over these columns is float-for-float identical to the scalar path.
 Instances are plain data — safe to pickle into engine worker processes
-(RL004) and stable under ``engine.fingerprint.describe()`` (RL003): the
+(RL004) and stable under ``engine.fingerprint.describe()``: the
 only derived state that depends on *usage* (the per-CPU-power-model
 column memo) lives in a module-level ``WeakKeyDictionary``, never in
 ``__dict__``.

@@ -91,7 +91,7 @@ class HealthState(IntEnum):
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Tuning knobs of the health monitor (immutable; RL006-safe).
+    """Tuning knobs of the health monitor (immutable, so safe to share).
 
     Attributes:
         window: Trusted-sample window retained per quantity for the

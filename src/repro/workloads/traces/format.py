@@ -119,7 +119,7 @@ _KERNEL_FIELDS = (
 
 
 def kernel_to_dict(spec: KernelSpec) -> Dict[str, Any]:
-    """A kernel spec as a JSON-able dict (lossless, see RL008)."""
+    """A kernel spec as a JSON-able dict, one key per field (lossless)."""
     payload = {name: getattr(spec, name) for name in _KERNEL_FIELDS}
     payload["scaling_class"] = spec.scaling_class.value
     return payload

@@ -2,8 +2,11 @@
 
 # repro-lint: disable-file=ALL
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
 
-def draw(options={}):
-    return np.random.default_rng(), options
+def draw(items):
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        return np.random.default_rng(), pool.submit(lambda x: x, items)

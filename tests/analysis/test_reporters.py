@@ -18,18 +18,17 @@ pytestmark = pytest.mark.analysis
 
 
 def test_json_round_trip_is_lossless():
-    result = lint_fixture("rl001", "rl006")
+    result = lint_fixture("rl001", "rl004")
     parsed = parse_json(render_json(result))
     assert parsed == result
 
 
 def test_json_layout():
     payload = json.loads(render_json(lint_fixture("rl002/bad_rng.py")))
-    assert payload["schema"] == REPORT_SCHEMA == 2
+    assert payload["schema"] == REPORT_SCHEMA == 3
     assert payload["tool"] == "repro-lint"
     assert payload["summary"]["findings"] == len(payload["findings"])
     assert payload["summary"]["errors"] == 3
-    assert payload["summary"]["baselined"] == 0
     first = payload["findings"][0]
     assert set(first) == {"path", "line", "col", "rule", "severity", "message"}
 
@@ -64,8 +63,7 @@ def test_text_report_has_location_lines_and_summary():
 def test_catalogue_lists_every_rule_with_scope():
     catalogue = render_catalogue()
     for rule_id in (
-        "RL001", "RL002", "RL003", "RL004", "RL005", "RL006",
-        "RL008", "RL009", "RL011", "RL012", "RL013",
+        "RL001", "RL002", "RL004", "RL005", "RL009", "RL011", "RL012",
     ):
         assert rule_id in catalogue
     assert "(module)" in catalogue

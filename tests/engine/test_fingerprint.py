@@ -6,15 +6,21 @@ outcome — the app's kernel specs, the policy variant, the DVFS tables,
 the adaptive-horizon alpha, the predictor — produces a different key.
 """
 
+import collections.abc
 import dataclasses
+import importlib
+import pkgutil
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import ExperimentEngine, RunRequest
+import repro.workloads
+from repro.engine import ExperimentEngine, RunRequest, variants
 from repro.engine.fingerprint import describe, fingerprint
+from repro.workloads.kernel import KernelSpec
 
 from .conftest import small_context
 
@@ -169,3 +175,79 @@ class TestRunKeys:
         )
         engine.key_for(ctx, RunRequest("NBody", "ppk"), ("NBody", "ppk"))
         assert ctx._predictor is None  # fingerprinting did not train
+
+
+# ----- describable inputs -------------------------------------------------------
+
+#: Types describe() cannot reduce to a distinct canonical form.  Every
+#: plain function describes to the same opaque node, so two different
+#: callables would share a cache key.
+_UNDESCRIBABLE_TYPES = (collections.abc.Callable, typing.IO, typing.TextIO, typing.BinaryIO)
+
+#: Modules of locks, threads, files, sockets, queues, processes and
+#: executors, which describe() rejects only at run time.  The C twins
+#: are listed because, e.g., ``threading.Lock`` lives in ``_thread``.
+_UNDESCRIBABLE_MODULES = (
+    "threading", "_thread", "io", "_io", "socket", "queue", "_queue",
+    "multiprocessing", "concurrent.futures",
+)
+
+
+def _fingerprinted_dataclasses():
+    """Every dataclass in the engine's variant and workload modules.
+
+    ``VariantSpec`` is registry metadata holding the compute callables
+    themselves; its instances never reach a cache key.
+    """
+    modules = [variants, repro.workloads] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(
+            repro.workloads.__path__, "repro.workloads."
+        )
+    ]
+    return [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type)
+        and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+        and obj is not variants.VariantSpec
+    ]
+
+
+def _type_nodes(hint):
+    """``hint`` and every type nested inside it, via ``typing.get_args``."""
+    pending = [hint]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, list):  # Callable's parameter list
+            pending.extend(node)
+            continue
+        yield node
+        pending.extend(typing.get_args(node))
+
+
+def _undescribable(node):
+    origin = typing.get_origin(node) or node
+    if origin in _UNDESCRIBABLE_TYPES:
+        return True
+    module = getattr(origin, "__module__", None) or ""
+    return any(
+        module == name or module.startswith(name + ".")
+        for name in _UNDESCRIBABLE_MODULES
+    )
+
+
+def test_fingerprinted_fields_are_describable():
+    """No field of a cache-key dataclass has an undescribable type."""
+    classes = _fingerprinted_dataclasses()
+    assert RunRequest in classes and KernelSpec in classes
+    problems = []
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            bad = [n for n in _type_nodes(hints[field.name]) if _undescribable(n)]
+            if bad:
+                problems.append(f"{cls.__qualname__}.{field.name}: {bad}")
+    assert problems == []

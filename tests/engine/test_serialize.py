@@ -19,8 +19,10 @@ from repro.engine.serialize import (
     table_to_dict,
 )
 from repro.experiments.common import ExperimentTable
-from repro.hardware.config import ConfigSpace
+from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.sim.trace import LaunchRecord, RunResult
+
+from tests.dataclass_fields import field_names, off_default
 
 pytestmark = pytest.mark.engine
 
@@ -45,9 +47,9 @@ record_st = st.builds(
 )
 
 
-def build_run(records):
-    run = RunResult(app_name="app", policy_name="policy")
-    for index, fields in enumerate(records):
+def build_run(records, base_index=0):
+    run = RunResult(app_name="app", policy_name="policy", base_index=base_index)
+    for index, fields in enumerate(records, start=base_index):
         run.append(LaunchRecord(index=index, **fields))
     return run
 
@@ -58,14 +60,43 @@ def roundtrip(payload):
 
 
 class TestRunResultRoundTrip:
-    @given(st.lists(record_st, max_size=6))
+    @given(st.lists(record_st, max_size=6), st.integers(0, 64))
     @settings(max_examples=60, deadline=None)
-    def test_exact(self, records):
-        run = build_run(records)
+    def test_exact(self, records, base_index):
+        run = build_run(records, base_index)
         restored = run_result_from_dict(roundtrip(run_result_to_dict(run)))
-        assert restored.app_name == run.app_name
-        assert restored.policy_name == run.policy_name
-        assert restored.launches == run.launches  # frozen dataclass ==
+        assert restored == run  # every field, launches included
+
+    def test_every_field_is_serialized(self):
+        """Each field, set off its default, reaches the JSON and returns."""
+        record = off_default(
+            LaunchRecord,
+            index=5,
+            kernel_key="k#2",
+            config=HardwareConfig(cpu="P3", nb="NB1", gpu="DPM2", cu=4),
+            time_s=1.5e-3,
+            gpu_energy_j=0.25,
+            cpu_energy_j=0.125,
+            instructions=3.0e9,
+            overhead_time_s=2.0e-5,
+            overhead_gpu_energy_j=1.0e-6,
+            overhead_cpu_energy_j=3.0e-6,
+            horizon=7,
+            fail_safe=True,
+        )
+        run = off_default(
+            RunResult,
+            app_name="app",
+            policy_name="mpc",
+            launches=[record],
+            base_index=5,
+        )
+        payload = roundtrip(run_result_to_dict(run))
+        assert set(payload) == field_names(RunResult) | {"schema"}
+        assert [set(entry) for entry in payload["launches"]] == [
+            field_names(LaunchRecord)
+        ]
+        assert run_result_from_dict(payload) == run
 
     def test_schema_mismatch_raises(self):
         payload = run_result_to_dict(build_run([]))

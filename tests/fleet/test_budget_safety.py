@@ -2,7 +2,7 @@
 
 The acceptance invariant: at no epoch does the sum of apportioned node
 budgets exceed the global cap.  These tests re-check it from the
-*report* (independently of the allocator's own RL013-checked
+*report* (independently of the allocator's own conservation
 assertion) and verify the budgets actually reach the throttle path.
 """
 

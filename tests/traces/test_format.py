@@ -1,9 +1,12 @@
 """Tests for the versioned JSONL kernel-launch trace format."""
 
+import json
+
 import pytest
 
 from repro.hardware.config import FAILSAFE_CONFIG
 from repro.runtime.events import KernelLaunch
+from repro.workloads.kernel import KernelSpec, ScalingClass
 from repro.workloads.suites import all_benchmarks
 from repro.workloads.traces import (
     ASSERTION_METRICS,
@@ -20,6 +23,8 @@ from repro.workloads.traces import (
     kernel_from_dict,
     kernel_to_dict,
 )
+
+from tests.dataclass_fields import field_names, off_default
 
 from .conftest import COMPUTE, KERNELS, MEMORY, small_trace
 
@@ -41,7 +46,28 @@ def test_kernel_dict_is_json_scalar_only():
     assert payload["name"] == "c"
     assert payload["scaling_class"] == COMPUTE.scaling_class.value
     assert isinstance(payload["scaling_class"], str)
-    assert len(payload) == 12
+    assert set(payload) == field_names(KernelSpec)
+
+
+def test_kernel_round_trip_sets_every_field():
+    """Each KernelSpec field, set off its default, survives the trace."""
+    spec = off_default(
+        KernelSpec,
+        name="stencil",
+        scaling_class=ScalingClass.PEAK,
+        compute_work=2.5,
+        memory_traffic=0.75,
+        parallel_fraction=0.875,
+        serial_time_s=1.0e-4,
+        cache_interference=0.125,
+        cache_sweet_spot_cu=4,
+        compute_efficiency=0.625,
+        instructions=1.5e9,
+        activity_factor=1.25,
+        input_id=3,
+    )
+    payload = json.loads(json.dumps(kernel_to_dict(spec)))
+    assert kernel_from_dict(payload) == spec
 
 
 def test_kernel_from_dict_rejects_unknown_fields():
@@ -52,16 +78,22 @@ def test_kernel_from_dict_rejects_unknown_fields():
 
 
 def test_recorded_decision_round_trip():
-    decision = RecordedDecision(
+    decision = off_default(
+        RecordedDecision,
         config=FAILSAFE_CONFIG,
         time_s=1.25e-3,
         gpu_energy_j=0.375,
         cpu_energy_j=0.0625,
+        overhead_time_s=2.5e-5,
+        overhead_gpu_energy_j=1.0e-6,
+        overhead_cpu_energy_j=4.0e-6,
         horizon=3,
         fail_safe=True,
         fallback=True,
     )
-    assert RecordedDecision.from_dict(decision.as_dict()) == decision
+    payload = json.loads(json.dumps(decision.as_dict()))
+    assert set(payload) == field_names(RecordedDecision)
+    assert RecordedDecision.from_dict(payload) == decision
 
 
 # ----- events and header ------------------------------------------------------

@@ -1,18 +1,20 @@
 """Tests for TraceReplayer: float-exact checking, metrics, spans."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.core.manager import MPCPowerManager
 from repro.core.policies import FixedConfigPolicy, PPKPolicy
 from repro.hardware.apu import APUModel
-from repro.hardware.config import FAILSAFE_CONFIG
+from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
 from repro.sim.simulator import OverheadModel
 from repro.sim.turbocore import TurboCorePolicy
 from repro.workloads.traces import (
     CoverageAssertion,
     PolicySpec,
+    RecordedDecision,
     Trace,
     TraceHeader,
     TraceReplayer,
@@ -77,6 +79,34 @@ def test_tampered_config_is_detected(small_stamped):
     )
     report = TraceReplayer(small_stamped.with_decisions(decisions)).replay()
     assert any("config" in m for m in report.mismatches)
+
+
+def _tampered(value):
+    """A value of the same type that no faithful replay reproduces."""
+    if isinstance(value, HardwareConfig):
+        fastest = ConfigSpace().fastest()
+        return FAILSAFE_CONFIG if value != FAILSAFE_CONFIG else fastest
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return math.nextafter(value, math.inf)
+    raise TypeError(f"no tamper rule for {type(value).__name__}")
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(RecordedDecision)]
+)
+def test_every_recorded_field_is_compared(small_stamped, name):
+    """Tampering any one recorded field yields one mismatch naming it."""
+    decisions = [e.decision for e in small_stamped.events]
+    decisions[5] = dataclasses.replace(
+        decisions[5], **{name: _tampered(getattr(decisions[5], name))}
+    )
+    report = TraceReplayer(small_stamped.with_decisions(decisions)).replay()
+    assert len(report.mismatches) == 1
+    assert f": {name} " in report.mismatches[0]
 
 
 def test_check_false_skips_comparison(small_stamped):
