@@ -1,15 +1,13 @@
 """The pluggable rule registry.
 
 A rule is a plain function registered with the :func:`rule` decorator.
-Three shapes exist:
+Two shapes exist:
 
 * **module rules** (``scope="module"``) are called once per linted file
   with ``(module, index)`` and yield findings for that file;
-* **project rules** (``scope="project"``) are called once per lint run
-  with the whole :class:`~repro.analysis.index.ProjectIndex` and may
-  relate facts across files;
-* **flow rules** (``scope="flow"``) share the project-rule calling
-  convention but additionally build per-function CFGs and run dataflow
+* **flow rules** (``scope="flow"``) are called once per lint run with
+  the whole :class:`~repro.analysis.index.ProjectIndex`, may relate
+  facts across files, and build per-function CFGs and run dataflow
   fixpoints (:mod:`repro.analysis.flow`) — the most expensive tier,
   surfaced as such by ``--list-rules`` and ``--stats``.
 
@@ -42,10 +40,9 @@ class Rule:
         name: Short kebab-case name for reports.
         severity: Default severity of the rule's findings.
         description: One-line rationale shown in the catalogue.
-        scope: ``"module"``, ``"project"`` or ``"flow"``.
+        scope: ``"module"`` or ``"flow"``.
         module_check: Per-file check (module-scope rules).
-        project_check: Whole-index check (project- and flow-scope
-            rules).
+        project_check: Whole-index check (flow-scope rules).
     """
 
     id: str
@@ -61,9 +58,9 @@ class Rule:
         """Whether the rule reads the cross-module ProjectIndex.
 
         Module rules receive the index but only look at their own
-        file; project and flow rules cannot run without it.
+        file; flow rules cannot run without it.
         """
-        return self.scope in ("project", "flow")
+        return self.scope == "flow"
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -84,9 +81,9 @@ def rule(
         name: Short kebab-case rule name.
         description: One-line rationale.
         severity: Default severity for the rule's findings.
-        scope: ``"module"``, ``"project"`` or ``"flow"``.
+        scope: ``"module"`` or ``"flow"``.
     """
-    if scope not in ("module", "project", "flow"):
+    if scope not in ("module", "flow"):
         raise ValueError(f"unknown rule scope {scope!r}")
 
     def decorator(

@@ -103,9 +103,9 @@ def render_catalogue() -> str:
     """The registered rule catalogue, one line per rule.
 
     Each line names the rule's scope tier — ``module`` (one file at a
-    time), ``project`` (cross-module index), or ``flow`` (CFG +
-    dataflow fixpoints, the most expensive) — and marks the tiers
-    that cannot run without the cross-module ProjectIndex.
+    time) or ``flow`` (CFG + dataflow fixpoints over the cross-module
+    index, the most expensive) — and marks the tier that cannot run
+    without the cross-module ProjectIndex.
     """
     lines = []
     for rule in all_rules():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 __all__ = ["FunctionScope", "ScopeMap", "call_name"]
 

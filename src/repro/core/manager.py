@@ -34,7 +34,7 @@ from repro.core.optimizer import GreedyHillClimbOptimizer
 from repro.core.pattern import KernelPatternExtractor, KernelRecord
 from repro.core.search_order import SearchOrder, build_search_order
 from repro.core.tracker import PerformanceTracker
-from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.ml.predictors import PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
 from repro.runtime.lifecycle import PolicyLifecycle, PolicyState
@@ -77,7 +77,6 @@ class MPCPowerManager(PowerPolicy):
         overhead_model: Cost model the manager uses to estimate its own
             optimization time; should match the simulator's so that
             T_PPK and T_MPC reflect what is actually charged.
-        fail_safe: Fallback configuration.
         use_search_order: Ablation switch — when ``False``, the
             above/below-target reordering of Section IV-A1a is disabled
             and windows are visited in plain execution order.
@@ -104,7 +103,6 @@ class MPCPowerManager(PowerPolicy):
         alpha: float = 0.05,
         adaptive_horizon: bool = True,
         overhead_model: Optional[OverheadModel] = None,
-        fail_safe: HardwareConfig = FAILSAFE_CONFIG,
         use_search_order: bool = True,
         window_reserve: bool = True,
         obs: Optional[Instrumentation] = None,
@@ -122,7 +120,7 @@ class MPCPowerManager(PowerPolicy):
         self.obs = or_noop(obs)
         self.space = space if space is not None else ConfigSpace()
         self.optimizer = GreedyHillClimbOptimizer(
-            self.space, predictor, fail_safe, obs=self.obs
+            self.space, predictor, obs=self.obs
         )
         self.tracker = PerformanceTracker(target_throughput)
         self.extractor = KernelPatternExtractor()

@@ -36,7 +36,11 @@ from repro.ml.predictors import EstimateBatch, KernelEstimate, PerfPowerPredicto
 from repro.obs import Instrumentation, or_noop
 from repro.workloads.counters import CounterVector
 
-__all__ = ["OptimizationResult", "GreedyHillClimbOptimizer"]
+__all__ = ["MAX_PASSES", "OptimizationResult", "GreedyHillClimbOptimizer"]
+
+#: Bound on whole sensitivity-order sweeps of the hill climb, which
+#: keeps each search's evaluation count small and predictable.
+MAX_PASSES = 3
 
 #: Memoized per-knob span-attribute keys ("climb_steps.<knob>"), so the
 #: per-search telemetry does not rebuild the strings on every decision.
@@ -82,24 +86,21 @@ class GreedyHillClimbOptimizer:
     Args:
         space: The searchable configuration space.
         predictor: Performance/power model used for all estimates.
-        fail_safe: Configuration applied when the performance target
-            cannot be met (clamped onto ``space``).
         obs: Optional instrumentation; searches accumulate hill-climb
             step counts and matrix-path batch statistics onto the
             current trace span and emit registry counters.  Defaults to
             the shared no-op.
+
+    When the performance target cannot be met the search falls back to
+    :data:`~repro.hardware.config.FAILSAFE_CONFIG`, clamped onto
+    ``space`` (:attr:`fail_safe`).
     """
 
     def __init__(self, space: ConfigSpace, predictor: PerfPowerPredictor,
-                 fail_safe: HardwareConfig = FAILSAFE_CONFIG,
-                 max_passes: int = 3,
                  obs: Optional[Instrumentation] = None) -> None:
-        if max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
         self.space = space
         self.predictor = predictor
-        self.fail_safe = space.clamp(fail_safe)
-        self.max_passes = max_passes
+        self.fail_safe = space.clamp(FAILSAFE_CONFIG)
         self.obs = or_noop(obs)
         # Pre-bound series handles for the per-search telemetry: the
         # registry lookup + label canonicalization happen once here
@@ -284,9 +285,9 @@ class GreedyHillClimbOptimizer:
 
         # Sweep the knobs in sensitivity order; repeat the sweep until a
         # whole pass makes no move (knobs interact — e.g. a lower NB
-        # state only pays off after the GPU clock moves), bounded by
-        # max_passes to keep the evaluation count small and predictable.
-        for _ in range(self.max_passes):
+        # state only pays off after the GPU clock moves), at most
+        # MAX_PASSES times.
+        for _ in range(MAX_PASSES):
             moved = False
             for _, knob in sensitivities:
                 # Pick the climb direction: the feasible neighbour with

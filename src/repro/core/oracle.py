@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.apu import APUModel
 from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.hardware.table import ConfigTable
 from repro.workloads.app import Application
-from repro.workloads.kernel import KernelSpec
 
 __all__ = ["OptimalPlan", "solve_theoretically_optimal"]
+
+#: Bisection steps on the Lagrange multiplier.
+LAMBDA_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,6 @@ def solve_theoretically_optimal(
     apu: APUModel,
     target_throughput: float,
     space: Optional[ConfigSpace] = None,
-    lambda_iterations: int = 60,
 ) -> OptimalPlan:
     """Solve TO for one application.
 
@@ -105,7 +106,6 @@ def solve_theoretically_optimal(
         target_throughput: Baseline throughput that must be matched;
             the time budget is ``I_total / target``.
         space: Configuration space; defaults to the full 336 points.
-        lambda_iterations: Bisection steps on the Lagrange multiplier.
 
     Returns:
         The planned per-launch configurations and their totals.
@@ -131,7 +131,7 @@ def solve_theoretically_optimal(
             return {k: _pick(menus[k], lam) for k in keys}
         while totals(choice_at(hi))[0] > budget and hi < 1e12:
             hi *= 4.0
-        for _ in range(lambda_iterations):
+        for _ in range(LAMBDA_ITERATIONS):
             mid = 0.5 * (lo + hi)
             if totals(choice_at(mid))[0] > budget:
                 lo = mid

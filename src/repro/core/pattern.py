@@ -24,7 +24,7 @@ detection used to recognize that behaviour has become periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.counters import CounterVector

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.optimizer import GreedyHillClimbOptimizer
 from repro.core.pattern import KernelPatternExtractor
 from repro.core.tracker import PerformanceTracker
-from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.ml.predictors import PerfPowerPredictor
 from repro.sim.policy import Decision, Observation, PowerPolicy
 from repro.workloads.counters import CounterVector
@@ -93,7 +93,6 @@ class PPKPolicy(PowerPolicy):
         predictor: Performance/power model (Random Forest for the
             realistic scheme; the oracle for the Figure-4 limit study).
         space: Searchable configuration space.
-        fail_safe: Fallback/startup configuration.
     """
 
     name = "PPK"
@@ -103,10 +102,9 @@ class PPKPolicy(PowerPolicy):
         target_throughput: float,
         predictor: PerfPowerPredictor,
         space: Optional[ConfigSpace] = None,
-        fail_safe: HardwareConfig = FAILSAFE_CONFIG,
     ) -> None:
         self.space = space if space is not None else ConfigSpace()
-        self.optimizer = GreedyHillClimbOptimizer(self.space, predictor, fail_safe)
+        self.optimizer = GreedyHillClimbOptimizer(self.space, predictor)
         self.tracker = PerformanceTracker(target_throughput)
         self.extractor = KernelPatternExtractor()
         self._fail_safe = self.optimizer.fail_safe

@@ -24,7 +24,6 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "RunRequest",
-    "SessionStore",
     "VARIANTS",
     "canonical_requests",
     "produced_keys",
@@ -41,7 +40,6 @@ _EXPORTS = {
     "ResultCache": ("repro.engine.cache", "ResultCache"),
     "CacheStats": ("repro.engine.cache", "CacheStats"),
     "RunRequest": ("repro.engine.variants", "RunRequest"),
-    "SessionStore": ("repro.engine.sessions", "SessionStore"),
     "VARIANTS": ("repro.engine.variants", "VARIANTS"),
     "canonical_requests": ("repro.engine.core", "canonical_requests"),
     "produced_keys": ("repro.engine.variants", "produced_keys"),
@@ -60,7 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
     from repro.engine.fingerprint import CODE_VERSION
     from repro.engine.matrix import requests_for
-    from repro.engine.sessions import SessionStore
     from repro.engine.variants import VARIANTS, RunRequest, produced_keys
 
 

@@ -18,7 +18,7 @@ of the steady-state gain recovered by ten.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.experiments.common import ExperimentContext, ExperimentTable
 from repro.sim.metrics import geomean, mean

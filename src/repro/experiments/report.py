@@ -20,10 +20,9 @@ from repro.experiments import (
     fig12_theoretical_limit,
     fig13_prediction_error,
     fig14_overheads,
-    fig15_horizon,
     headline,
 )
-from repro.experiments.common import ExperimentContext, ExperimentTable
+from repro.experiments.common import ExperimentContext
 from repro.experiments.runner import ALL_EXPERIMENTS
 from repro.ml.predictors import evaluate_predictor
 from repro.workloads.suites import all_benchmarks

@@ -41,11 +41,6 @@ class FleetNode:
         node_id: The node's id within the fleet (e.g. ``node-0``).
         enforce_tdp: Whether hosted sessions throttle into the TDP
             (taken from the trace header by the simulator).
-        batched: Feed each epoch's events through
-            ``SessionManager.step_batch`` in maximal distinct-session
-            chunks (the default); ``False`` dispatches one at a time.
-            Decisions are identical either way (the step-batch
-            differential contract).
         cache_dir: Random Forest cache directory for ``forest``
             predictor specs.
         obs: Node-local instrumentation.  Defaults to a live private
@@ -59,12 +54,10 @@ class FleetNode:
         node_id: str,
         *,
         enforce_tdp: bool = False,
-        batched: bool = True,
         cache_dir: str = ".cache",
         obs: Optional[Instrumentation] = None,
     ) -> None:
         self.node_id = node_id
-        self.batched = batched
         self.cache_dir = cache_dir
         self.obs = obs if obs is not None else make_instrumentation()
         self.apu = APUModel()
@@ -132,7 +125,10 @@ class FleetNode:
 
         Events arrive slim — ``(index, session_id, kernel_key)`` — and
         resolve against the specs registered at :meth:`add_session`, so
-        the shard pipe never re-ships a ``KernelSpec`` per launch.
+        the shard pipe never re-ships a ``KernelSpec`` per launch.  They
+        run through ``SessionManager.step_batch`` in maximal
+        distinct-session chunks; decisions equal one-at-a-time dispatch
+        (the step-batch differential contract).
 
         Returns ``(session_id, index, decision)`` per event, in input
         order — the picklable form the parent folds into the fleet
@@ -147,14 +143,10 @@ class FleetNode:
             for index, session_id, kernel_key in events
         ]
         outcomes = []
-        if self.batched:
-            for chunk in chunk_distinct_sessions(
-                launches, key=lambda l: l.session_id
-            ):
-                outcomes.extend(self.manager.step_batch(chunk))
-        else:
-            for launch in launches:
-                outcomes.append(self.manager.dispatch(launch))
+        for chunk in chunk_distinct_sessions(
+            launches, key=lambda l: l.session_id
+        ):
+            outcomes.extend(self.manager.step_batch(chunk))
         return [
             (o.session_id, o.record.index, outcome_decision(o))
             for o in outcomes

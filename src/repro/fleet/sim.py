@@ -122,8 +122,6 @@ class FleetSimulator:
             by two or more (snapshot/restore migration; decisions are
             placement-invariant, so rebalancing never changes them).
         min_floor_w / headroom_frac: Allocator policy knobs.
-        batched: Step nodes through ``step_batch`` chunks (default) or
-            one event at a time.
         cache_dir: Random Forest cache directory.
     """
 
@@ -140,7 +138,6 @@ class FleetSimulator:
         rebalance: bool = False,
         min_floor_w: float = DEFAULT_MIN_FLOOR_W,
         headroom_frac: float = DEFAULT_HEADROOM_FRAC,
-        batched: bool = True,
         cache_dir: str = ".cache",
     ) -> None:
         if nodes < 1:
@@ -153,6 +150,8 @@ class FleetSimulator:
             )
         if max_sessions_per_node is not None and max_sessions_per_node < 1:
             raise ValueError("max_sessions_per_node must be at least 1")
+        if max_queued is not None and max_queued < 0:
+            raise ValueError("max_queued must be non-negative")
         self.trace = trace.ensure_valid()
         self.nodes = nodes
         self.cap_w = cap_w
@@ -161,7 +160,6 @@ class FleetSimulator:
         self.max_sessions_per_node = max_sessions_per_node
         self.max_queued = max_queued
         self.rebalance = rebalance
-        self.batched = batched
         self.cache_dir = cache_dir
         self.allocator = (
             BudgetAllocator(
@@ -177,7 +175,6 @@ class FleetSimulator:
     def _build_shards(self, stack: Any) -> List[Any]:
         node_kwargs = {
             "enforce_tdp": self.trace.header.enforce_tdp,
-            "batched": self.batched,
             "cache_dir": self.cache_dir,
         }
         shard_class = InlineShard if self.transport == "inline" else ProcessShard

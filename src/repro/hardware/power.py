@@ -21,7 +21,7 @@ temperature through :class:`repro.hardware.thermal.ThermalModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -23,8 +23,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs.health import (
-    DEFAULT_HEALTH_CONFIG,
-    HealthConfig,
     HealthMonitor,
     HealthState,
     NULL_HEALTH,
@@ -45,9 +43,7 @@ from repro.obs.tracing import NULL_TRACER, NullTracer, Span, Tracer
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_HEALTH_CONFIG",
     "Gauge",
-    "HealthConfig",
     "HealthMonitor",
     "HealthState",
     "Histogram",
@@ -109,7 +105,6 @@ def make_instrumentation(
     sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     keep_spans: bool = True,
     health: bool = False,
-    health_config: Optional[HealthConfig] = None,
 ) -> Instrumentation:
     """A live registry + tracer pair (optionally with a health monitor).
 
@@ -124,14 +119,10 @@ def make_instrumentation(
         health: Install a :class:`~repro.obs.health.HealthMonitor`
             sharing this registry/tracer, so every launch decision
             feeds the model-health ledgers and drift detectors.
-        health_config: Monitor thresholds (default
-            :data:`~repro.obs.health.DEFAULT_HEALTH_CONFIG`).
     """
     registry = MetricsRegistry()
     tracer = Tracer(clock=clock, sink=sink, keep=keep_spans)
-    monitor = (
-        HealthMonitor(registry, tracer, health_config) if health else None
-    )
+    monitor = HealthMonitor(registry, tracer) if health else None
     return Instrumentation(registry, tracer, monitor)
 
 

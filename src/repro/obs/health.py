@@ -16,7 +16,7 @@ the session runtime already produces and maintains, per session:
   deterministic functions of the span stream: no wall clock, no RNG
   (RL001/RL002 clean);
 * an **alerting state machine** — ``HEALTHY → DEGRADED → UNTRUSTED``
-  with configurable thresholds and recovery hysteresis, surfaced as
+  with fixed thresholds and recovery hysteresis, surfaced as
   ``repro_health_*`` metrics and ``health`` transition spans
   (``docs/trace.schema.json``).
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -50,10 +49,8 @@ from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.tracing import NULL_TRACER, SPAN_SCHEMA
 
 __all__ = [
-    "DEFAULT_HEALTH_CONFIG",
     "ERROR_BUCKETS",
     "HEALTH_SCHEMA",
-    "HealthConfig",
     "HealthMonitor",
     "HealthState",
     "MeanShift",
@@ -80,6 +77,42 @@ _QUANTITY_KEYS = (
     ("power", "predicted_power_w", "observed_power_w"),
 )
 
+# ----- monitor thresholds ---------------------------------------------------
+
+#: Trusted-sample window retained per quantity for the report's
+#: windowed mean/max columns.
+WINDOW = 32
+#: Smoothing factor of the per-quantity error EWMA.
+EWMA_ALPHA = 0.25
+#: EWMA level above which a session is at least ``DEGRADED``.
+DEGRADED_ERROR = 0.5
+#: EWMA level above which a session is ``UNTRUSTED``.
+UNTRUSTED_ERROR = 1.5
+#: Consecutive trusted samples with EWMA at or below
+#: :data:`DEGRADED_ERROR` needed to de-escalate one level: the
+#: hysteresis guard against flapping.
+RECOVERY_SAMPLES = 8
+#: Trusted samples a session must accumulate before the error-stream
+#: detectors (EWMA floor, Page–Hinkley, mean-shift) may escalate its
+#: state.  Ledgers, EWMAs and detector state update from the first
+#: sample; only the *alarms* wait, because a distribution claim needs
+#: data and a single extreme sample must not condemn a session.  The
+#: budget-collapse detector is outcome-based and is never gated.
+WARMUP_SAMPLES = 16
+#: Page–Hinkley drift allowance per sample.
+PH_DELTA = 0.05
+#: Page–Hinkley cumulative-deviation trip level.
+PH_THRESHOLD = 2.0
+#: Half-window (samples) of the mean-shift detector: it compares the
+#: most recent ``SHIFT_WINDOW`` samples against the ``SHIFT_WINDOW``
+#: before them.
+SHIFT_WINDOW = 8
+#: Mean increase between the two halves that counts as a shift.
+SHIFT_THRESHOLD = 0.35
+#: Consecutive exhausted-horizon fail-safe ``skip`` decisions that count
+#: as a budget collapse.
+SKIP_CASCADE = 3
+
 
 class HealthState(IntEnum):
     """Per-session model-health level, ordered by severity."""
@@ -87,100 +120,6 @@ class HealthState(IntEnum):
     HEALTHY = 0
     DEGRADED = 1
     UNTRUSTED = 2
-
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Tuning knobs of the health monitor (immutable, so safe to share).
-
-    Attributes:
-        window: Trusted-sample window retained per quantity for the
-            report's windowed mean/max columns.
-        ewma_alpha: Smoothing factor of the per-quantity error EWMA.
-        degraded_error: EWMA level above which a session is at least
-            ``DEGRADED``.
-        untrusted_error: EWMA level above which a session is
-            ``UNTRUSTED``.
-        recovery_samples: Consecutive trusted samples with EWMA at or
-            below ``degraded_error`` needed to de-escalate one level
-            (the hysteresis guard against flapping).
-        warmup_samples: Trusted samples a session must accumulate
-            before the error-stream detectors (EWMA floor,
-            Page–Hinkley, mean-shift) may escalate its state.  Ledgers,
-            EWMAs, and detector state update from the first sample;
-            only the *alarms* wait — a distribution claim needs data,
-            and a single extreme sample must not condemn a session.
-            The budget-collapse detector is outcome-based and is never
-            gated.
-        ph_delta: Page–Hinkley drift allowance per sample.
-        ph_threshold: Page–Hinkley cumulative-deviation trip level.
-        shift_window: Half-window (samples) of the mean-shift detector;
-            it compares the most recent ``shift_window`` samples
-            against the ``shift_window`` before them.
-        shift_threshold: Mean increase between the two halves that
-            counts as a shift.
-        skip_cascade: Consecutive exhausted-horizon fail-safe ``skip``
-            decisions that count as a budget collapse.
-    """
-
-    window: int = 32
-    ewma_alpha: float = 0.25
-    degraded_error: float = 0.5
-    untrusted_error: float = 1.5
-    recovery_samples: int = 8
-    warmup_samples: int = 16
-    ph_delta: float = 0.05
-    ph_threshold: float = 2.0
-    shift_window: int = 8
-    shift_threshold: float = 0.35
-    skip_cascade: int = 3
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.degraded_error <= 0:
-            raise ValueError(
-                f"degraded_error must be > 0, got {self.degraded_error}"
-            )
-        if self.untrusted_error < self.degraded_error:
-            raise ValueError(
-                "untrusted_error must be >= degraded_error "
-                f"({self.untrusted_error} < {self.degraded_error})"
-            )
-        if self.recovery_samples < 1:
-            raise ValueError(
-                f"recovery_samples must be >= 1, got {self.recovery_samples}"
-            )
-        if self.warmup_samples < 1:
-            raise ValueError(
-                f"warmup_samples must be >= 1, got {self.warmup_samples}"
-            )
-        if self.ph_delta < 0:
-            raise ValueError(f"ph_delta must be >= 0, got {self.ph_delta}")
-        if self.ph_threshold <= 0:
-            raise ValueError(
-                f"ph_threshold must be > 0, got {self.ph_threshold}"
-            )
-        if self.shift_window < 1:
-            raise ValueError(
-                f"shift_window must be >= 1, got {self.shift_window}"
-            )
-        if self.shift_threshold <= 0:
-            raise ValueError(
-                f"shift_threshold must be > 0, got {self.shift_threshold}"
-            )
-        if self.skip_cascade < 1:
-            raise ValueError(
-                f"skip_cascade must be >= 1, got {self.skip_cascade}"
-            )
-
-
-#: The default knobs; shared because the config is frozen.
-DEFAULT_HEALTH_CONFIG = HealthConfig()
 
 
 class PageHinkley:
@@ -348,7 +287,7 @@ class SessionHealth:
         "m_ewma_ips", "m_ewma_power", "m_error", "m_events",
     )
 
-    def __init__(self, session: str, config: HealthConfig) -> None:
+    def __init__(self, session: str) -> None:
         self.session = session
         self.decisions = 0
         self.samples = 0
@@ -362,12 +301,12 @@ class SessionHealth:
         self.clean_streak = 0
         self.skip_streak = 0
         self.events: Dict[str, int] = {}
-        self.ph_ips = PageHinkley(config.ph_delta, config.ph_threshold)
-        self.ph_power = PageHinkley(config.ph_delta, config.ph_threshold)
-        self.ms_ips = MeanShift(config.shift_window, config.shift_threshold)
-        self.ms_power = MeanShift(config.shift_window, config.shift_threshold)
-        self.win_ips: Deque[float] = deque(maxlen=config.window)
-        self.win_power: Deque[float] = deque(maxlen=config.window)
+        self.ph_ips = PageHinkley(PH_DELTA, PH_THRESHOLD)
+        self.ph_power = PageHinkley(PH_DELTA, PH_THRESHOLD)
+        self.ms_ips = MeanShift(SHIFT_WINDOW, SHIFT_THRESHOLD)
+        self.ms_power = MeanShift(SHIFT_WINDOW, SHIFT_THRESHOLD)
+        self.win_ips: Deque[float] = deque(maxlen=WINDOW)
+        self.win_power: Deque[float] = deque(maxlen=WINDOW)
         self.m_decisions: Any = None
         self.m_trusted: Any = None
         self.m_untrusted: Any = None
@@ -437,11 +376,9 @@ class HealthMonitor:
         self,
         registry: Optional[Any] = None,
         tracer: Optional[Any] = None,
-        config: Optional[HealthConfig] = None,
     ) -> None:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.config = config if config is not None else DEFAULT_HEALTH_CONFIG
         self.sessions: Dict[str, SessionHealth] = {}
         registry = self.registry
         # The registry-wide lock, held once per decision around the
@@ -505,9 +442,7 @@ class HealthMonitor:
             session = str(session or "")
             health = self.sessions.get(session)
             if health is None:
-                health = self.sessions[session] = SessionHealth(
-                    session, self.config
-                )
+                health = self.sessions[session] = SessionHealth(session)
                 self._bind_metrics(health)
                 health.m_state.set(0.0)
         health.decisions += 1
@@ -531,7 +466,7 @@ class HealthMonitor:
         if mode == "skip" and fail_safe:
             self._event(health, "budget_skip")
             health.skip_streak += 1
-            if health.skip_streak >= self.config.skip_cascade:
+            if health.skip_streak >= SKIP_CASCADE:
                 health.skip_streak = 0
                 self._drift(health, "budget-collapse", at)
         else:
@@ -608,13 +543,12 @@ class HealthMonitor:
         at: float,
     ) -> None:
         """EWMA + detectors + state thresholds for one trusted sample."""
-        config = self.config
         # Detector state and EWMAs track every trusted sample, but the
         # alarms stay disarmed until the session has seen enough of
         # them: a distribution claim needs data, and one extreme
         # sample must not condemn a session.
-        armed = health.trusted_samples >= config.warmup_samples
-        alpha = config.ewma_alpha
+        armed = health.trusted_samples >= WARMUP_SAMPLES
+        alpha = EWMA_ALPHA
         ewma = health.ewma
         worst = 0.0
         if e_ips is not None:
@@ -651,12 +585,12 @@ class HealthMonitor:
         # EWMA magnitude imposes a floor on the state; falling back
         # below the degraded threshold de-escalates one level per
         # `recovery_samples` consecutive clean samples (hysteresis).
-        if worst > config.degraded_error:
+        if worst > DEGRADED_ERROR:
             health.clean_streak = 0
             if not armed:
                 pass
             elif (
-                worst > config.untrusted_error
+                worst > UNTRUSTED_ERROR
                 and health.state < HealthState.UNTRUSTED
             ):
                 self._transition(health, HealthState.UNTRUSTED, "ewma", at)
@@ -666,7 +600,7 @@ class HealthMonitor:
             health.clean_streak += 1
             if (
                 health.state > HealthState.HEALTHY
-                and health.clean_streak >= config.recovery_samples
+                and health.clean_streak >= RECOVERY_SAMPLES
             ):
                 health.clean_streak = 0
                 self._transition(
@@ -796,17 +730,17 @@ class HealthMonitor:
         return {
             "schema": HEALTH_SCHEMA,
             "config": {
-                "window": self.config.window,
-                "ewma_alpha": self.config.ewma_alpha,
-                "degraded_error": self.config.degraded_error,
-                "untrusted_error": self.config.untrusted_error,
-                "recovery_samples": self.config.recovery_samples,
-                "warmup_samples": self.config.warmup_samples,
-                "ph_delta": self.config.ph_delta,
-                "ph_threshold": self.config.ph_threshold,
-                "shift_window": self.config.shift_window,
-                "shift_threshold": self.config.shift_threshold,
-                "skip_cascade": self.config.skip_cascade,
+                "window": WINDOW,
+                "ewma_alpha": EWMA_ALPHA,
+                "degraded_error": DEGRADED_ERROR,
+                "untrusted_error": UNTRUSTED_ERROR,
+                "recovery_samples": RECOVERY_SAMPLES,
+                "warmup_samples": WARMUP_SAMPLES,
+                "ph_delta": PH_DELTA,
+                "ph_threshold": PH_THRESHOLD,
+                "shift_window": SHIFT_WINDOW,
+                "shift_threshold": SHIFT_THRESHOLD,
+                "skip_cascade": SKIP_CASCADE,
             },
             "sessions": {
                 name: health.as_dict()

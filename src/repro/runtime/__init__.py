@@ -28,12 +28,7 @@ or interleaved with other applications (``SessionManager.run_stream``).
 from repro.runtime.events import KernelLaunch, LaunchOutcome, launch_events
 from repro.runtime.lifecycle import LifecycleError, PolicyLifecycle, PolicyState
 from repro.runtime.manager import SessionManager
-from repro.runtime.session import (
-    SessionRuntime,
-    SessionStats,
-    invocation_pair,
-    throttle_to_tdp,
-)
+from repro.runtime.session import SessionRuntime, SessionStats, invocation_pair
 
 __all__ = [
     "KernelLaunch",
@@ -46,5 +41,4 @@ __all__ = [
     "SessionRuntime",
     "SessionStats",
     "invocation_pair",
-    "throttle_to_tdp",
 ]

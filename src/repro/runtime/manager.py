@@ -8,10 +8,6 @@ the right session, and aggregates per-session statistics.  Because each
 session's policy only ever sees its own launches, interleaving is
 transparent: a session's trace is identical whether it ran alone or
 multiplexed with others (asserted by the runtime test suite).
-
-With a :class:`~repro.engine.sessions.SessionStore` attached, sessions
-can be persisted into the experiment engine's content-addressed cache
-and resumed by a different worker (``persist`` / ``resume``).
 """
 
 from __future__ import annotations
@@ -19,14 +15,10 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.hardware.apu import APUModel
-from repro.hardware.config import FAILSAFE_CONFIG, HardwareConfig
-from repro.obs import Instrumentation, or_noop, publish_session_stats
+from repro.hardware.config import HardwareConfig
+from repro.obs import Instrumentation, or_noop
 from repro.runtime.events import KernelLaunch, LaunchOutcome
-from repro.runtime.session import (
-    RECENT_ERRORS_LIMIT,
-    SessionRuntime,
-    SessionStats,
-)
+from repro.runtime.session import SessionRuntime, SessionStats
 from repro.sim.policy import PowerPolicy
 from repro.sim.simulator import MANAGER_CONFIG, OverheadModel
 from repro.workloads.counters import CounterSynthesizer
@@ -75,16 +67,8 @@ class SessionManager:
         manager_config: Configuration the optimizer runs at.
         cpu_phase_s: Per-launch CPU phase that hides optimizer time.
         enforce_tdp: Throttle over-TDP configurations before executing.
-        power_budget_w: Optional node power budget (watts) applied to
-            every hosted session — launches are throttled under
-            ``min(budget, TDP if enforce_tdp)``.  Updated live via
-            :meth:`set_power_budget` (the fleet allocator's entry
-            point, re-negotiated each epoch).
         isolate_faults: Fault-isolate hosted policies (the default for
             long-lived streaming service use).
-        fail_safe: Fallback configuration for degraded decisions.
-        store: Optional :class:`~repro.engine.sessions.SessionStore`
-            for :meth:`persist` / :meth:`resume`.
         obs: Optional instrumentation shared by every hosted session
             (defaults to the no-op instrumentation).
     """
@@ -98,23 +82,18 @@ class SessionManager:
         cpu_phase_s: float = 0.0,
         enforce_tdp: bool = False,
         isolate_faults: bool = True,
-        fail_safe: HardwareConfig = FAILSAFE_CONFIG,
-        store: Optional[Any] = None,
         obs: Optional[Instrumentation] = None,
-        power_budget_w: Optional[float] = None,
     ) -> None:
-        if power_budget_w is not None and power_budget_w <= 0:
-            raise ValueError("power_budget_w must be positive")
         self.apu = apu if apu is not None else APUModel()
         self.counters = counters if counters is not None else CounterSynthesizer()
         self.overhead = overhead if overhead is not None else OverheadModel()
         self.manager_config = manager_config
         self.cpu_phase_s = cpu_phase_s
         self.enforce_tdp = enforce_tdp
-        self.power_budget_w = power_budget_w
+        # Set only by set_power_budget; add_session hands it to later
+        # arrivals.
+        self.power_budget_w: Optional[float] = None
         self.isolate_faults = isolate_faults
-        self.fail_safe = fail_safe
-        self.store = store
         self.obs = or_noop(obs)
         self._sessions: Dict[str, SessionRuntime] = {}
 
@@ -122,9 +101,7 @@ class SessionManager:
 
     def add_session(self, session_id: str, policy: PowerPolicy, *,
                     app_name: str = "",
-                    charge_overhead: bool = True,
-                    recent_errors_limit: int = RECENT_ERRORS_LIMIT,
-                    ) -> SessionRuntime:
+                    charge_overhead: bool = True) -> SessionRuntime:
         """Register a new session hosting ``policy``.
 
         Raises:
@@ -143,12 +120,10 @@ class SessionManager:
             cpu_phase_s=self.cpu_phase_s,
             enforce_tdp=self.enforce_tdp,
             isolate_faults=self.isolate_faults,
-            fail_safe=self.fail_safe,
             session_id=session_id,
             app_name=app_name,
             charge_overhead=charge_overhead,
             obs=self.obs,
-            recent_errors_limit=recent_errors_limit,
             power_budget_w=self.power_budget_w,
         )
         self._sessions[session_id] = session
@@ -320,28 +295,6 @@ class SessionManager:
         for session in self._sessions.values():
             session.power_budget_w = watts
 
-    def utilization(self) -> Dict[str, float]:
-        """Aggregate power/throughput demand signal for the allocator.
-
-        Average power is total energy over total busy time (kernel +
-        overhead); throughput is instructions over kernel time.  Both
-        are 0.0 before any launch has been processed.
-        """
-        total = self.aggregate_stats()
-        busy_s = total.kernel_time_s + total.overhead_time_s
-        return {
-            "power_w": total.energy_j / busy_s if busy_s > 0 else 0.0,
-            "throughput_ips": (
-                total.instructions / total.kernel_time_s
-                if total.kernel_time_s > 0
-                else 0.0
-            ),
-            "energy_j": total.energy_j,
-            "busy_time_s": busy_s,
-            "sessions": float(len(self._sessions)),
-            "launches": float(total.launches),
-        }
-
     def stats(self) -> Dict[str, SessionStats]:
         """Per-session statistics keyed by session id."""
         return {sid: s.stats for sid, s in sorted(self._sessions.items())}
@@ -356,55 +309,3 @@ class SessionManager:
         for _, session in sorted(self._sessions.items()):
             total.merge(session.stats)
         return total
-
-    def publish_stats(self) -> None:
-        """Publish per-session and aggregate stats to the registry."""
-        registry = self.obs.registry
-        for sid, session in sorted(self._sessions.items()):
-            publish_session_stats(registry, session.stats, session=sid)
-        if self._sessions:
-            publish_session_stats(
-                registry, self.aggregate_stats(), session="_aggregate"
-            )
-
-    # ----- persistence -----------------------------------------------------------
-
-    def _require_store(self) -> Any:
-        if self.store is None:
-            raise RuntimeError("no SessionStore attached to this manager")
-        return self.store
-
-    def persist(self, session_id: str) -> str:
-        """Snapshot one session into the attached store.
-
-        Returns:
-            The store key the snapshot was written under.
-        """
-        return self._require_store().save(
-            session_id, self.session(session_id).snapshot()
-        )
-
-    def persist_all(self) -> Dict[str, str]:
-        """Snapshot every registered session; returns id -> store key."""
-        return {sid: self.persist(sid) for sid in self.session_ids()}
-
-    def resume(self, session_id: str, policy: PowerPolicy, *,
-               app_name: str = "") -> SessionRuntime:
-        """Rebuild a persisted session from the attached store.
-
-        ``policy`` must be constructed with the same arguments as the
-        persisted one; its mutable state is restored from the snapshot.
-
-        Raises:
-            KeyError: If the store has no snapshot for the id.
-        """
-        payload = self._require_store().load(session_id)
-        if payload is None:
-            raise KeyError(f"no persisted snapshot for session {session_id!r}")
-        session = self.add_session(session_id, policy, app_name=app_name)
-        try:
-            session.restore(payload)
-        except Exception:
-            del self._sessions[session_id]
-            raise
-        return session

@@ -23,8 +23,7 @@ many sessions.  All three produce numerically identical traces.
 Sessions are migratable: :meth:`snapshot` captures the policy's mutable
 state (and the session's position) as a JSON-able dict, and
 :meth:`restore` rebuilds it on a freshly constructed session, so a
-session can move across engine workers or persist in the experiment
-engine's content-addressed cache.
+session can move across engine workers or fleet nodes.
 """
 
 from __future__ import annotations
@@ -56,11 +55,11 @@ __all__ = [
     "SessionStats",
     "invocation_pair",
     "throttle_to_cap",
-    "throttle_to_tdp",
 ]
 
-#: Bump when the session snapshot layout changes.
-SESSION_SNAPSHOT_SCHEMA = 1
+#: Bump when the session snapshot layout changes (2: the stats lost
+#: their ``recent_errors`` capacity field).
+SESSION_SNAPSHOT_SCHEMA = 2
 
 #: How many isolated-fault exception reprs a session retains.
 RECENT_ERRORS_LIMIT = 8
@@ -94,12 +93,6 @@ def throttle_to_cap(apu: APUModel, spec: KernelSpec,
     return current
 
 
-def throttle_to_tdp(apu: APUModel, spec: KernelSpec,
-                    config: HardwareConfig) -> HardwareConfig:
-    """Clamp a configuration into the TDP (``throttle_to_cap`` at it)."""
-    return throttle_to_cap(apu, spec, config, apu.tdp_w)
-
-
 @dataclass
 class SessionStats:
     """Structured per-session counters, updated on every launch.
@@ -124,13 +117,11 @@ class SessionStats:
         energy_j: Total chip energy including overheads.
         last_error: Formatted ``Type: message`` of the most recent
             isolated policy fault, if any.
-        recent_errors: Ring buffer of the last ``recent_errors_limit``
-            isolated-fault exception reprs, oldest first.
+        recent_errors: Ring buffer of the last
+            :data:`RECENT_ERRORS_LIMIT` isolated-fault exception reprs,
+            oldest first.
         sources: How many sessions' worth of data this object holds
             (grows under :meth:`merge`, so aggregates keep provenance).
-        recent_errors_limit: Capacity of the error ring buffer
-            (default :data:`RECENT_ERRORS_LIMIT`; configurable per
-            session through :class:`SessionRuntime`).
     """
 
     runs: int = 0
@@ -146,22 +137,20 @@ class SessionStats:
     last_error: Optional[str] = None
     recent_errors: List[str] = field(default_factory=list)
     sources: int = 1
-    recent_errors_limit: int = RECENT_ERRORS_LIMIT
 
     def record_error(self, exc: BaseException) -> None:
         """Retain an isolated policy fault (formatted + ring buffer)."""
         self.last_error = f"{type(exc).__name__}: {exc}"
         self.recent_errors.append(repr(exc))
-        if len(self.recent_errors) > self.recent_errors_limit:
-            del self.recent_errors[: len(self.recent_errors) - self.recent_errors_limit]
+        if len(self.recent_errors) > RECENT_ERRORS_LIMIT:
+            del self.recent_errors[: len(self.recent_errors) - RECENT_ERRORS_LIMIT]
 
     def merge(self, other: "SessionStats") -> None:
         """Accumulate another session's stats (e.g. across workers).
 
         Counters and totals add; ``sources`` adds so the merged object
         reports how many sessions contributed; the error ring keeps the
-        newest ``recent_errors_limit`` (this object's) entries across
-        both.
+        newest :data:`RECENT_ERRORS_LIMIT` entries across both.
         """
         self.runs += other.runs
         self.launches += other.launches
@@ -177,7 +166,7 @@ class SessionStats:
             self.last_error = other.last_error
         self.recent_errors = (
             self.recent_errors + other.recent_errors
-        )[-self.recent_errors_limit:]
+        )[-RECENT_ERRORS_LIMIT:]
         self.sources += other.sources
 
     def as_dict(self) -> Dict[str, Any]:
@@ -186,12 +175,7 @@ class SessionStats:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SessionStats":
-        """Rebuild from :meth:`as_dict` output.
-
-        Tolerates payloads from before the provenance fields existed
-        (``recent_errors`` / ``sources`` default), so schema-1 session
-        snapshots keep loading.
-        """
+        """Rebuild from :meth:`as_dict` output."""
         return cls(**payload)
 
     def format(self) -> str:
@@ -211,7 +195,7 @@ class SessionStats:
         if self.recent_errors:
             newest_first = "; ".join(reversed(self.recent_errors))
             line += (
-                f"; recent faults (last {self.recent_errors_limit}): "
+                f"; recent faults (last {RECENT_ERRORS_LIMIT}): "
                 f"{newest_first}"
             )
         return line
@@ -247,8 +231,8 @@ class SessionRuntime:
             ``stats.fail_safe_fallbacks`` instead of propagating; an
             exception inside ``observe`` is swallowed and counted.
             ``Simulator`` hosts with this off to preserve the offline
-            harness's fail-fast semantics.
-        fail_safe: Configuration applied when a decision faults.
+            harness's fail-fast semantics.  A faulted decision runs at
+            :data:`~repro.hardware.config.FAILSAFE_CONFIG`.
         session_id: Routing key of this session in a manager.
         app_name: Default application name for streamed runs (offline
             replay takes it from the application itself).
@@ -261,8 +245,6 @@ class SessionRuntime:
             span to ``obs.health`` (the model-health monitor, when
             installed).  Share the same object with the hosted policy
             so its decision annotations land on the same spans.
-        recent_errors_limit: Capacity of the isolated-fault ring buffer
-            retained in ``stats.recent_errors``.
     """
 
     def __init__(
@@ -275,18 +257,14 @@ class SessionRuntime:
         cpu_phase_s: float = 0.0,
         enforce_tdp: bool = False,
         isolate_faults: bool = True,
-        fail_safe: HardwareConfig = FAILSAFE_CONFIG,
         session_id: str = "",
         app_name: str = "",
         charge_overhead: bool = True,
         obs: Optional[Instrumentation] = None,
-        recent_errors_limit: int = RECENT_ERRORS_LIMIT,
         power_budget_w: Optional[float] = None,
     ) -> None:
         if cpu_phase_s < 0:
             raise ValueError("cpu_phase_s must be non-negative")
-        if recent_errors_limit < 1:
-            raise ValueError("recent_errors_limit must be >= 1")
         if power_budget_w is not None and power_budget_w <= 0:
             raise ValueError("power_budget_w must be positive")
         self.obs = or_noop(obs)
@@ -299,11 +277,10 @@ class SessionRuntime:
         self.enforce_tdp = enforce_tdp
         self.power_budget_w = power_budget_w
         self.isolate_faults = isolate_faults
-        self.fail_safe = fail_safe
         self.session_id = session_id
         self.app_name = app_name
         self.charge_overhead = charge_overhead
-        self.stats = SessionStats(recent_errors_limit=recent_errors_limit)
+        self.stats = SessionStats()
         self._result: Optional[RunResult] = None
         # Pre-bound series handles for the per-launch telemetry (the
         # session/policy labels never change after construction); the
@@ -451,7 +428,7 @@ class SessionRuntime:
                 "repro_runtime_faults_total",
                 "Isolated policy faults, by failing phase",
             ).inc(session=self.session_id, phase="decide")
-            decision = Decision(config=self.fail_safe, fail_safe=True)
+            decision = Decision(config=FAILSAFE_CONFIG, fail_safe=True)
             fallback = True
 
         # 2. throttle under the active power cap (TDP and/or node

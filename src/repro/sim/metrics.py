@@ -9,7 +9,7 @@ comparisons are reported chip-wide and GPU-only, matching Figures 8-10.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.sim.trace import RunResult
 

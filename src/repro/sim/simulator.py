@@ -116,7 +116,6 @@ class Simulator:
                 session_id: str = "",
                 app_name: str = "",
                 charge_overhead: bool = True,
-                recent_errors_limit: Optional[int] = None,
                 obs: Optional["Instrumentation"] = None) -> "SessionRuntime":
         """A session runtime hosting ``policy`` on this simulator's models.
 
@@ -133,10 +132,8 @@ class Simulator:
         # Imported lazily: the runtime layer is built on this module's
         # primitives (OverheadModel, the policy/trace protocol), so a
         # module-level import here would be circular.
-        from repro.runtime.session import RECENT_ERRORS_LIMIT, SessionRuntime
+        from repro.runtime.session import SessionRuntime
 
-        if recent_errors_limit is None:
-            recent_errors_limit = RECENT_ERRORS_LIMIT
         return SessionRuntime(
             policy=policy,
             apu=self.apu,
@@ -149,7 +146,6 @@ class Simulator:
             session_id=session_id,
             app_name=app_name,
             charge_overhead=charge_overhead,
-            recent_errors_limit=recent_errors_limit,
             obs=obs,
         )
 
@@ -175,24 +171,3 @@ class Simulator:
         return self.session(policy, obs=obs).run(
             app, charge_overhead=charge_overhead
         )
-
-    def _throttle_to_tdp(self, spec, config: HardwareConfig) -> HardwareConfig:
-        """Clamp a configuration into the TDP the way the part would.
-
-        Delegates to :func:`repro.runtime.session.throttle_to_tdp`,
-        which owns the shedding-order logic (and caches the full-DPM
-        throttling space instead of rebuilding it per launch).
-        """
-        from repro.runtime.session import throttle_to_tdp
-
-        return throttle_to_tdp(self.apu, spec, config)
-
-    def run_many(self, app: Application, policy: PowerPolicy, runs: int, *,
-                 charge_overhead: bool = True) -> list:
-        """Run ``runs`` consecutive invocations, returning all results."""
-        if runs <= 0:
-            raise ValueError("runs must be positive")
-        return [
-            self.run(app, policy, charge_overhead=charge_overhead)
-            for _ in range(runs)
-        ]

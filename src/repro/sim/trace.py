@@ -10,7 +10,7 @@ and the GPU's idle leakage while the optimizer runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.hardware.config import HardwareConfig
 

@@ -23,6 +23,10 @@ from repro.sim.policy import Decision, Observation, PowerPolicy
 
 __all__ = ["TurboCorePolicy"]
 
+#: Power margin below TDP required before boosting a previously lowered
+#: state back up.
+BOOST_HEADROOM_W = 5.0
+
 
 class TurboCorePolicy(PowerPolicy):
     """Reactive boost-to-TDP controller modelled on AMD Turbo Core.
@@ -31,18 +35,14 @@ class TurboCorePolicy(PowerPolicy):
         tdp_w: Chip TDP the controller regulates to.
         space: Configuration space whose CPU/GPU axes are used for
             backoff steps; defaults to the full space.
-        headroom_w: Power margin below TDP required before boosting a
-            previously lowered state back up.
     """
 
     name = "TurboCore"
 
     def __init__(self, tdp_w: float = 95.0,
-                 space: Optional[ConfigSpace] = None,
-                 headroom_w: float = 5.0) -> None:
+                 space: Optional[ConfigSpace] = None) -> None:
         self.tdp_w = tdp_w
         self.space = space if space is not None else ConfigSpace()
-        self.headroom_w = headroom_w
         self._config = self._boost_config()
         self._last_power_w: Optional[float] = None
 
@@ -61,7 +61,7 @@ class TurboCorePolicy(PowerPolicy):
         self._last_power_w = power
         if power > self.tdp_w:
             self._back_off()
-        elif power < self.tdp_w - self.headroom_w:
+        elif power < self.tdp_w - BOOST_HEADROOM_W:
             self._boost()
 
     def _back_off(self) -> None:

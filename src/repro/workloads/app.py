@@ -12,7 +12,7 @@ sequence and that pattern string.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.workloads.kernel import KernelSpec

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.workloads.app import Application, Category
-from repro.workloads.kernel import ScalingClass
 
 __all__ = ["CorpusStats", "corpus_stats"]
 

@@ -1,7 +1,6 @@
 """RL009, RL011 and RL012 over the fixture mirror-trees + mutation test."""
 
 import shutil
-from pathlib import Path
 
 import pytest
 

@@ -59,6 +59,12 @@ def test_overflow_beyond_the_queue_sheds():
     assert report.launches() == expected
 
 
+def test_negative_queue_capacity_is_rejected():
+    trace = build_schedule_trace(["a", "b", "c"] * 4)
+    with pytest.raises(ValueError, match="max_queued"):
+        FleetSimulator(trace, nodes=1, max_sessions_per_node=1, max_queued=-1)
+
+
 def test_queued_sessions_admit_in_arrival_order():
     schedule = ["a", "b", "c"] * 4
     trace = build_schedule_trace(schedule)

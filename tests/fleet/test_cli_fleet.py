@@ -54,9 +54,13 @@ def test_fleet_run_missing_trace_exits_two(capsys):
 
 
 def test_fleet_run_rejects_invalid_config(trace_file, capsys):
-    code = main(["fleet", "run", trace_file, "--nodes", "0"])
-    assert code == 2
-    assert "repro fleet run:" in capsys.readouterr().err
+    for bad in (
+        ["--nodes", "0"],
+        ["--max-sessions-per-node", "1", "--max-queued", "-1"],
+    ):
+        code = main(["fleet", "run", trace_file, *bad])
+        assert code == 2
+        assert "repro fleet run:" in capsys.readouterr().err
 
 
 def test_bench_fleet_quick_appends_trajectory(tmp_path, capsys, monkeypatch):

@@ -47,16 +47,6 @@ def test_fleet_of_one_reproduces_streaming_decisions(corpus, family):
     assert report.stats == replay_report.stats
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_fleet_of_one_unbatched_matches_batched(corpus, family):
-    """Dispatch-one-at-a-time nodes decide identically to step_batch."""
-    trace = corpus[family]
-    batched = FleetSimulator(trace, nodes=1).run()
-    unbatched = FleetSimulator(trace, nodes=1, batched=False).run()
-    assert unbatched.decisions == batched.decisions
-    assert unbatched.stats == batched.stats
-
-
 @pytest.mark.parametrize(
     "family",
     [f for f in FAMILIES if os.path.exists(os.path.join(GOLDEN_DIR, f"{f}.jsonl"))],

@@ -115,6 +115,20 @@ class TestObsCommands:
         assert session["state"] == "DEGRADED"
         assert session["drift_events"] == 1
         assert session["first_drift_decision"] == 3
+        # The thresholds docs/OBSERVABILITY.md documents.
+        assert report["config"] == {
+            "window": 32,
+            "ewma_alpha": 0.25,
+            "degraded_error": 0.5,
+            "untrusted_error": 1.5,
+            "recovery_samples": 8,
+            "warmup_samples": 16,
+            "ph_delta": 0.05,
+            "ph_threshold": 2.0,
+            "shift_window": 8,
+            "shift_threshold": 0.35,
+            "skip_cascade": 3,
+        }
 
     def test_offline_health_matches_live_monitor(self, tmp_path, capsys):
         # `repro run --health --trace-out` then `repro obs health` on

@@ -11,9 +11,10 @@ import pytest
 
 from repro.obs import make_instrumentation
 from repro.obs.health import (
-    DEFAULT_HEALTH_CONFIG,
     ERROR_BUCKETS,
-    HealthConfig,
+    RECOVERY_SAMPLES,
+    SKIP_CASCADE,
+    WARMUP_SAMPLES,
     HealthMonitor,
     HealthState,
     MeanShift,
@@ -87,31 +88,6 @@ class TestDetectors:
         for v in (0.0, 0.0, 1.0, 1.0):
             last = shift.update(v)
         assert last and not shift.values
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"window": 0},
-        {"ewma_alpha": 0.0},
-        {"ewma_alpha": 1.5},
-        {"degraded_error": 0.0},
-        {"degraded_error": 2.0, "untrusted_error": 1.0},
-        {"recovery_samples": 0},
-        {"warmup_samples": 0},
-        {"ph_delta": -0.1},
-        {"ph_threshold": 0.0},
-        {"shift_window": 0},
-        {"shift_threshold": 0.0},
-        {"skip_cascade": 0},
-    ])
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            HealthConfig(**kwargs)
-
-    def test_default_config_is_shared_and_frozen(self):
-        assert HealthMonitor().config is DEFAULT_HEALTH_CONFIG
-        with pytest.raises(AttributeError):
-            DEFAULT_HEALTH_CONFIG.window = 1
 
 
 class TestRelativeErrors:
@@ -204,29 +180,29 @@ class TestBudgetCollapse:
 
 
 class TestWarmupAndStateMachine:
-    CONFIG = HealthConfig(warmup_samples=4, recovery_samples=2)
-
     def test_alarms_disarmed_during_warmup(self):
-        monitor = HealthMonitor(config=self.CONFIG)
-        for _ in range(3):
+        monitor = HealthMonitor()
+        for _ in range(WARMUP_SAMPLES - 1):
             monitor.observe_launch(launch(error=5.0))
         health = monitor.sessions["s"]
         assert health.state is HealthState.HEALTHY
         assert health.drift_events == 0
 
     def test_ewma_floor_escalates_after_warmup(self):
-        monitor = HealthMonitor(config=self.CONFIG)
-        for _ in range(4):
+        monitor = HealthMonitor()
+        for _ in range(WARMUP_SAMPLES):
             monitor.observe_launch(launch(error=5.0))
         health = monitor.sessions["s"]
         assert health.state is HealthState.UNTRUSTED
         assert any(t["reason"] == "ewma" for t in health.transitions)
 
     def test_recovery_de_escalates_one_level_per_streak(self):
-        monitor = HealthMonitor(config=self.CONFIG)
-        for _ in range(4):
+        monitor = HealthMonitor()
+        for _ in range(WARMUP_SAMPLES):
             monitor.observe_launch(launch(error=5.0))
-        for _ in range(2 * self.CONFIG.recovery_samples + 8):
+        # The EWMA needs 8 clean samples to fall from 5.0 to the
+        # degraded threshold; each recovery streak starts after that.
+        for _ in range(2 * RECOVERY_SAMPLES + 8):
             monitor.observe_launch(launch(error=0.0))
         health = monitor.sessions["s"]
         assert health.state is HealthState.HEALTHY
@@ -234,8 +210,8 @@ class TestWarmupAndStateMachine:
         assert reasons.count("recovery") == 2
 
     def test_page_hinkley_drift_after_warmup(self):
-        monitor = HealthMonitor(config=self.CONFIG)
-        for _ in range(10):
+        monitor = HealthMonitor()
+        for _ in range(WARMUP_SAMPLES):
             monitor.observe_launch(launch(error=0.01))
         for _ in range(10):
             monitor.observe_launch(launch(error=1.2))
@@ -263,9 +239,8 @@ class TestMetricsAndSpans:
 
     def test_transition_emits_health_span(self):
         tracer = Tracer()
-        config = HealthConfig(skip_cascade=2)
-        monitor = HealthMonitor(tracer=tracer, config=config)
-        for index in (1, 2):
+        monitor = HealthMonitor(tracer=tracer)
+        for index in range(1, SKIP_CASCADE + 1):
             monitor.observe_launch(
                 launch(index=index, mode="skip", fail_safe=True), at=3.5
             )

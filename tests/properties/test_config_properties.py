@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.config import KNOBS, ConfigSpace, HardwareConfig, Knob
+from repro.hardware.config import KNOBS, ConfigSpace, HardwareConfig
 
 SPACE = ConfigSpace()
 CONFIGS = SPACE.all_configs()

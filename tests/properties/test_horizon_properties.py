@@ -1,6 +1,6 @@
 """Property-based tests for the adaptive horizon generator."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.horizon import AdaptiveHorizonGenerator

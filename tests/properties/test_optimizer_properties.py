@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optimizer import GreedyHillClimbOptimizer
+from repro.core.optimizer import MAX_PASSES, GreedyHillClimbOptimizer
 from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
 from repro.hardware.apu import APUModel
@@ -82,7 +82,7 @@ def test_evaluation_budget(spec, slack):
     result = optimizer.optimize_kernel(record, tracker)
     # 1 start + 8 sensitivity probes + at most every knob axis twice
     # per hill-climbing pass.
-    budget = 9 + optimizer.max_passes * 2 * SPACE.knob_cardinality_sum()
+    budget = 9 + MAX_PASSES * 2 * SPACE.knob_cardinality_sum()
     assert 0 < result.evaluations <= budget
 
 

@@ -1,6 +1,6 @@
 """Property-based tests for the search-order heuristic."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.search_order import build_search_order

@@ -1,6 +1,6 @@
 """Property-based tests for the performance tracker's headroom algebra."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.tracker import PerformanceTracker

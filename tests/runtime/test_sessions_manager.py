@@ -1,12 +1,10 @@
-"""Tests for SessionManager: routing, interleaving, and persistence."""
+"""Tests for SessionManager: routing and interleaving."""
 
 import itertools
 
 import pytest
 
 from repro.core.policies import FixedConfigPolicy, PPKPolicy
-from repro.engine.cache import ResultCache
-from repro.engine.sessions import SessionStore
 from repro.hardware.config import FAILSAFE_CONFIG
 from repro.ml.predictors import OraclePredictor
 from repro.runtime.events import launch_events
@@ -55,16 +53,6 @@ class TestRegistry:
         manager.add_session("a", FixedConfigPolicy(FAILSAFE_CONFIG))
         with pytest.raises(KeyError, match="registered: a"):
             manager.session("b")
-
-    def test_recent_errors_limit_forwarded(self, manager):
-        session = manager.add_session(
-            "a", FixedConfigPolicy(FAILSAFE_CONFIG), recent_errors_limit=3
-        )
-        assert session.stats.recent_errors_limit == 3
-        with pytest.raises(ValueError):
-            manager.add_session(
-                "b", FixedConfigPolicy(FAILSAFE_CONFIG), recent_errors_limit=0
-            )
 
     def test_remove_session(self, manager):
         manager.add_session("a", FixedConfigPolicy(FAILSAFE_CONFIG))
@@ -116,66 +104,3 @@ class TestInterleaving:
         events = list(launch_events(APP, "a")) * 2
         list(manager.run_stream(events))
         assert manager.stats()["a"].runs == 2
-
-
-class TestPersistence:
-    def _store(self, tmp_path):
-        return SessionStore(ResultCache(cache_dir=str(tmp_path)))
-
-    def test_requires_store(self, manager):
-        manager.add_session("a", FixedConfigPolicy(FAILSAFE_CONFIG))
-        with pytest.raises(RuntimeError, match="no SessionStore"):
-            manager.persist("a")
-
-    def test_persist_and_resume_roundtrip(self, sim, tmp_path):
-        store = self._store(tmp_path)
-        source = SessionManager(
-            apu=sim.apu, counters=sim.counters, overhead=sim.overhead,
-            store=store,
-        )
-        source.add_session("t", TurboCorePolicy(tdp_w=sim.apu.tdp_w),
-                           app_name=APP.name)
-        events = list(launch_events(APP, "t"))
-        cut = len(events) // 2
-        for event in events[:cut]:
-            source.dispatch(event)
-        key = source.persist("t")
-        assert store.cache.load(key) is not None
-
-        # A different worker resumes the session and finishes the run.
-        target = SessionManager(
-            apu=sim.apu, counters=sim.counters, overhead=sim.overhead,
-            store=store,
-        )
-        resumed = target.resume("t", TurboCorePolicy(tdp_w=sim.apu.tdp_w))
-        for event in events[cut:]:
-            target.dispatch(event)
-
-        # The combined trace equals one uninterrupted run.
-        reference = sim.run(APP, TurboCorePolicy(tdp_w=sim.apu.tdp_w))
-        combined = (
-            source.session("t").result.launches + resumed.result.launches
-        )
-        assert combined == reference.launches
-        assert resumed.result.base_index == cut
-
-    def test_resume_missing_snapshot_raises(self, sim, tmp_path):
-        manager = SessionManager(
-            apu=sim.apu, counters=sim.counters, overhead=sim.overhead,
-            store=self._store(tmp_path),
-        )
-        with pytest.raises(KeyError, match="no persisted snapshot"):
-            manager.resume("ghost", FixedConfigPolicy(FAILSAFE_CONFIG))
-        assert "ghost" not in manager  # registration rolled back
-
-    def test_persist_all(self, sim, tmp_path):
-        store = self._store(tmp_path)
-        manager = SessionManager(
-            apu=sim.apu, counters=sim.counters, overhead=sim.overhead,
-            store=store,
-        )
-        manager.add_session("a", FixedConfigPolicy(FAILSAFE_CONFIG))
-        manager.add_session("b", FixedConfigPolicy(FAILSAFE_CONFIG))
-        keys = manager.persist_all()
-        assert sorted(keys) == ["a", "b"]
-        assert all(store.cache.load(k) is not None for k in keys.values())

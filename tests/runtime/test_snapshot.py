@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.policies import FixedConfigPolicy, PlannedPolicy, PPKPolicy
-from repro.hardware.config import FAILSAFE_CONFIG, HardwareConfig
+from repro.hardware.config import FAILSAFE_CONFIG
 from repro.ml.predictors import OraclePredictor
 from repro.runtime.events import launch_events
 from repro.runtime.lifecycle import PolicyState
@@ -147,7 +147,7 @@ class TestSessionEnvelope:
         session.process(events[0])
         session.process(events[1])
         payload = _json_roundtrip(session.snapshot())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["session_id"] == "s"
         assert payload["next_index"] == 2
         assert payload["policy"]["name"] == "Fixed"

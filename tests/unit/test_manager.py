@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.manager import MPCPowerManager
 from repro.runtime.lifecycle import PolicyState
-from repro.hardware.apu import APUModel
 from repro.ml.predictors import OraclePredictor
 from repro.sim.simulator import Simulator
 from repro.sim.turbocore import TurboCorePolicy

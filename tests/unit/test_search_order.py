@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.search_order import SearchOrder, build_search_order
-from repro.experiments.fig7_search_order import example_profile, example_search_order
+from repro.experiments.fig7_search_order import example_search_order
 
 
 class TestBuild:

@@ -67,13 +67,6 @@ class TestSimulator:
         assert free.overhead_time_s == 0.0
         assert charged.overhead_energy_j > 0
 
-    def test_run_many(self):
-        sim = Simulator()
-        results = sim.run_many(APP, FixedConfigPolicy(FAST), 3)
-        assert len(results) == 3
-        with pytest.raises(ValueError):
-            sim.run_many(APP, FixedConfigPolicy(FAST), 0)
-
     def test_slow_config_longer_run(self):
         sim = Simulator()
         fast = sim.run(APP, FixedConfigPolicy(FAST))

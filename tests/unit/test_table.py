@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.hardware.config import KNOBS, ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.hardware.table import ConfigTable
 from repro.ml.predictors import CpuPowerModel
 
