@@ -392,11 +392,13 @@ class MPCPowerManager(PowerPolicy):
 
         Recomputes the upcoming decision's window — lifecycle
         transitions, telemetry, and tracker state untouched — so
-        ``SessionManager.step_batch`` can stack this session's sweeps
-        with every other ready session's into one predictor call.
+        ``SessionManager.step_batch`` can stack the sweeps this
+        session's optimizer misses with every other ready session's
+        into one predictor call.  The answer is the window plus its
+        fail-safe reserve, exactly what ``optimize_window`` sweeps.
         Estimates are pure functions of (counters, lattice, predictor),
-        so a preloaded sweep stays valid no matter what other sessions
-        do in between.
+        so a cached sweep stays valid no matter what other sessions do
+        in between.
         """
         if self._lifecycle.state is PolicyState.PROFILING:
             record = self.extractor.last_record()

@@ -23,8 +23,9 @@ falls back to the fail-safe configuration [P7, NB2, DPM4, 8 CUs].
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,9 +77,12 @@ class GreedyHillClimbOptimizer:
 
     The search runs on the columnar decision core: candidate
     configurations are flat :class:`~repro.hardware.table.ConfigTable`
-    indices, knob moves are stride arithmetic, and each search issues
-    one whole-lattice ``estimate_matrix`` sweep whose rows every probe
-    and climb step reads.  Chosen configurations, estimate floats, and
+    indices, knob moves are stride arithmetic, and each search reads
+    one whole-lattice sweep whose rows every probe and climb step
+    reads.  Sweeps come from :meth:`sweep_many`, which caches one per
+    counter vector object for as long as that object lives, so a vector
+    that recurs across windows and decisions is swept once.  Chosen
+    configurations, estimate floats, and
     evaluation counts are identical to a per-configuration search —
     ``tests/differential/`` replays every scenario family against such
     a reference, and the golden-result suite depends on that.
@@ -120,24 +124,32 @@ class GreedyHillClimbOptimizer:
         self._m_climb_by_knob: Dict[str, Any] = {}
         self._m_matrix_batches = registry.counter(
             "repro_optimizer_matrix_batches_total",
-            "Columnar predictor batches issued by hill-climb searches",
+            "Whole-lattice sweeps read by hill-climb searches, cached or "
+            "fresh",
         ).labelled()
         self._m_matrix_rows = registry.counter(
             "repro_optimizer_matrix_rows_total",
-            "Table rows evaluated through the columnar predictor path",
+            "Table rows of the sweeps hill-climb searches read",
         ).labelled()
         self._m_memo_hits = registry.counter(
             "repro_optimizer_memo_hits_total",
             "Predictor requests served from the per-search memo",
         ).labelled()
+        self._m_sweeps = registry.counter(
+            "repro_optimizer_sweeps_total",
+            "Whole-lattice sweeps an optimizer had to obtain (vectors "
+            "it held no sweep for)",
+        ).labelled()
         self._m_lock = registry.lock
         self.table = ConfigTable(space)
         self._fail_safe_index = self.table.index_of_config(self.fail_safe)
-        # Whole-lattice estimate batches preloaded by a batched caller
-        # (SessionManager.step_batch / optimize_kernel_batch), keyed by
-        # counter vector.  Searches consult it before issuing their own
-        # sweep; eval charging and telemetry are identical either way.
-        self._preloaded: Dict[CounterVector, EstimateBatch] = {}
+        # Whole-lattice sweeps by counter vector.  Weakly keyed: the
+        # pattern extractor gives a kernel a new vector object each time
+        # it runs, so an entry dies with the last record that could ask
+        # for it, and the cache needs no size bound.
+        self._sweeps: weakref.WeakKeyDictionary[CounterVector, EstimateBatch] = (
+            weakref.WeakKeyDictionary()
+        )
 
     @property
     def lattice_key(self) -> Tuple:
@@ -154,40 +166,51 @@ class GreedyHillClimbOptimizer:
             tuple(space.cu_axis),
         )
 
+    def missing(self, counters_list: Iterable[CounterVector]) -> List[CounterVector]:
+        """Distinct vectors of ``counters_list`` with no held sweep, in order."""
+        held = self._sweeps
+        return [c for c in dict.fromkeys(counters_list) if c not in held]
+
     def sweep_many(
-        self, counters_list: Sequence[CounterVector]
+        self,
+        counters_list: Sequence[CounterVector],
+        swept: Optional[Mapping[CounterVector, EstimateBatch]] = None,
     ) -> List[EstimateBatch]:
-        """One whole-lattice estimate batch per counter vector.
+        """One whole-lattice estimate batch per counter vector, in order.
 
-        A single stacked ``estimate_matrix_many`` call.  No evaluations
-        are charged here — charging happens when a search consumes
-        rows, exactly as on the lazy path.
+        Every sweep the hill climb and the window search read comes
+        from here.  Vectors this optimizer already holds are served
+        from its cache; the others are taken from ``swept`` (sweeps a
+        batched caller computed once for several optimizers on this
+        predictor and lattice) or else swept in one stacked
+        ``estimate_matrix_many`` call, and cached under the caller's
+        own vector objects.  Estimates are pure functions of (counters,
+        lattice, predictor), so a held sweep never goes stale.  No
+        evaluations are charged here — charging happens when a search
+        consumes rows.
         """
-        return self.predictor.estimate_matrix_many(list(counters_list), self.table)
-
-    def preload_lattice(
-        self, batches: Dict[CounterVector, EstimateBatch]
-    ) -> None:
-        """Install whole-lattice sweeps for upcoming searches to reuse.
-
-        Callers pair this with :meth:`clear_preload` in a
-        ``try``/``finally``.
-        """
-        self._preloaded.update(batches)
-
-    def clear_preload(self) -> None:
-        """Drop all preloaded lattice sweeps."""
-        self._preloaded.clear()
+        held = self._sweeps
+        misses = self.missing(counters_list)
+        if misses:
+            swept = dict(swept or {})
+            compute = [c for c in misses if c not in swept]
+            if compute:
+                swept.update(zip(
+                    compute,
+                    self.predictor.estimate_matrix_many(compute, self.table),
+                ))
+            for counters in misses:
+                held[counters] = swept[counters]
+            if self.obs.enabled:
+                self._m_sweeps.inc(len(misses))
+        return [held[c] for c in counters_list]
 
     def _failsafe_estimate(self, record: KernelRecord) -> KernelEstimate:
         """One predictor query at the fail-safe configuration.
 
-        Shared by the fail paths and the window reserve accounting; the
-        caller charges the evaluation.
+        The fail path of the reference searches below; the caller
+        charges the evaluation.
         """
-        preloaded = self._preloaded.get(record.counters)
-        if preloaded is not None:
-            return preloaded.estimate(self._fail_safe_index)
         batch = self.predictor.estimate_matrix(
             record.counters, self.table,
             np.asarray([self._fail_safe_index], dtype=np.intp),
@@ -212,7 +235,6 @@ class GreedyHillClimbOptimizer:
         """
         evals = 0
         climb_steps: Dict[str, int] = {}
-        stats = {"batches": 0, "rows": 0, "memo_hits": 0}
         table = self.table
 
         # The whole search runs on flat table indices; configurations
@@ -222,24 +244,16 @@ class GreedyHillClimbOptimizer:
         # per-row model evaluation is independent, so each looked-up
         # estimate is float-for-float what a query for that one
         # configuration returns.  Every fetch charges one evaluation per
-        # requested index regardless of the speculative sweep — the
-        # search's modelled cost is its per-configuration budget.
-        full: Optional[EstimateBatch] = None
+        # requested index whether the sweep was cached or fresh — the
+        # search's modelled cost is its per-configuration budget — and
+        # the batch/row telemetry counts the sweep the search read.
+        [full] = self.sweep_many((record.counters,))
+        stats = {"batches": 1, "rows": len(full), "memo_hits": 0}
         memo: Dict[int, KernelEstimate] = {}
 
         def fetch_many(indices: Sequence[int]) -> List[KernelEstimate]:
-            nonlocal evals, full
+            nonlocal evals
             evals += len(indices)
-            if full is None:
-                # A batched caller may have preloaded this kernel's
-                # whole-lattice sweep; rows are float-identical to an
-                # own sweep, and the batch/row telemetry charges exactly
-                # as if the sweep ran here.
-                full = self._preloaded.get(record.counters)
-                if full is None:
-                    full = self.predictor.estimate_matrix(record.counters, table)
-                stats["batches"] += 1
-                stats["rows"] += len(full)
             out = []
             for index in indices:
                 est = memo.get(index)
@@ -382,9 +396,9 @@ class GreedyHillClimbOptimizer:
             if knob not in by_knob:
                 by_knob[knob] = self._m_climb_steps.labelled(knob=knob)
         if span is not None:
-            # Columnar-path telemetry: how many predictor batches the
-            # search issued, how many table rows they covered, and how
-            # many requests the per-search memo absorbed.
+            # Columnar-path telemetry: how many sweeps the search read
+            # (cached or fresh), how many table rows they covered, and
+            # how many requests the per-search memo absorbed.
             span.inc("matrix_batches", stats["batches"])
             span.inc("matrix_rows", stats["rows"])
             span.inc("memo_hits", stats["memo_hits"])
@@ -403,12 +417,14 @@ class GreedyHillClimbOptimizer:
     ) -> List[OptimizationResult]:
         """Optimize many independent kernels from one stacked sweep.
 
-        All distinct counter vectors in the batch are swept in a single
-        ``estimate_matrix_many`` call and preloaded, then each case runs
-        the ordinary :meth:`optimize_kernel` against its own tracker —
-        results, evaluation charges, and telemetry are identical to
-        per-case calls.  This is the multi-session decision hot path
-        benchmarked by ``repro bench decide``'s ``batched`` backend.
+        The distinct counter vectors of the batch that this optimizer
+        holds no sweep for go to :meth:`sweep_many` together — one
+        ``estimate_matrix_many`` call — and each case then runs the
+        ordinary :meth:`optimize_kernel` against its own tracker, reading
+        the cached sweeps.  Results, evaluation charges and telemetry are
+        identical to per-case calls.  This is the multi-session decision
+        hot path benchmarked by ``repro bench decide``'s ``batched``
+        backend.
 
         Args:
             cases: ``(record, tracker)`` pairs; trackers not modified.
@@ -417,21 +433,8 @@ class GreedyHillClimbOptimizer:
             One :class:`OptimizationResult` per case, in order.
         """
         cases = list(cases)
-        unique: Dict[CounterVector, None] = {}
-        for record, _ in cases:
-            if record.counters not in self._preloaded:
-                unique.setdefault(record.counters)
-        if unique:
-            self.preload_lattice(
-                dict(zip(unique, self.sweep_many(list(unique))))
-            )
-        try:
-            return [
-                self.optimize_kernel(record, tracker)
-                for record, tracker in cases
-            ]
-        finally:
-            self.clear_preload()
+        self.sweep_many([record.counters for record, _ in cases])
+        return [self.optimize_kernel(record, tracker) for record, tracker in cases]
 
     def exhaustive_kernel_search(self, record: KernelRecord,
                                  tracker: PerformanceTracker) -> OptimizationResult:
@@ -517,14 +520,20 @@ class GreedyHillClimbOptimizer:
         speculative = tracker.copy()
         total_evals = 0
 
+        # Every sweep the window needs, in one call for the vectors not
+        # held yet; the searches below then read them from the cache.
+        to_reserve = list(window[:-1]) + list(reserved) if reserve_window else []
+        sweeps = self.sweep_many(
+            [record.counters for record in [*window, *to_reserve]]
+        )
+
         # Fail-safe reserve for everything in the window that has not
-        # been committed yet (one predictor query per member).
+        # been committed yet (one evaluation charged per member).
         reserve_time = 0.0
         reserve_insts = 0.0
         pending: dict = {}
-        to_reserve = list(window[:-1]) + list(reserved) if reserve_window else []
-        for record in to_reserve:
-            estimate = self._failsafe_estimate(record)
+        for record, sweep in zip(to_reserve, sweeps[len(window):]):
+            estimate = sweep.estimate(self._fail_safe_index)
             total_evals += 1
             pending[id(record)] = (record.instructions, estimate.time_s)
             reserve_time += estimate.time_s

@@ -12,7 +12,8 @@ exploit the problem's structure — it is a multiple-choice knapsack over
 per-launch configuration menus — and solve it with a Lagrangian
 relaxation plus a greedy repair/improvement pass, which is exact up to
 one kernel's discretization gap and empirically matches exhaustive
-search on small instances (see the tests).
+search on small instances (see the tests), and never costs more than
+the best feasible single configuration for every kernel.
 
 Launches of the same (kernel, input) are interchangeable in both
 objective and constraint, so decisions are made per *unique* kernel
@@ -177,6 +178,17 @@ def solve_theoretically_optimal(
         if best_move is not None:
             choice[best_move[0]] = best_move[1]
             improved = True
+
+    # The relaxation and greedy pass are exact only up to one kernel's
+    # discretization gap, so one configuration for every kernel can
+    # still cost less; take the best feasible one when it is strictly
+    # cheaper (a tie keeps the plan).
+    _, energy = totals(choice)
+    for idx in range(len(configs)):
+        uniform = dict.fromkeys(keys, idx)
+        uniform_time, uniform_energy = totals(uniform)
+        if uniform_time <= budget and uniform_energy < energy:
+            choice, energy = uniform, uniform_energy
 
     plan = tuple(configs[choice[spec.key]] for spec in app.kernels)
     time_s, energy = totals(choice)

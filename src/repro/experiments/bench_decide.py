@@ -30,6 +30,7 @@ from repro.hardware.apu import APUModel
 from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace
 from repro.ml.predictors import OraclePredictor, PerfPowerPredictor, train_predictor
 from repro.workloads.counters import CounterSynthesizer
+from repro.workloads.kernel import KernelSpec
 from repro.workloads.suites import benchmark
 
 __all__ = ["run_bench_decide", "DEFAULT_OUTPUT", "SCHEMA"]
@@ -50,41 +51,67 @@ _QUICK_DECISIONS = 24
 
 def _decision_cases(
     apu: APUModel, space: ConfigSpace, benchmark_name: str
-) -> Tuple[List[Tuple[KernelRecord, PerformanceTracker]], List[object]]:
-    """(record, tracker) pairs for every unique kernel of a benchmark.
+) -> Tuple[List[Tuple[KernelSpec, PerformanceTracker]], List[KernelSpec]]:
+    """(kernel, tracker) pairs for every unique kernel of a benchmark.
 
     Targets are set to 90% of each kernel's fail-safe throughput so the
     searches have headroom to climb — the representative decision shape,
     not the degenerate everything-infeasible one.
     """
     app = benchmark(benchmark_name)
-    synthesizer = CounterSynthesizer(noise=0.0)
     fail_safe = space.clamp(FAILSAFE_CONFIG)
     cases = []
     for spec in app.unique_kernels:
         measurement = apu.execute(spec, fail_safe)
-        record = KernelRecord(
-            signature=(),
-            counters=synthesizer.nominal(spec),
-            instructions=spec.instructions,
-        )
         target = 0.9 * spec.instructions / measurement.time_s
-        cases.append((record, PerformanceTracker(target)))
+        cases.append((spec, PerformanceTracker(target)))
     return cases, list(app.unique_kernels)
+
+
+def _observed(
+    cases: List[Tuple[KernelSpec, PerformanceTracker]],
+    synthesizer: CounterSynthesizer,
+    sequence: int,
+) -> List[Tuple[KernelRecord, PerformanceTracker]]:
+    """The cases as a live stream sees them at launch ``sequence``.
+
+    Every launch brings a new counter vector object, so a decision never
+    reads a sweep an earlier decision left in the optimizer's cache:
+    each timed decision pays for its own sweep, as on a live stream.
+    """
+    return [
+        (
+            KernelRecord(
+                signature=(),
+                counters=synthesizer.observe(spec, sequence),
+                instructions=spec.instructions,
+            ),
+            tracker,
+        )
+        for spec, tracker in cases
+    ]
 
 
 def _time_path(
     optimizer: GreedyHillClimbOptimizer,
-    cases: List[Tuple[KernelRecord, PerformanceTracker]],
+    cases: List[Tuple[KernelSpec, PerformanceTracker]],
     min_decisions: int,
 ) -> Tuple[float, int]:
-    """(decisions/sec, decisions timed) for one optimizer configuration."""
-    for record, tracker in cases:  # warm predictor/table caches
+    """(decisions/sec, decisions timed) for one optimizer configuration.
+
+    Each decision is one whole-lattice sweep plus one search.
+    """
+    synthesizer = CounterSynthesizer()
+    rounds = -(-min_decisions // len(cases))
+    # Counters are built before the timed loop; round 0 warms the
+    # predictor and table caches untimed.
+    stream = [_observed(cases, synthesizer, seq) for seq in range(rounds + 1)]
+    for record, tracker in stream[0]:
         optimizer.optimize_kernel(record, tracker)
     decisions = 0
     start = time.perf_counter()
-    while decisions < min_decisions:
-        for record, tracker in cases:
+    for observed in stream[1:]:
+        for record, tracker in observed:
             optimizer.optimize_kernel(record, tracker)
             decisions += 1
     elapsed = time.perf_counter() - start
@@ -97,7 +124,7 @@ BATCH_SESSIONS = (8, 64)
 
 def _time_batched(
     optimizer: GreedyHillClimbOptimizer,
-    cases: List[Tuple[KernelRecord, PerformanceTracker]],
+    cases: List[Tuple[KernelSpec, PerformanceTracker]],
     sessions: int,
     min_decisions: int,
 ) -> Tuple[float, int]:
@@ -105,14 +132,20 @@ def _time_batched(
 
     Models ``SessionManager.step_batch``: each step decides once for
     ``sessions`` interleaved sessions whose pending kernels cycle
-    through the benchmark's unique kernels, so the batch dedups to the
-    same few lattice sweeps a real multi-tenant step would.
+    through the benchmark's unique kernels, observed afresh every step,
+    so each step is one stacked sweep of the same few lattices a real
+    multi-tenant step dedups to, plus one search per session.
     """
-    batch = [cases[i % len(cases)] for i in range(sessions)]
-    optimizer.optimize_kernel_batch(batch)  # warm predictor/table caches
+    synthesizer = CounterSynthesizer()
+    steps = -(-min_decisions // sessions)
+    stream = []
+    for seq in range(steps + 1):  # step 0 warms the caches untimed
+        observed = _observed(cases, synthesizer, seq)
+        stream.append([observed[i % len(observed)] for i in range(sessions)])
+    optimizer.optimize_kernel_batch(stream[0])
     decisions = 0
     start = time.perf_counter()
-    while decisions < min_decisions:
+    for batch in stream[1:]:
         optimizer.optimize_kernel_batch(batch)
         decisions += sessions
     elapsed = time.perf_counter() - start
@@ -244,7 +277,7 @@ def _bench_backend(
     name: str,
     predictor: PerfPowerPredictor,
     space: ConfigSpace,
-    cases: List[Tuple[KernelRecord, PerformanceTracker]],
+    cases: List[Tuple[KernelSpec, PerformanceTracker]],
     min_decisions: int,
 ) -> Dict[str, object]:
     """Per-session vs. batched decisions/sec for one backend."""

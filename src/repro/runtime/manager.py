@@ -12,7 +12,7 @@ multiplexed with others (asserted by the runtime test suite).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hardware.apu import APUModel
 from repro.hardware.config import HardwareConfig
@@ -21,7 +21,7 @@ from repro.runtime.events import KernelLaunch, LaunchOutcome
 from repro.runtime.session import SessionRuntime, SessionStats
 from repro.sim.policy import PowerPolicy
 from repro.sim.simulator import MANAGER_CONFIG, OverheadModel
-from repro.workloads.counters import CounterSynthesizer
+from repro.workloads.counters import CounterSynthesizer, CounterVector
 
 __all__ = ["SessionManager", "chunk_distinct_sessions"]
 
@@ -172,17 +172,19 @@ class SessionManager:
         Each ready session's policy is asked (side-effect free) which
         counter vectors its upcoming decision will sweep; sessions whose
         optimizers share a predictor and search lattice are grouped, the
-        deduplicated counters of each group go to the predictor as one
-        stacked ``estimate_matrix_many`` call, and the shared
-        whole-lattice estimates are preloaded into every member
-        optimizer before the events are dispatched normally, in order.
+        vectors of each group that its members do not hold yet are
+        deduplicated and go to the predictor as one stacked
+        ``estimate_matrix_many`` call, and every member receives the
+        sweeps it asked for through its optimizer's ``sweep_many``,
+        which caches them under the member's own vector objects.  The
+        events are then dispatched normally, in order.
 
         Decisions, per-session statistics, evaluation charges, and
         per-decision telemetry are identical to dispatching the events
-        one at a time — preloaded rows are float-for-float what each
+        one at a time — the stacked rows are float-for-float what each
         session's own sweep would have produced, and fault isolation is
-        unchanged (a failing prefetch just drops that session back to
-        its lazy path).
+        unchanged (a failing prefetch or group sweep just leaves those
+        sessions to sweep what they miss when they decide).
 
         Args:
             events: At most one launch per session; sessions are
@@ -210,8 +212,7 @@ class SessionManager:
 
         # Group prefetch requests by (predictor, lattice): one stacked
         # sweep per group serves every member session.
-        groups: Dict[Any, List[Any]] = {}
-        requests: Dict[Any, List[Any]] = {}
+        groups: Dict[Any, List[Tuple[Any, Tuple[CounterVector, ...]]]] = {}
         for event, session in zip(events, sessions):
             optimizer = getattr(session.policy, "optimizer", None)
             if optimizer is None:
@@ -220,63 +221,57 @@ class SessionManager:
                 wanted = tuple(session.prefetch_counters(event))
             except Exception:
                 # Fault isolation: a failing prefetch must not take the
-                # batch down — the session decides on its lazy path and
+                # batch down — the session sweeps when it decides and
                 # any real fault surfaces through process() as usual.
                 continue
             if not wanted:
                 continue
             key = (id(optimizer.predictor), optimizer.lattice_key)
-            groups.setdefault(key, []).append(optimizer)
-            requests.setdefault(key, []).append(wanted)
+            groups.setdefault(key, []).append((optimizer, wanted))
 
-        preloaded: List[Any] = []
         swept = 0
-        requested = 0
-        # Every preload must be cleared even when a later group's sweep,
-        # the obs counters or a dispatch raise, so the whole span from
-        # the first preload_lattice to dispatch sits under one finally
-        # (test_preloads_cleared_when_a_decision_raises).
-        try:
-            for key, members in groups.items():
-                unique: Dict[Any, None] = {}
-                for wanted in requests[key]:
-                    requested += len(wanted)
-                    for counters in wanted:
-                        unique.setdefault(counters)
-                try:
-                    batches = members[0].sweep_many(list(unique))
-                except Exception:
-                    continue  # every member falls back to its lazy sweep
-                swept += len(unique)
-                mapping = dict(zip(unique, batches))
-                for optimizer in members:
-                    optimizer.preload_lattice(mapping)
-                    preloaded.append(optimizer)
+        missed = 0
+        for members in groups.values():
+            unique: Dict[CounterVector, None] = {}
+            for optimizer, wanted in members:
+                misses = optimizer.missing(wanted)
+                missed += len(misses)
+                unique.update(dict.fromkeys(misses))
+            if not unique:
+                continue
+            first = members[0][0]
+            try:
+                batches = first.predictor.estimate_matrix_many(
+                    list(unique), first.table
+                )
+            except Exception:
+                continue  # every member sweeps its misses when it decides
+            swept += len(unique)
+            shared = dict(zip(unique, batches))
+            for optimizer, wanted in members:
+                optimizer.sweep_many(wanted, shared)
 
-            if self.obs.enabled:
-                registry = self.obs.registry
-                registry.counter(
-                    "repro_runtime_batched_steps_total",
-                    "step_batch calls processed",
-                ).inc()
-                registry.counter(
-                    "repro_runtime_batched_launches_total",
-                    "Launches processed through step_batch",
-                ).inc(len(events))
-                registry.counter(
-                    "repro_runtime_batched_sweeps_total",
-                    "Distinct whole-lattice sweeps computed for batches",
-                ).inc(swept)
-                registry.counter(
-                    "repro_runtime_batched_dedup_hits_total",
-                    "Prefetched sweep requests served by another "
-                    "session's sweep",
-                ).inc(requested - swept)
+        if self.obs.enabled:
+            registry = self.obs.registry
+            registry.counter(
+                "repro_runtime_batched_steps_total",
+                "step_batch calls processed",
+            ).inc()
+            registry.counter(
+                "repro_runtime_batched_launches_total",
+                "Launches processed through step_batch",
+            ).inc(len(events))
+            registry.counter(
+                "repro_runtime_batched_sweeps_total",
+                "Distinct whole-lattice sweeps computed for batches",
+            ).inc(swept)
+            registry.counter(
+                "repro_runtime_batched_dedup_hits_total",
+                "Sweeps a session missed that another session's "
+                "request in the same stacked call supplied",
+            ).inc(missed - swept)
 
-            return [self.dispatch(event) for event in events]
-        finally:
-            for optimizer in preloaded:
-                optimizer.clear_preload()
+        return [self.dispatch(event) for event in events]
 
     # ----- power budget ----------------------------------------------------------
 

@@ -366,8 +366,8 @@ class SessionRuntime:
         sweeps into one call.  Events that start a new run (or arrive
         out of order) predict nothing: ``process`` will change policy
         state (``begin_run``) before deciding, so any guess made now
-        could be wrong — the decision then simply uses its own lazy
-        sweep.  Side-effect free.
+        could be wrong — the decision then sweeps what its optimizer
+        does not hold.  Side-effect free.
         """
         expected = self._next_index()
         if expected is None or (event.index == 0 and expected > 0):

@@ -99,13 +99,14 @@ class PowerPolicy(abc.ABC):
 
         The batched runtime path (``SessionManager.step_batch``) asks
         each ready session which kernels its upcoming decision will
-        query, stacks the answers of all sessions into one predictor
-        call, and preloads the shared results.  The hook must be
-        **side-effect free** — no lifecycle transitions, no telemetry,
-        no mutation — because :meth:`decide` still runs in full
-        afterwards.  A wrong or empty answer is always safe: decisions
-        simply fall back to their own lazy sweep.  The default predicts
-        nothing (model-free policies).
+        query, stacks the vectors the sessions' optimizers do not hold
+        yet into one predictor call, and hands each optimizer the
+        sweeps it asked for to cache.  The hook must be **side-effect
+        free** — no lifecycle transitions, no telemetry, no mutation —
+        because :meth:`decide` still runs in full afterwards.  A wrong
+        or empty answer is always safe: decisions sweep whatever their
+        optimizer does not hold.  The default predicts nothing
+        (model-free policies).
         """
         return ()
 

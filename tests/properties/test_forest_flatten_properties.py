@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml.forest import RandomForestRegressor
+from repro.ml.forest import PREDICT_BLOCK_ROWS, RandomForestRegressor
 
 forest_params_st = st.tuples(
     st.integers(1, 6),  # n_estimators
@@ -116,6 +116,20 @@ def _recursive_reference(forest, X):
 def test_flattened_predict_equals_per_tree_reference(params, data):
     forest, X = _fit(params, data)
     assert np.array_equal(forest.predict(X), _per_tree_reference(forest, X))
+
+
+@settings(max_examples=8, deadline=None)
+@given(forest_params_st, dataset_st, st.integers(1, PREDICT_BLOCK_ROWS + 1))
+def test_input_taller_than_a_block_predicts_like_single_rows(params, data, extra):
+    # predict descends at most PREDICT_BLOCK_ROWS rows at once; rows on
+    # either side of each block boundary must still predict exactly as
+    # they do alone.  Row r repeats training/query row r mod n shifted
+    # by r/1000, so rows differ across the boundaries.
+    forest, X = _fit(params, data)
+    rows = PREDICT_BLOCK_ROWS + extra
+    tall = np.resize(X, (rows, X.shape[1])) + np.arange(rows)[:, None] / 1000
+    singles = np.array([forest.predict(row[None, :])[0] for row in tall])
+    assert np.array_equal(forest.predict(tall), singles)
 
 
 @settings(max_examples=15, deadline=None)

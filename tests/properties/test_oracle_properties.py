@@ -1,6 +1,6 @@
 """Property-based tests for the Theoretically Optimal solver."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.oracle import solve_theoretically_optimal
@@ -63,6 +63,17 @@ def test_plan_is_always_feasible_for_achievable_targets(app, slack):
 
 @settings(max_examples=25, deadline=None)
 @given(app_st, slack_st)
+# The greedy pass alone planned [P7, NB0, DPM4, 8 CUs] for the first
+# kernel at 4.29646 J; the uniform [P7, NB3, DPM0, 8 CUs] costs 4.28017 J.
+@example(
+    app=_make_app([
+        KernelSpec("a", ScalingClass.COMPUTE, 3.0, 1.0, parallel_fraction=0.75,
+                   serial_time_s=0.015625, compute_efficiency=0.75),
+        KernelSpec("a", ScalingClass.COMPUTE, 3.0, 0.75, parallel_fraction=0.75,
+                   serial_time_s=0.015625, compute_efficiency=0.875),
+    ]),
+    slack=2.0,
+)
 def test_plan_never_beaten_by_uniform_configs(app, slack):
     """No single fixed configuration beats the plan's energy (feasibly)."""
     target = _target(app, slack)

@@ -4,17 +4,19 @@ The float-for-float equivalence of batched vs. streaming decisions is
 asserted per adversarial family in
 ``tests/differential/test_step_batch.py``; here the batching machinery
 itself is exercised — input validation, fault isolation of the
-advisory prefetch, preload cleanup on return and on raise, and the
-batching telemetry.
+advisory prefetch, the bound on the sweeps an optimizer holds, and
+the batching telemetry.
 """
 
 import pytest
 
+from repro.core.manager import MPCPowerManager
 from repro.core.policies import PPKPolicy
 from repro.ml.predictors import OraclePredictor
 from repro.obs import make_instrumentation
 from repro.runtime.events import launch_events
 from repro.runtime.manager import SessionManager
+from repro.workloads.suites import benchmark
 
 from .conftest import APP, turbo_target
 
@@ -95,44 +97,26 @@ def test_failing_prefetch_falls_back_to_lazy_sweep(sim):
         assert outcome.record == streaming.dispatch(event).record
 
 
-def test_preloads_cleared_after_batch(sim):
+def test_held_sweeps_never_exceed_kernel_records(sim):
+    # Table-IV swat: 12 kernels, 9 records.  The optimizer caches a
+    # sweep per counter vector object and the extractor replaces a
+    # kernel's vector each time it runs, so no more sweeps stay held
+    # than the session has kernel records.
+    app = benchmark("swat")
     manager = _manager(sim)
-    events = _sessions(manager, sim, ["a", "b"])
-    for step in range(3):
-        manager.step_batch([events["a"][step], events["b"][step]])
-        for session_id in ("a", "b"):
-            optimizer = manager.session(session_id).policy.optimizer
-            assert optimizer._preloaded == {}
-
-
-def test_preloads_cleared_when_a_decision_raises(sim):
-    class DecideBoom(PPKPolicy):
-        def decide(self, index):
-            if index == 1:
-                self.preloaded_at_raise = dict(self.optimizer._preloaded)
-                raise RuntimeError("decide boom")
-            return super().decide(index)
-
-    manager = _manager(sim, isolate_faults=False)
-    manager.add_session("a", _ppk(sim))
-    manager.add_session(
-        "b",
-        DecideBoom(
-            turbo_target(sim), OraclePredictor(sim.apu, APP.unique_kernels)
-        ),
+    policy = MPCPowerManager(
+        turbo_target(sim, app),
+        OraclePredictor(sim.apu, app.unique_kernels),
+        overhead_model=sim.overhead,
     )
-    events = {
-        session_id: list(launch_events(APP, session_id=session_id))
-        for session_id in ("a", "b")
-    }
-    manager.step_batch([events["a"][0], events["b"][0]])
-    with pytest.raises(RuntimeError, match="decide boom"):
-        manager.step_batch([events["a"][1], events["b"][1]])
-    # The batch had preloaded b's sweep (and a's, dispatched first).
-    assert manager.session("b").policy.preloaded_at_raise
-    for session_id in ("a", "b"):
-        optimizer = manager.session(session_id).policy.optimizer
-        assert optimizer._preloaded == {}
+    manager.add_session("a", policy)
+    held = []
+    for _ in range(3):
+        for event in launch_events(app, session_id="a"):
+            manager.dispatch(event)
+            held.append(len(policy.optimizer._sweeps))
+            assert held[-1] <= policy.extractor.num_records
+    assert max(held) > 1
 
 
 def test_batching_telemetry_counts_sweeps_and_dedup(sim):

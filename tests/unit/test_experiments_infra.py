@@ -168,6 +168,37 @@ class TestBenchDecide:
         for batch in entry["batched"].values():
             assert set(batch) == {"decisions_per_s", "speedup_vs_matrix"}
 
+    def test_every_timed_decision_pays_for_its_own_sweep(self):
+        # The optimizer caches a sweep per counter vector object, so the
+        # bench must observe fresh counters per decision or it would
+        # time cache lookups after the warm round.
+        from repro.core.optimizer import GreedyHillClimbOptimizer
+        from repro.experiments import bench_decide
+        from repro.hardware.apu import APUModel
+        from repro.hardware.config import ConfigSpace
+        from repro.ml.predictors import OraclePredictor, PerfPowerPredictor
+
+        apu, space = APUModel(), ConfigSpace()
+        cases, kernels = bench_decide._decision_cases(apu, space, "kmeans")
+        oracle = OraclePredictor(apu, kernels)
+        calls = []
+
+        class Counting(PerfPowerPredictor):
+            def estimate_matrix_many(self, counters_list, table, indices=None):
+                calls.append((len(counters_list), indices))
+                return oracle.estimate_matrix_many(counters_list, table, indices)
+
+        optimizer = GreedyHillClimbOptimizer(space, Counting())
+        _, timed = bench_decide._time_path(optimizer, cases, 6)
+        # One whole-lattice sweep per decision, the untimed warm round
+        # included.
+        assert calls == [(1, None)] * (timed + len(cases))
+        calls.clear()
+        bench_decide._time_batched(optimizer, cases, 8, 16)
+        # One stacked sweep of the distinct kernels per step, warm-up
+        # step included.
+        assert calls == [(len(cases), None)] * (16 // 8 + 1)
+
     def test_format_entry_renders_health_overhead_budget(self):
         from repro.experiments.bench_decide import format_entry
 

@@ -220,20 +220,42 @@ class TestPredictorCalls:
         assert len(results) == 8
         assert predictor.calls == [(2, None)]
 
-    def test_batch_clears_preloads_when_a_search_raises(self, apu, space):
-        class ExplodingTracker(PerformanceTracker):
-            def admits(self, expected_instructions, expected_time_s):
-                raise RuntimeError("admits boom")
-
-        optimizer = _optimizer(apu, space, [COMPUTE, MEMORY])
+    def test_window_of_one_repeated_record_sweeps_once(self, apu, space):
+        predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE]))
+        optimizer = GreedyHillClimbOptimizer(space, predictor)
+        record = _record(COMPUTE)
         target = _targets(apu, space)["easy"]
-        cases = [
-            (_record(COMPUTE), PerformanceTracker(target)),
-            (_record(MEMORY), ExplodingTracker(target)),
-        ]
-        with pytest.raises(RuntimeError, match="admits boom"):
-            optimizer.optimize_kernel_batch(cases)
-        assert optimizer._preloaded == {}
+        # Every window slot holds the same vector object, as an A20
+        # window over one kernel does; 19 of them are also reserved at
+        # fail-safe.
+        optimizer.optimize_window([record] * 20, PerformanceTracker(target))
+        assert predictor.calls == [(1, None)]
+
+    def test_repeated_window_with_unchanged_records_makes_no_call(self, apu, space):
+        predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE, MEMORY]))
+        optimizer = GreedyHillClimbOptimizer(space, predictor)
+        window = [_record(MEMORY), _record(COMPUTE)]
+        tracker = PerformanceTracker(_targets(apu, space)["easy"])
+        first = optimizer.optimize_window(window, tracker)
+        assert predictor.calls == [(2, None)]
+        again = optimizer.optimize_window(window, tracker)
+        assert predictor.calls == [(2, None)]
+        assert again == first
+
+    def test_replaced_counters_are_reswept_once(self, apu, space):
+        predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE]))
+        optimizer = GreedyHillClimbOptimizer(space, predictor)
+        record = _record(COMPUTE)
+        tracker = PerformanceTracker(_targets(apu, space)["easy"])
+        optimizer.optimize_window([record] * 3, tracker)
+        # Feedback replaces a record's vector with a new object, as
+        # KernelPatternExtractor.observe does.
+        record.counters = CounterSynthesizer().observe(COMPUTE, sequence=1)
+        for _ in range(3):
+            optimizer.optimize_window([record] * 3, tracker)
+        assert predictor.calls == [(1, None), (1, None)]
+        # The replaced vector's sweep died with the vector.
+        assert len(optimizer._sweeps) == 1
 
 
 def test_forest_backed_searches_never_descend_single_trees(apu, space, monkeypatch):
