@@ -22,6 +22,7 @@ falls back to the fail-safe configuration [P7, NB2, DPM4, 8 CUs].
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -33,11 +34,13 @@ from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
 from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig, Knob
 from repro.hardware.table import ConfigTable
-from repro.ml.predictors import EstimateBatch, KernelEstimate, PerfPowerPredictor
+from repro.ml.predictors import KernelEstimate, PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
 from repro.workloads.counters import CounterVector
 
-__all__ = ["MAX_PASSES", "OptimizationResult", "GreedyHillClimbOptimizer"]
+__all__ = [
+    "MAX_PASSES", "OptimizationResult", "PartialSweep", "GreedyHillClimbOptimizer",
+]
 
 #: Bound on whole sensitivity-order sweeps of the hill climb, which
 #: keeps each search's evaluation count small and predictable.
@@ -72,18 +75,58 @@ class OptimizationResult:
     fail_safe: bool
 
 
+class PartialSweep:
+    """One counter vector's whole-lattice sweep, computed a cross at a time.
+
+    The three estimate columns cover every row of the optimizer's
+    table; ``known`` marks the rows computed so far, and only
+    :meth:`GreedyHillClimbOptimizer._fill` computes rows.  The sweep
+    keeps its own copy of the counter values, never the vector object
+    it is cached under: a ``WeakKeyDictionary`` value that references
+    its key keeps that key alive forever.
+
+    Attributes:
+        counters: A copy of the swept counter values.
+        times_s / gpu_power_w / cpu_power_w: Estimate columns, NaN in
+            rows not computed yet.
+        known: Which rows have been computed.
+    """
+
+    __slots__ = ("counters", "times_s", "gpu_power_w", "cpu_power_w", "known")
+
+    def __init__(self, counters: CounterVector, rows: int) -> None:
+        self.counters = dataclasses.replace(counters)
+        self.times_s = np.full(rows, np.nan)
+        self.gpu_power_w = np.full(rows, np.nan)
+        self.cpu_power_w = np.full(rows, np.nan)
+        self.known = np.zeros(rows, dtype=bool)
+
+    def estimate(self, i: int) -> KernelEstimate:
+        """The scalar :class:`KernelEstimate` of a computed row."""
+        return KernelEstimate(
+            time_s=float(self.times_s[i]),
+            gpu_power_w=float(self.gpu_power_w[i]),
+            cpu_power_w=float(self.cpu_power_w[i]),
+        )
+
+
 class GreedyHillClimbOptimizer:
     """Energy-minimizing configuration search for single kernels/windows.
 
     The search runs on the columnar decision core: candidate
     configurations are flat :class:`~repro.hardware.table.ConfigTable`
-    indices, knob moves are stride arithmetic, and each search reads
-    one whole-lattice sweep whose rows every probe and climb step
-    reads.  Sweeps come from :meth:`sweep_many`, which caches one per
+    indices, knob moves are stride arithmetic, and every probe and
+    climb step reads a row of one :class:`PartialSweep` of the kernel's
+    counters.  Sweeps come from :meth:`sweep_many`, which caches one per
     counter vector object for as long as that object lives, so a vector
-    that recurs across windows and decisions is swept once.  Chosen
-    configurations, estimate floats, and
-    evaluation counts are identical to a per-configuration search —
+    that recurs across windows and decisions is swept once.  A sweep
+    computes only the rows searches read, one cross at a time (the rows
+    within one knob move of a configuration): a new sweep starts with
+    the cross through the fail-safe, where every climb starts and
+    probes, and a read of a row not computed yet computes the rest of
+    the cross through that row.  Chosen configurations, estimate
+    floats, and evaluation counts are identical to a per-configuration
+    search —
     ``tests/differential/`` replays every scenario family against such
     a reference, and the golden-result suite depends on that.
 
@@ -129,7 +172,7 @@ class GreedyHillClimbOptimizer:
         ).labelled()
         self._m_matrix_rows = registry.counter(
             "repro_optimizer_matrix_rows_total",
-            "Table rows of the sweeps hill-climb searches read",
+            "Table rows covered by the sweeps hill-climb searches read",
         ).labelled()
         self._m_memo_hits = registry.counter(
             "repro_optimizer_memo_hits_total",
@@ -143,11 +186,12 @@ class GreedyHillClimbOptimizer:
         self._m_lock = registry.lock
         self.table = ConfigTable(space)
         self._fail_safe_index = self.table.index_of_config(self.fail_safe)
-        # Whole-lattice sweeps by counter vector.  Weakly keyed: the
-        # pattern extractor gives a kernel a new vector object each time
-        # it runs, so an entry dies with the last record that could ask
-        # for it, and the cache needs no size bound.
-        self._sweeps: weakref.WeakKeyDictionary[CounterVector, EstimateBatch] = (
+        self._fail_safe_cross = self.table.cross(self._fail_safe_index)
+        # Sweeps by counter vector.  Weakly keyed: the pattern extractor
+        # gives a kernel a new vector object each time it runs, so an
+        # entry dies with the last record that could ask for it, and the
+        # cache needs no size bound.
+        self._sweeps: weakref.WeakKeyDictionary[CounterVector, PartialSweep] = (
             weakref.WeakKeyDictionary()
         )
 
@@ -174,18 +218,19 @@ class GreedyHillClimbOptimizer:
     def sweep_many(
         self,
         counters_list: Sequence[CounterVector],
-        swept: Optional[Mapping[CounterVector, EstimateBatch]] = None,
-    ) -> List[EstimateBatch]:
-        """One whole-lattice estimate batch per counter vector, in order.
+        swept: Optional[Mapping[CounterVector, PartialSweep]] = None,
+    ) -> List[PartialSweep]:
+        """One sweep per counter vector, in order.
 
         Every sweep the hill climb and the window search read comes
         from here.  Vectors this optimizer already holds are served
         from its cache; the others are taken from ``swept`` (sweeps a
-        batched caller computed once for several optimizers on this
-        predictor and lattice) or else swept in one stacked
-        ``estimate_matrix_many`` call, and cached under the caller's
-        own vector objects.  Estimates are pure functions of (counters,
-        lattice, predictor), so a held sweep never goes stale.  No
+        batched caller started once for several optimizers on this
+        predictor and lattice) or else started by :meth:`start_sweeps`
+        in one stacked call, and cached under the caller's own vector
+        objects.  Estimates are pure functions of (counters, lattice,
+        predictor), so a held sweep never goes stale, and optimizers
+        that share a predictor and lattice may share sweeps.  No
         evaluations are charged here — charging happens when a search
         consumes rows.
         """
@@ -195,27 +240,46 @@ class GreedyHillClimbOptimizer:
             swept = dict(swept or {})
             compute = [c for c in misses if c not in swept]
             if compute:
-                swept.update(zip(
-                    compute,
-                    self.predictor.estimate_matrix_many(compute, self.table),
-                ))
+                swept.update(zip(compute, self.start_sweeps(compute)))
             for counters in misses:
                 held[counters] = swept[counters]
             if self.obs.enabled:
                 self._m_sweeps.inc(len(misses))
         return [held[c] for c in counters_list]
 
-    def _failsafe_estimate(self, record: KernelRecord) -> KernelEstimate:
-        """One predictor query at the fail-safe configuration.
+    def start_sweeps(self, counters_list: Sequence[CounterVector]) -> List[PartialSweep]:
+        """New sweeps of ``counters_list``, each computed at the fail-safe cross.
 
-        The fail path of the reference searches below; the caller
-        charges the evaluation.
+        One stacked predictor call for all of them.  Nothing is cached
+        here; :meth:`sweep_many` caches what it is handed.
         """
-        batch = self.predictor.estimate_matrix(
-            record.counters, self.table,
-            np.asarray([self._fail_safe_index], dtype=np.intp),
+        sweeps = [PartialSweep(c, len(self.table)) for c in counters_list]
+        self._fill(sweeps, self._fail_safe_cross)
+        return sweeps
+
+    def _fill(self, sweeps: Sequence[PartialSweep], rows: np.ndarray) -> None:
+        """Compute ``rows`` of every sweep in one predictor call.
+
+        The only place sweeps gain rows, whether a new sweep's fail-safe
+        cross or the rest of a cross a search reads into.  Rows are
+        stored only once the predictor has answered, so a failed call
+        leaves every sweep as it was.
+        """
+        batches = self.predictor.estimate_matrix_many(
+            [sweep.counters for sweep in sweeps], self.table, rows
         )
-        return batch.estimate(0)
+        for sweep, batch in zip(sweeps, batches):
+            sweep.times_s[rows] = batch.times_s
+            sweep.gpu_power_w[rows] = batch.gpu_power_w
+            sweep.cpu_power_w[rows] = batch.cpu_power_w
+            sweep.known[rows] = True
+
+    def _read(self, sweep: PartialSweep, index: int) -> KernelEstimate:
+        """One row of a sweep, computing the cross through it if needed."""
+        if not sweep.known[index]:
+            cross = self.table.cross(index)
+            self._fill((sweep,), cross[~sweep.known[cross]])
+        return sweep.estimate(index)
 
     # ----- single kernel -------------------------------------------------------
 
@@ -238,17 +302,18 @@ class GreedyHillClimbOptimizer:
         table = self.table
 
         # The whole search runs on flat table indices; configurations
-        # are materialized only for the returned result.  One columnar
-        # sweep covers the whole lattice, so the dozens of tiny
-        # probe/climb requests a search makes all become row lookups;
-        # per-row model evaluation is independent, so each looked-up
-        # estimate is float-for-float what a query for that one
+        # are materialized only for the returned result.  The dozens of
+        # tiny probe/climb requests a search makes all become row reads
+        # of one sweep, which computes a cross of rows the first time
+        # one of them is read; per-row model evaluation is independent,
+        # so each row is float-for-float what a query for that one
         # configuration returns.  Every fetch charges one evaluation per
-        # requested index whether the sweep was cached or fresh — the
+        # requested index whether the row was cached or fresh — the
         # search's modelled cost is its per-configuration budget — and
-        # the batch/row telemetry counts the sweep the search read.
-        [full] = self.sweep_many((record.counters,))
-        stats = {"batches": 1, "rows": len(full), "memo_hits": 0}
+        # the batch/row telemetry counts the sweep the search read and
+        # the lattice rows it covers.
+        [sweep] = self.sweep_many((record.counters,))
+        stats = {"batches": 1, "rows": len(table), "memo_hits": 0}
         memo: Dict[int, KernelEstimate] = {}
 
         def fetch_many(indices: Sequence[int]) -> List[KernelEstimate]:
@@ -258,7 +323,7 @@ class GreedyHillClimbOptimizer:
             for index in indices:
                 est = memo.get(index)
                 if est is None:
-                    memo[index] = est = full.estimate(index)
+                    memo[index] = est = self._read(sweep, index)
                 else:
                     stats["memo_hits"] += 1
                 out.append(est)
@@ -415,13 +480,13 @@ class GreedyHillClimbOptimizer:
         self,
         cases: Sequence[Tuple[KernelRecord, PerformanceTracker]],
     ) -> List[OptimizationResult]:
-        """Optimize many independent kernels from one stacked sweep.
+        """Optimize many independent kernels from one stacked start.
 
         The distinct counter vectors of the batch that this optimizer
         holds no sweep for go to :meth:`sweep_many` together — one
-        ``estimate_matrix_many`` call — and each case then runs the
-        ordinary :meth:`optimize_kernel` against its own tracker, reading
-        the cached sweeps.  Results, evaluation charges and telemetry are
+        ``estimate_matrix_many`` call for their fail-safe crosses — and
+        each case then runs the ordinary :meth:`optimize_kernel` against
+        its own tracker, reading the cached sweeps.  Results, evaluation charges and telemetry are
         identical to per-case calls.  This is the multi-session decision
         hot path benchmarked by ``repro bench decide``'s ``batched``
         backend.
@@ -464,7 +529,7 @@ class GreedyHillClimbOptimizer:
         if best_index is None:
             return OptimizationResult(
                 config=self.fail_safe,
-                estimate=self._failsafe_estimate(record),
+                estimate=batch.estimate(self._fail_safe_index),
                 evaluations=evals + 1, fail_safe=True,
             )
         return OptimizationResult(
@@ -634,9 +699,9 @@ class GreedyHillClimbOptimizer:
                 best_first = (table.config_at(first_index), estimates[0][first_index])
 
         if best_first is None:
-            fail_est = self._failsafe_estimate(window[0])
             return OptimizationResult(
-                config=self.fail_safe, estimate=fail_est,
+                config=self.fail_safe,
+                estimate=estimates[0][self._fail_safe_index],
                 evaluations=evals + 1, fail_safe=True,
             )
         return OptimizationResult(

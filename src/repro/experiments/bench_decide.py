@@ -2,10 +2,11 @@
 
 ``repro bench decide`` times :meth:`GreedyHillClimbOptimizer.optimize_kernel`
 — the per-kernel-boundary decision the MPC manager makes at runtime —
-under each predictor backend, once per session (one whole-lattice
-sweep per decision) and batched across interleaved sessions
+under each predictor backend, once per session (one sweep started per
+decision, its rows computed a cross at a time as the search reads
+them) and batched across interleaved sessions
 (:meth:`~GreedyHillClimbOptimizer.optimize_kernel_batch`, one stacked
-sweep per step).  Results append to a trajectory file
+sweep start per step).  Results append to a trajectory file
 (``BENCH_decide.json`` by default) so the decisions/sec history is
 tracked across changes to the decision core; each entry records the
 host's ``cpu_count`` beside its rates.
@@ -99,7 +100,8 @@ def _time_path(
 ) -> Tuple[float, int]:
     """(decisions/sec, decisions timed) for one optimizer configuration.
 
-    Each decision is one whole-lattice sweep plus one search.
+    Each decision starts one sweep and runs one search, which computes
+    the crosses of rows it reads.
     """
     synthesizer = CounterSynthesizer()
     rounds = -(-min_decisions // len(cases))
@@ -133,7 +135,7 @@ def _time_batched(
     Models ``SessionManager.step_batch``: each step decides once for
     ``sessions`` interleaved sessions whose pending kernels cycle
     through the benchmark's unique kernels, observed afresh every step,
-    so each step is one stacked sweep of the same few lattices a real
+    so each step is one stacked start of the few sweeps a real
     multi-tenant step dedups to, plus one search per session.
     """
     synthesizer = CounterSynthesizer()
@@ -221,8 +223,8 @@ def _bench_health_overhead(
             obs=instrumentation,
         )
         # All sessions share one predictor instance so step_batch
-        # groups them into stacked whole-lattice sweeps — the batched
-        # rf backend configuration.
+        # groups them into stacked sweep starts — the batched rf
+        # backend configuration.
         for sid in ids:
             manager.add_session(
                 sid,

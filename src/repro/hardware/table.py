@@ -198,6 +198,21 @@ class ConfigTable:
         current = (index // stride) % length
         return index + (axis_index - current) * stride
 
+    def cross(self, index: int) -> np.ndarray:
+        """Flat indices of the rows within one knob move of ``index``.
+
+        The configuration itself plus every other position of each
+        knob's axis through it — ``1 + sum(len(axis) - 1)`` rows, 15 of
+        the 336 on the Table-I lattice — in ascending order.
+        """
+        self._require_lattice()
+        assert self._strides is not None and self._axis_lengths is not None
+        rows = {index}
+        for stride, length in zip(self._strides, self._axis_lengths):
+            start = index - (index // stride) % length * stride
+            rows.update(range(start, start + length * stride, stride))
+        return np.array(sorted(rows), dtype=np.intp)
+
     def step_index(self, index: int, knob: str, direction: int) -> Optional[int]:
         """Step one knob by +-1 in index space; ``None`` off the axis end.
 

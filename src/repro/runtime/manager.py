@@ -167,17 +167,19 @@ class SessionManager:
             yield self.dispatch(event)
 
     def step_batch(self, events: Sequence[KernelLaunch]) -> List[LaunchOutcome]:
-        """Process one launch per session with their sweeps stacked.
+        """Process one launch per session with their sweeps started stacked.
 
         Each ready session's policy is asked (side-effect free) which
         counter vectors its upcoming decision will sweep; sessions whose
         optimizers share a predictor and search lattice are grouped, the
         vectors of each group that its members do not hold yet are
-        deduplicated and go to the predictor as one stacked
-        ``estimate_matrix_many`` call, and every member receives the
-        sweeps it asked for through its optimizer's ``sweep_many``,
-        which caches them under the member's own vector objects.  The
-        events are then dispatched normally, in order.
+        deduplicated, and their sweeps are started with one stacked
+        ``estimate_matrix_many`` call over their fail-safe crosses.
+        Every member receives the sweeps it asked for through its
+        optimizer's ``sweep_many``, which caches them under the member's
+        own vector objects; members share a sweep, so rows one member's
+        search computes serve the others.  The events are then
+        dispatched normally, in order.
 
         Decisions, per-session statistics, evaluation charges, and
         per-decision telemetry are identical to dispatching the events
@@ -241,13 +243,11 @@ class SessionManager:
                 continue
             first = members[0][0]
             try:
-                batches = first.predictor.estimate_matrix_many(
-                    list(unique), first.table
-                )
+                sweeps = first.start_sweeps(list(unique))
             except Exception:
                 continue  # every member sweeps its misses when it decides
             swept += len(unique)
-            shared = dict(zip(unique, batches))
+            shared = dict(zip(unique, sweeps))
             for optimizer, wanted in members:
                 optimizer.sweep_many(wanted, shared)
 
@@ -263,7 +263,8 @@ class SessionManager:
             ).inc(len(events))
             registry.counter(
                 "repro_runtime_batched_sweeps_total",
-                "Distinct whole-lattice sweeps computed for batches",
+                "Distinct whole-lattice sweeps started for batches (rows "
+                "covered, not computed)",
             ).inc(swept)
             registry.counter(
                 "repro_runtime_batched_dedup_hits_total",

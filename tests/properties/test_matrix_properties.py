@@ -13,12 +13,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.optimizer import GreedyHillClimbOptimizer
 from repro.hardware.apu import APUModel
 from repro.hardware.config import KNOBS, ConfigSpace
 from repro.hardware.table import ConfigTable
 from repro.ml.dataset import build_features
 from repro.ml.errors import SyntheticErrorPredictor
-from repro.ml.predictors import OraclePredictor, train_predictor
+from repro.ml.predictors import OraclePredictor, PerfPowerPredictor, train_predictor
 from repro.workloads.counters import CounterSynthesizer
 from repro.workloads.kernel import KernelSpec, ScalingClass
 
@@ -142,6 +143,16 @@ def test_set_knob_changes_only_that_axis(i, knob):
             assert after.knob(other) == before.knob(other)
 
 
+@given(index_st)
+def test_cross_is_every_row_within_one_knob_move(i):
+    origin = TABLE.config_at(i)
+    expected = [
+        j for j, config in enumerate(TABLE.configs)
+        if sum(config.knob(knob) != origin.knob(knob) for knob in KNOBS) <= 1
+    ]
+    assert TABLE.cross(i).tolist() == expected
+
+
 # ----- stacked multi-counter sweeps ------------------------------------------
 
 
@@ -221,3 +232,40 @@ def test_synthetic_error_rows_equal_scalar_reference(ks, idx):
             assert float(batch.gpu_power_w[row]) == gpu_power_w
             assert float(batch.cpu_power_w[row]) == cpu_power_w
             assert float(batch.energy_j[row]) == (gpu_power_w + cpu_power_w) * time_s
+
+
+# ----- optimizer sweeps, computed a cross at a time ---------------------------
+
+
+class _RowLog(PerfPowerPredictor):
+    """Delegates, logging every (counter values, row) a call computes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = []
+
+    def estimate_matrix_many(self, counters_list, table, indices=None):
+        rows = range(len(table)) if indices is None else indices.tolist()
+        self.rows.extend((c, i) for c in counters_list for i in rows)
+        return self.inner.estimate_matrix_many(counters_list, table, indices)
+
+
+PREDICTORS = {"rf": RF, "oracle": ORACLE, "noisy": NOISY}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(PREDICTORS)),
+    kernel_st,
+    st.lists(index_st, min_size=1, max_size=40),
+)
+def test_cached_sweep_rows_equal_full_sweep_in_any_read_order(name, k, reads):
+    predictor = _RowLog(PREDICTORS[name])
+    optimizer = GreedyHillClimbOptimizer(SPACE, predictor)
+    counters = COUNTERS[k]
+    full = PREDICTORS[name].estimate_matrix(counters, optimizer.table)
+    for i in reads:
+        [sweep] = optimizer.sweep_many([counters])
+        assert optimizer._read(sweep, i) == full.estimate(i)
+    # No row of the vector is computed twice.
+    assert len(predictor.rows) == len(set(predictor.rows))

@@ -1,10 +1,13 @@
 """Unit tests for the characterization dataset and predictor facades."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.hardware.apu import APUModel
 from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.table import ConfigTable
 from repro.ml.dataset import FEATURE_NAMES, build_dataset, build_features
 from repro.ml.errors import SyntheticErrorPredictor, half_normal_sigma
 from repro.ml.predictors import (
@@ -25,6 +28,18 @@ SMALL_SPACE = ConfigSpace(
     cpu_states=("P7", "P1"), nb_states=("NB3", "NB0"),
     gpu_states=("DPM0", "DPM4"), cu_counts=(2, 8),
 )
+
+
+class _CountingAPU(APUModel):
+    """Logs every ground-truth matrix evaluation."""
+
+    def __init__(self):
+        super().__init__()
+        self.executed = []
+
+    def execute_matrix(self, spec, table, indices=None):
+        self.executed.append((spec.key, indices))
+        return super().execute_matrix(spec, table, indices)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +129,34 @@ class TestOraclePredictor:
     def test_requires_population(self, apu):
         with pytest.raises(ValueError):
             OraclePredictor(apu, [])
+
+    def test_one_ground_truth_matrix_per_kernel_and_table(self):
+        apu = _CountingAPU()
+        oracle = OraclePredictor(apu, KERNELS)
+        synthesizer = CounterSynthesizer(noise=0.0)
+        a, b = (synthesizer.nominal(spec) for spec in KERNELS)
+        table = ConfigTable(SMALL_SPACE)
+        full = oracle.estimate_matrix_many([a, b], table)
+        for rows in ([0], [5, 1, 5], []):
+            indices = np.asarray(rows, dtype=np.intp)
+            for counters, whole in ((b, full[1]), (a, full[0])):
+                part = oracle.estimate_matrix(counters, table, indices)
+                assert part.times_s.tolist() == whole.times_s[indices].tolist()
+                assert part.gpu_power_w.tolist() == whole.gpu_power_w[indices].tolist()
+                assert part.cpu_power_w.tolist() == whole.cpu_power_w[indices].tolist()
+        assert apu.executed == [("a", None), ("b", None)]
+        # Another table is another matrix.
+        oracle.estimate_matrix(a, ConfigTable(SMALL_SPACE), np.asarray([2]))
+        assert apu.executed == [("a", None), ("b", None), ("a", None)]
+
+    def test_matrix_memo_is_read_only_and_outside_the_instance(self, apu):
+        oracle = OraclePredictor(apu, KERNELS)
+        pickled = pickle.dumps(oracle)
+        counters = CounterSynthesizer(noise=0.0).nominal(KERNELS[0])
+        batch = oracle.estimate_matrix(counters, ConfigTable(SMALL_SPACE))
+        assert pickle.dumps(oracle) == pickled
+        with pytest.raises(ValueError):
+            batch.times_s[0] = 0.0
 
 
 class TestTrainPredictor:

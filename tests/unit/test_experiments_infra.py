@@ -185,19 +185,26 @@ class TestBenchDecide:
 
         class Counting(PerfPowerPredictor):
             def estimate_matrix_many(self, counters_list, table, indices=None):
-                calls.append((len(counters_list), indices))
+                calls.append(
+                    (len(counters_list), None if indices is None else len(indices))
+                )
                 return oracle.estimate_matrix_many(counters_list, table, indices)
 
         optimizer = GreedyHillClimbOptimizer(space, Counting())
         _, timed = bench_decide._time_path(optimizer, cases, 6)
-        # One whole-lattice sweep per decision, the untimed warm round
+        # Every kmeans climb computes the same crosses: its sweep's
+        # 15-row fail-safe cross, then the unknown rest of three more.
+        climb = [(1, 13), (1, 12), (1, 11)]
+        # One sweep started per decision, the untimed warm round
         # included.
-        assert calls == [(1, None)] * (timed + len(cases))
+        assert calls == ([(1, 15)] + climb) * (timed + len(cases))
         calls.clear()
         bench_decide._time_batched(optimizer, cases, 8, 16)
-        # One stacked sweep of the distinct kernels per step, warm-up
-        # step included.
-        assert calls == [(len(cases), None)] * (16 // 8 + 1)
+        # One stacked start of the distinct kernels per step, warm-up
+        # step included; each kernel's sessions share its sweep, so
+        # only the first to climb computes the crosses.
+        step = [(len(cases), 15)] + climb * len(cases)
+        assert calls == step * (16 // 8 + 1)
 
     def test_format_entry_renders_health_overhead_budget(self):
         from repro.experiments.bench_decide import format_entry

@@ -159,7 +159,11 @@ class TestWindow:
         assert t_with <= t_alone + 1e-9
 
 
-# ----- one predictor query per search ---------------------------------------
+# ----- predictor calls: one cross at a time ----------------------------------
+
+#: Rows of the fail-safe cross on the Table-I lattice (1 + 6 + 3 + 2 + 3):
+#: every new sweep's first call computes these.
+CROSS = 15
 
 
 class _CountingPredictor(PerfPowerPredictor):
@@ -186,8 +190,11 @@ def _targets(apu, space):
 
 
 class TestPredictorCalls:
+    # Each search starts at the fail-safe and probes along its cross;
+    # a read outside the crosses computed so far computes the unknown
+    # rest of the cross through the row read, in one call.
     @pytest.mark.parametrize("target", ["easy", "tight", "infeasible"])
-    def test_search_issues_one_whole_lattice_call(self, apu, space, target):
+    def test_search_fills_one_cross_per_call(self, apu, space, target):
         predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE]))
         optimizer = GreedyHillClimbOptimizer(space, predictor)
         result = optimizer.optimize_kernel(
@@ -195,18 +202,23 @@ class TestPredictorCalls:
         )
         assert result.fail_safe == (target == "infeasible")
         assert result.evaluations > 1
-        assert predictor.calls == [(1, None)]
+        assert predictor.calls == {
+            "easy": [(1, CROSS), (1, 13)],
+            "tight": [(1, CROSS), (1, 13), (1, 12), (1, 11)],
+            "infeasible": [(1, CROSS)],
+        }[target]
 
     @pytest.mark.parametrize("target", ["easy", "infeasible"])
     def test_exhaustive_search_issues_at_most_two_calls(self, apu, space, target):
         predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE]))
         optimizer = GreedyHillClimbOptimizer(space, predictor)
-        optimizer.exhaustive_kernel_search(
+        result = optimizer.exhaustive_kernel_search(
             _record(COMPUTE), PerformanceTracker(_targets(apu, space)[target])
         )
-        # The sweep, plus the fail-safe row when nothing is feasible.
-        expected = [(1, None)] + ([(1, 1)] if target == "infeasible" else [])
-        assert predictor.calls == expected
+        # One sweep; the fail-safe row, when nothing is feasible, is
+        # read from it.
+        assert predictor.calls == [(1, None)]
+        assert result.fail_safe == (target == "infeasible")
 
     def test_batch_issues_one_stacked_call(self, apu, space):
         predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE, MEMORY]))
@@ -218,7 +230,10 @@ class TestPredictorCalls:
         ]
         results = optimizer.optimize_kernel_batch(cases)
         assert len(results) == 8
-        assert predictor.calls == [(2, None)]
+        # Both fail-safe crosses in one stacked call; the compute
+        # kernel's climb then reads into one more cross, once for all
+        # four of its cases.
+        assert predictor.calls == [(2, CROSS), (1, 13)]
 
     def test_window_of_one_repeated_record_sweeps_once(self, apu, space):
         predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE]))
@@ -227,9 +242,9 @@ class TestPredictorCalls:
         target = _targets(apu, space)["easy"]
         # Every window slot holds the same vector object, as an A20
         # window over one kernel does; 19 of them are also reserved at
-        # fail-safe.
+        # fail-safe.  The calls are those of one search alone.
         optimizer.optimize_window([record] * 20, PerformanceTracker(target))
-        assert predictor.calls == [(1, None)]
+        assert predictor.calls == [(1, CROSS), (1, 13)]
 
     def test_repeated_window_with_unchanged_records_makes_no_call(self, apu, space):
         predictor = _CountingPredictor(OraclePredictor(apu, [COMPUTE, MEMORY]))
@@ -237,9 +252,9 @@ class TestPredictorCalls:
         window = [_record(MEMORY), _record(COMPUTE)]
         tracker = PerformanceTracker(_targets(apu, space)["easy"])
         first = optimizer.optimize_window(window, tracker)
-        assert predictor.calls == [(2, None)]
+        assert predictor.calls == [(2, CROSS)]
         again = optimizer.optimize_window(window, tracker)
-        assert predictor.calls == [(2, None)]
+        assert predictor.calls == [(2, CROSS)]
         assert again == first
 
     def test_replaced_counters_are_reswept_once(self, apu, space):
@@ -248,12 +263,13 @@ class TestPredictorCalls:
         record = _record(COMPUTE)
         tracker = PerformanceTracker(_targets(apu, space)["easy"])
         optimizer.optimize_window([record] * 3, tracker)
+        assert predictor.calls == [(1, CROSS), (1, 13)]
         # Feedback replaces a record's vector with a new object, as
         # KernelPatternExtractor.observe does.
         record.counters = CounterSynthesizer().observe(COMPUTE, sequence=1)
         for _ in range(3):
             optimizer.optimize_window([record] * 3, tracker)
-        assert predictor.calls == [(1, None), (1, None)]
+        assert predictor.calls == [(1, CROSS), (1, 13)] * 2
         # The replaced vector's sweep died with the vector.
         assert len(optimizer._sweeps) == 1
 
