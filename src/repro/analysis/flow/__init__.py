@@ -1,6 +1,6 @@
 """Flow-sensitive analysis tier: CFGs, dataflow, contracts, call graph.
 
-This package powers RL009, RL011 and RL012.  Layering, bottom-up:
+This package powers RL009 and RL012.  Layering, bottom-up:
 
 * :mod:`repro.analysis.flow.cfg` — per-function control-flow graphs
   with normal and exceptional edges.
@@ -8,7 +8,7 @@ This package powers RL009, RL011 and RL012.  Layering, bottom-up:
   engine analyses plug into.
 * :mod:`repro.analysis.flow.annotations` — the ``# repro-lint:``
   contract-comment grammar plus the per-module flow model
-  (functions, classes, memo caches) built on it.
+  (functions, classes) built on it.
 * :mod:`repro.analysis.flow.callgraph` — the project-wide contract
   index that lets call sites see callee annotations (one-level
   interprocedural propagation).
@@ -22,7 +22,6 @@ annotation syntax.
 from .annotations import (
     ClassFlow,
     FunctionFlow,
-    MemoCache,
     ModuleFlow,
     is_lock_name,
     lock_token,
@@ -47,7 +46,6 @@ __all__ = [
     "ModuleFlow",
     "FunctionFlow",
     "ClassFlow",
-    "MemoCache",
     "is_lock_name",
     "lock_token",
     "ProjectFlow",

@@ -1,14 +1,12 @@
-"""Flow annotations: the comment grammar that feeds RL009, RL011 and RL012.
+"""Flow annotations: the comment grammar that feeds RL009 and RL012.
 
-The pattern-match rules (RL001–RL005) read code as-is; the flow rules
-additionally honor machine-checked *contract comments*, styled after
-the existing suppression directives and scanned the same way (via
-:mod:`tokenize`, so strings never match)::
+The pattern-match rules (RL001, RL002, RL004) read code as-is; the
+flow rules additionally honor machine-checked *contract comments*,
+styled after the existing suppression directives and scanned the same
+way (via :mod:`tokenize`, so strings never match)::
 
     # repro-lint: requires-lock=lock          (on a def, or line above)
     # repro-lint: shared-state=_metrics,sources   (on a class)
-    # repro-lint: memo-guard=matches          (on a module-level cache)
-    # repro-lint: memo-guard=keyed
 
 * ``requires-lock=<attr>`` — the function may only run while the
   receiver's ``<attr>`` lock is held; RL009 checks every call site and
@@ -17,10 +15,6 @@ the existing suppression directives and scanned the same way (via
 * ``shared-state=<a>,<b>`` — the named attributes of the class are
   mutated from multiple threads; RL012 requires every write outside
   ``__init__`` to happen under a lock frame.
-* ``memo-guard=<method>`` / ``memo-guard=keyed`` — the staleness
-  contract of a module-level ``WeakKeyDictionary`` cache (RL011):
-  either reads validate payloads via ``payload.<method>(...)``, or the
-  cache key itself encodes validity.
 
 Annotations attach to the statement on their own line, or to the
 statement directly below when written on a line of their own (above
@@ -44,7 +38,6 @@ __all__ = [
     "scan_annotation_comments",
     "FunctionFlow",
     "ClassFlow",
-    "MemoCache",
     "ModuleFlow",
     "module_flow",
     "normalize_lock_component",
@@ -55,7 +48,7 @@ __all__ = [
 #: One ``key`` or ``key=value`` contract inside a comment token.
 _ANNOTATION_RE = re.compile(
     r"repro-lint:\s*"
-    r"(?P<key>requires-lock|shared-state|memo-guard)"
+    r"(?P<key>requires-lock|shared-state)"
     r"(?:\s*=\s*(?P<value>[A-Za-z0-9_.,]+))?"
 )
 
@@ -175,24 +168,6 @@ class ClassFlow:
 
 
 @dataclass
-class MemoCache:
-    """One module-level ``WeakKeyDictionary`` cache.
-
-    Attributes:
-        names: Target names the cache is bound to.
-        guard: ``memo-guard`` value — a payload method name,
-            ``"keyed"``, or ``None`` when unannotated.
-        line: 1-based line of the assignment.
-        col: Column offset of the assignment.
-    """
-
-    names: Tuple[str, ...]
-    guard: Optional[str]
-    line: int
-    col: int
-
-
-@dataclass
 class ModuleFlow:
     """Flow-level facts of one module.
 
@@ -200,21 +175,13 @@ class ModuleFlow:
         module: The underlying parsed module.
         functions: Every function/method definition, outermost first.
         classes: Every class definition.
-        memo_caches: Module-level ``WeakKeyDictionary`` assignments.
         annotations: Raw line -> contract map.
     """
 
     module: ModuleInfo
     functions: List[FunctionFlow] = field(default_factory=list)
     classes: List[ClassFlow] = field(default_factory=list)
-    memo_caches: List[MemoCache] = field(default_factory=list)
     annotations: Dict[int, Dict[str, str]] = field(default_factory=dict)
-
-    def class_flow(self, name: Optional[str]) -> Optional[ClassFlow]:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None
 
     def methods_of(self, class_name: str) -> List[FunctionFlow]:
         return [f for f in self.functions if f.class_name == class_name]
@@ -234,13 +201,6 @@ def _attached(
     for line in (first - 1, node.lineno):
         merged.update(annotations.get(line, {}))
     return merged
-
-
-def _is_weakkey_cache(module: ModuleInfo, value: Optional[ast.expr]) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    resolved = module.resolve(value.func)
-    return resolved in ("weakref.WeakKeyDictionary", "WeakKeyDictionary")
 
 
 class _FlowVisitor(ast.NodeVisitor):
@@ -292,30 +252,6 @@ class _FlowVisitor(ast.NodeVisitor):
         self.class_stack.pop()
 
 
-def _scan_memo_caches(flow: ModuleFlow) -> None:
-    for stmt in flow.module.tree.body:
-        targets: List[str] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            value = stmt.value
-            targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-        elif isinstance(stmt, ast.AnnAssign):
-            value = stmt.value
-            if isinstance(stmt.target, ast.Name):
-                targets = [stmt.target.id]
-        if not targets or not _is_weakkey_cache(flow.module, value):
-            continue
-        attached = _attached(flow.annotations, stmt)
-        flow.memo_caches.append(
-            MemoCache(
-                names=tuple(targets),
-                guard=attached.get("memo-guard"),
-                line=stmt.lineno,
-                col=stmt.col_offset,
-            )
-        )
-
-
 def module_flow(module: ModuleInfo) -> ModuleFlow:
     """The flow model of a module (memoized on ``module.caches``)."""
     cached = module.caches.get(_CACHE_KEY)
@@ -325,6 +261,5 @@ def module_flow(module: ModuleInfo) -> ModuleFlow:
         module=module, annotations=scan_annotation_comments(module.source)
     )
     _FlowVisitor(flow).visit(module.tree)
-    _scan_memo_caches(flow)
     module.caches[_CACHE_KEY] = flow
     return flow

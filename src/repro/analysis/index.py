@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.suppressions import Suppressions, scan_suppressions
 
@@ -28,7 +28,6 @@ __all__ = [
     "ModuleInfo",
     "ProjectIndex",
     "build_module",
-    "annotation_heads",
     "dotted_name",
 ]
 
@@ -43,36 +42,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def annotation_heads(node: Optional[ast.AST]) -> Set[str]:
-    """Every dotted name appearing in a type annotation.
-
-    ``Tuple[Tuple[str, Any], ...]`` yields ``{"Tuple", "str", "Any"}``;
-    string annotations are re-parsed so quoted forward references
-    contribute their names too.
-    """
-    heads: Set[str] = set()
-    if node is None:
-        return heads
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return heads
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Name, ast.Attribute)):
-            name = dotted_name(child)
-            if name is not None:
-                heads.add(name)
-    # Attribute chains also walk their inner Name; keep only maximal
-    # dotted names plus plain names that are not a prefix of a chain.
-    maximal = {
-        h
-        for h in heads
-        if not any(other != h and other.startswith(h + ".") for other in heads)
-    }
-    return maximal
 
 
 @dataclass

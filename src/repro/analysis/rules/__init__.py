@@ -5,9 +5,7 @@ Rule ids:
 * ``RL001`` no-wallclock-on-hot-path (:mod:`.determinism`)
 * ``RL002`` unseeded-rng (:mod:`.determinism`)
 * ``RL004`` worker-pickle-safety (:mod:`.concurrency`)
-* ``RL005`` obs-purity (:mod:`.obs`)
 * ``RL009`` lock-discipline (:mod:`.locks`) — flow-sensitive
-* ``RL011`` memo-staleness (:mod:`.memo`) — flow-sensitive
 * ``RL012`` unguarded-shared-mutation (:mod:`.shared_state`) — flow-sensitive
 """
 
@@ -15,8 +13,6 @@ from repro.analysis.rules import (  # noqa: F401
     concurrency,
     determinism,
     locks,
-    memo,
-    obs,
     shared_state,
 )
 
@@ -24,7 +20,5 @@ __all__ = [
     "concurrency",
     "determinism",
     "locks",
-    "memo",
-    "obs",
     "shared_state",
 ]

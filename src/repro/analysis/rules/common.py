@@ -5,8 +5,8 @@ three cheap questions about a node:
 
 * which function (stack) encloses it,
 * what expression a local name was last bound to in that function, and
-* whether a name is a parameter (and with what annotation) or a
-  module-level definition.
+* whether a name is one of that function's parameters or nested
+  definitions.
 
 :class:`ScopeMap` precomputes all of that in one pass per module.
 """
@@ -17,7 +17,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple, Union
 
-__all__ = ["FunctionScope", "ScopeMap", "call_name"]
+__all__ = ["FunctionScope", "ScopeMap"]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -33,22 +33,14 @@ class FunctionScope:
         node: The function definition.
         assignments: Local name -> last assigned expression (walked in
             source order; loop targets map to :data:`LOOP_BOUND`).
-        params: Parameter name -> annotation expression (or ``None``).
+        params: Parameter names.
         nested_defs: Names of functions/classes defined inside.
     """
 
     node: FunctionNode
     assignments: Dict[str, ast.expr] = field(default_factory=dict)
-    params: Dict[str, Optional[ast.expr]] = field(default_factory=dict)
+    params: Set[str] = field(default_factory=set)
     nested_defs: Set[str] = field(default_factory=set)
-
-    def is_local(self, name: str) -> bool:
-        """Whether the name is bound somewhere inside this function."""
-        return (
-            name in self.assignments
-            or name in self.params
-            or name in self.nested_defs
-        )
 
 
 def _bind_target(scope: FunctionScope, target: ast.expr, value: ast.expr) -> None:
@@ -64,13 +56,10 @@ def _bind_target(scope: FunctionScope, target: ast.expr, value: ast.expr) -> Non
 def _collect_scope(func: FunctionNode) -> FunctionScope:
     scope = FunctionScope(node=func)
     args = func.args
-    all_args = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    for arg in all_args:
-        scope.params[arg.arg] = arg.annotation
-    if args.vararg is not None:
-        scope.params[args.vararg.arg] = args.vararg.annotation
-    if args.kwarg is not None:
-        scope.params[args.kwarg.arg] = args.kwarg.annotation
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg):
+        if arg is not None:
+            scope.params.add(arg.arg)
 
     def visit(node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
@@ -110,11 +99,6 @@ class ScopeMap:
     def __init__(self, tree: ast.Module) -> None:
         self._stack_of: Dict[int, Tuple[FunctionScope, ...]] = {}
         self._scopes: Dict[int, FunctionScope] = {}
-        self.module_defs: Set[str] = {
-            stmt.name
-            for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        }
         self._walk(tree, ())
 
     def _walk(self, node: ast.AST, stack: Tuple[FunctionScope, ...]) -> None:
@@ -143,17 +127,6 @@ class ScopeMap:
                 return None
         return None
 
-    def param_annotation(
-        self, node: ast.AST, name: str
-    ) -> Tuple[bool, Optional[ast.expr]]:
-        """``(is_parameter, annotation)`` for a name at a node."""
-        for scope in reversed(self.stack_for(node)):
-            if name in scope.params:
-                return True, scope.params[name]
-            if name in scope.assignments or name in scope.nested_defs:
-                return False, None
-        return False, None
-
     def is_nested_def(self, node: ast.AST, name: str) -> bool:
         """Whether a name refers to a def nested inside an enclosing
         function (and therefore not picklable)."""
@@ -164,7 +137,3 @@ class ScopeMap:
                 return False
         return False
 
-
-def call_name(node: ast.expr) -> Optional[ast.expr]:
-    """The callee expression if the node is a call, else ``None``."""
-    return node.func if isinstance(node, ast.Call) else None

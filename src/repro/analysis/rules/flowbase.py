@@ -1,11 +1,11 @@
-"""Shared plumbing for the flow-sensitive rules (RL009, RL011, RL012).
+"""Shared plumbing for the flow-sensitive rules (RL009, RL012).
 
-All three rules govern the same territory: modules under a ``repro/``
+Both rules govern the same territory: modules under a ``repro/``
 component, which matches both the shipped tree
 (``src/repro/obs/metrics.py``) and the fixture mirror-trees
 (``tests/analysis/fixtures/rl009/repro/obs/bad.py``) while leaving
-ordinary test files alone — tests exercise unlocked fast paths and
-unguarded caches on purpose.
+ordinary test files alone — tests exercise unlocked fast paths on
+purpose.
 """
 
 from __future__ import annotations

@@ -165,15 +165,6 @@ class GreedyHillClimbOptimizer:
             "Accepted hill-climb moves by knob",
         )
         self._m_climb_by_knob: Dict[str, Any] = {}
-        self._m_matrix_batches = registry.counter(
-            "repro_optimizer_matrix_batches_total",
-            "Whole-lattice sweeps read by hill-climb searches, cached or "
-            "fresh",
-        ).labelled()
-        self._m_matrix_rows = registry.counter(
-            "repro_optimizer_matrix_rows_total",
-            "Table rows covered by the sweeps hill-climb searches read",
-        ).labelled()
         self._m_memo_hits = registry.counter(
             "repro_optimizer_memo_hits_total",
             "Predictor requests served from the per-search memo",
@@ -309,15 +300,13 @@ class GreedyHillClimbOptimizer:
         # so each row is float-for-float what a query for that one
         # configuration returns.  Every fetch charges one evaluation per
         # requested index whether the row was cached or fresh — the
-        # search's modelled cost is its per-configuration budget — and
-        # the batch/row telemetry counts the sweep the search read and
-        # the lattice rows it covers.
+        # search's modelled cost is its per-configuration budget.
         [sweep] = self.sweep_many((record.counters,))
-        stats = {"batches": 1, "rows": len(table), "memo_hits": 0}
         memo: Dict[int, KernelEstimate] = {}
+        memo_hits = 0
 
         def fetch_many(indices: Sequence[int]) -> List[KernelEstimate]:
-            nonlocal evals
+            nonlocal evals, memo_hits
             evals += len(indices)
             out = []
             for index in indices:
@@ -325,7 +314,7 @@ class GreedyHillClimbOptimizer:
                 if est is None:
                     memo[index] = est = self._read(sweep, index)
                 else:
-                    stats["memo_hits"] += 1
+                    memo_hits += 1
                 out.append(est)
             return out
 
@@ -424,14 +413,14 @@ class GreedyHillClimbOptimizer:
         if best_feasible is None:
             fail_est = fetch_one(self._fail_safe_index)
             if self.obs.enabled:
-                self._record_search(evals, climb_steps, stats)
+                self._record_search(evals, climb_steps, memo_hits)
             return OptimizationResult(
                 config=self.fail_safe, estimate=fail_est,
                 evaluations=evals, fail_safe=True,
             )
 
         if self.obs.enabled:
-            self._record_search(evals, climb_steps, stats)
+            self._record_search(evals, climb_steps, memo_hits)
         chosen_index, est = best_feasible
         return OptimizationResult(
             config=table.config_at(chosen_index), estimate=est,
@@ -439,7 +428,7 @@ class GreedyHillClimbOptimizer:
         )
 
     def _record_search(self, evals: int, climb_steps: Dict[str, int],
-                       stats: Dict[str, int]) -> None:
+                       memo_hits: int) -> None:
         """Emit one search's step/evaluation telemetry (obs enabled).
 
         The span is resolved once and written directly (each
@@ -461,20 +450,17 @@ class GreedyHillClimbOptimizer:
             if knob not in by_knob:
                 by_knob[knob] = self._m_climb_steps.labelled(knob=knob)
         if span is not None:
-            # Columnar-path telemetry: how many sweeps the search read
-            # (cached or fresh), how many table rows they covered, and
-            # how many requests the per-search memo absorbed.
-            span.inc("matrix_batches", stats["batches"])
-            span.inc("matrix_rows", stats["rows"])
-            span.inc("memo_hits", stats["memo_hits"])
+            # Columnar-path telemetry: one sweep read per search (so a
+            # launch's count is its searches), and how many requests
+            # the per-search memo absorbed.
+            span.inc("matrix_batches", 1)
+            span.inc("memo_hits", memo_hits)
         with self._m_lock:
             self._m_searches.inc_unlocked()
             self._m_evaluations.inc_unlocked(evals)
             for knob in knobs:
                 by_knob[knob].inc_unlocked(climb_steps[knob])
-            self._m_matrix_batches.inc_unlocked(stats["batches"])
-            self._m_matrix_rows.inc_unlocked(stats["rows"])
-            self._m_memo_hits.inc_unlocked(stats["memo_hits"])
+            self._m_memo_hits.inc_unlocked(memo_hits)
 
     def optimize_kernel_batch(
         self,

@@ -48,8 +48,7 @@ _KNOB_POS = {knob: position for position, knob in enumerate(KNOBS)}
 #: than an instance attribute so a warm table pickles and fingerprints
 #: identically to a cold one.  Entries are plain dicts keyed by the
 #: coefficient pair, so stale hits are impossible (a changed CPU model
-#: is a different key) — hence ``memo-guard=keyed``.
-# repro-lint: memo-guard=keyed
+#: is a different key).
 _CPU_POWER_COLUMNS: "weakref.WeakKeyDictionary[ConfigTable, Dict[Tuple[float, float], np.ndarray]]" = (
     weakref.WeakKeyDictionary()
 )

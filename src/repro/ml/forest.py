@@ -133,7 +133,6 @@ def _flatten(trees: Sequence[DecisionTreeRegressor]) -> _FlatForest:
 #: ``repro.hardware.table._CPU_POWER_COLUMNS``).  Readers must
 #: revalidate hits against the live tree tuple (``matches``) before
 #: use — a refit rebinds ``forest.trees`` without touching the memo.
-# repro-lint: memo-guard=matches
 _FLAT_FORESTS: "weakref.WeakKeyDictionary[RandomForestRegressor, _FlatForest]" = (
     weakref.WeakKeyDictionary()
 )

@@ -290,9 +290,7 @@ class RandomForestPredictor(PerfPowerPredictor):
 #: an oracle pickles and fingerprints the same whether it has answered
 #: calls or not, and an ad-hoc table's matrices die with the table.
 #: The keys encode validity: an oracle's APU model and kernel
-#: population are set once, at construction, and a table is immutable
-#: — hence ``memo-guard=keyed``.
-# repro-lint: memo-guard=keyed
+#: population are set once, at construction, and a table is immutable.
 _ORACLE_MATRICES: "weakref.WeakKeyDictionary[OraclePredictor, weakref.WeakKeyDictionary[ConfigTable, Dict[int, Tuple[np.ndarray, ...]]]]" = (
     weakref.WeakKeyDictionary()
 )

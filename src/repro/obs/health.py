@@ -34,8 +34,9 @@ Sample gating — the part that makes the detectors trustworthy:
   their errors to the detectors would flag scenarios the fail-safe
   fully contains (e.g. the phase-shift family) as drifted.
 
-Everything here only *reads* the span payloads it is handed (RL005:
-observability never mutates the observed system).
+Everything here only *reads* the span payloads it is handed:
+observability never mutates the observed system (a health-on replay
+decides exactly like a NOOP one; ``tests/traces/test_replay.py``).
 """
 
 from __future__ import annotations
@@ -432,7 +433,7 @@ class HealthMonitor:
         self.observe_launch(attrs, at=payload.get("end_s") or 0.0)
 
     def observe_launch(self, attrs: Dict[str, Any], at: float = 0.0) -> None:
-        """Ingest one launch span's attributes (read-only; RL005)."""
+        """Ingest one launch span's attributes (read-only)."""
         get = attrs.get
         session = get("session")
         health = self.sessions.get(session)

@@ -7,8 +7,8 @@ exactly as the trace header describes (policies, targets, TDP
 enforcement).  Replays always run with live instrumentation — the
 coverage assertions read the same ``repro_mpc_*`` / ``repro_runtime_*``
 counters the observability layer exports, and instrumentation never
-affects numerics (the obs-purity invariant, RL005) — and emit one
-``replay`` span summarizing the run next to the per-launch spans.
+affects numerics — and emit one ``replay`` span summarizing the run
+next to the per-launch spans.
 
 When the trace carries recorded decisions, the replayer checks its own
 outcomes against them **float-for-float**: any drift in configuration,

@@ -5,11 +5,14 @@ path-scoped rules expect (``.../repro/sim/...`` and so on), so the same
 rule code runs unchanged against the real tree and the fixtures.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_lint
+from repro.analysis import parse_json, run_lint
+from repro.cli import main
 
 #: Repository root (tests/analysis/conftest.py -> repo).
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -31,9 +34,13 @@ def lint_fixture(*names, select=None, ignore=None):
 
 @pytest.fixture(scope="session")
 def shipped_src_lint():
-    """Every rule over all of ``src``, linted once per test session.
+    """``repro lint src --format json``, run once per test session.
 
-    Linting the whole tree is the slowest step in the suite, so the
-    whole-tree tests share this one result instead of each running it.
+    Linting the whole tree is the slowest step in the suite, so every
+    whole-tree test shares this one run of the CLI entry point: its
+    exit code and its JSON report parsed back into a ``LintResult``.
     """
-    return run_lint([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lint", str(REPO_ROOT / "src"), "--format", "json"])
+    return code, parse_json(out.getvalue())

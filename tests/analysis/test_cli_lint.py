@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import render_stats
 from repro.cli import main
 
-from tests.analysis.conftest import FIXTURES, REPO_ROOT, lint_fixture
+from tests.analysis.conftest import FIXTURES, lint_fixture
 
 pytestmark = pytest.mark.analysis
 
@@ -34,7 +34,7 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     listed = {line.split()[0] for line in out.splitlines()}
     assert listed == {
-        "RL001", "RL002", "RL004", "RL005", "RL009", "RL011", "RL012",
+        "RL001", "RL002", "RL004", "RL009", "RL012",
     }
 
 
@@ -57,17 +57,16 @@ def test_select_and_ignore_flags(capsys):
     assert code == 0
 
 
-def test_lint_shipped_src_exits_zero(capsys):
+def test_lint_shipped_src_exits_zero(shipped_src_lint):
     """The acceptance bar: every rule over all of ``src`` finds nothing.
 
     Drives the ``repro lint`` entry point itself: every registered rule,
     the flow-sensitive ones included.
     """
-    code = main(["lint", str(REPO_ROOT / "src"), "--format", "json"])
+    code, result = shipped_src_lint
     assert code == 0
-    summary = json.loads(capsys.readouterr().out)["summary"]
-    assert summary["findings"] == 0
-    assert summary["files_checked"] > 50
+    assert len(result.findings) == 0
+    assert result.files_checked > 50
 
 
 def test_stats_reports_each_rule(capsys):

@@ -91,5 +91,5 @@ def test_registered_rule_ids():
     ids = [rule.id for rule in all_rules()]
     assert ids == sorted(ids)
     assert set(ids) == {
-        "RL001", "RL002", "RL004", "RL005", "RL009", "RL011", "RL012",
+        "RL001", "RL002", "RL004", "RL009", "RL012",
     }

@@ -63,7 +63,7 @@ def test_text_report_has_location_lines_and_summary():
 def test_catalogue_lists_every_rule_with_scope():
     catalogue = render_catalogue()
     for rule_id in (
-        "RL001", "RL002", "RL004", "RL005", "RL009", "RL011", "RL012",
+        "RL001", "RL002", "RL004", "RL009", "RL012",
     ):
         assert rule_id in catalogue
     assert "(module)" in catalogue

@@ -18,8 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.workloads
-from repro.engine import ExperimentEngine, RunRequest, variants
-from repro.engine.fingerprint import describe, fingerprint
+from repro.engine import (
+    ExperimentEngine,
+    RunRequest,
+    canonical_requests,
+    produced_keys,
+    variants,
+)
+from repro.engine.fingerprint import canonical_json, describe, fingerprint
+from repro.obs import make_instrumentation
 from repro.workloads.kernel import KernelSpec
 
 from .conftest import small_context
@@ -175,6 +182,37 @@ class TestRunKeys:
         )
         engine.key_for(ctx, RunRequest("NBody", "ppk"), ("NBody", "ppk"))
         assert ctx._predictor is None  # fingerprinting did not train
+
+
+# ----- instrumentation leaves key material alone --------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_instrumented_prefetch_leaves_key_material_unchanged(cache_dir, jobs):
+    """Observation never lands on the objects a cache key describes.
+
+    ``describe()`` walks ``__dict__``, so an obs handle stored on the
+    simulator, or a memo stored on the predictor, would change every key
+    computed after the first instrumented run.
+    """
+    obs = make_instrumentation(health=True)
+    engine = ExperimentEngine(jobs=jobs, cache_dir=str(cache_dir), obs=obs)
+    ctx = small_context(cache_dir, engine)
+    requests = canonical_requests(ctx)
+
+    def keys():
+        return [
+            engine.key_for(ctx, request, run_key)
+            for request in requests
+            for run_key in produced_keys(request)
+        ]
+
+    sim_before = canonical_json(describe(ctx.sim))
+    keys_before = keys()
+    engine.prefetch(ctx, requests)
+    assert engine.stats.computed > 0 and obs.tracer.spans
+    assert canonical_json(describe(ctx.sim)) == sim_before
+    assert keys() == keys_before
 
 
 # ----- describable inputs -------------------------------------------------------

@@ -173,13 +173,16 @@ def test_legacy_unpickle_without_primed_arrays(params, data):
 
 
 @settings(max_examples=20, deadline=None)
-@given(forest_params_st, dataset_st)
-def test_refit_invalidates_stale_flat_arrays(params, data):
+@given(forest_params_st, dataset_st, st.booleans())
+def test_refit_invalidates_stale_flat_arrays(params, data, one_tree):
+    # Refitting one member tree keeps every tree object and swaps only
+    # that tree's node arrays, so a tree-identity check alone misses it.
     forest, X = _fit(params, data)
     forest.predict(X)  # memoize the first flattening
     rng = np.random.default_rng(1234)
     train = data[0]
-    forest.fit(train, rng.normal(size=train.shape[0]))  # refit in place
+    refit = forest.trees[0] if one_tree else forest
+    refit.fit(train, rng.normal(size=train.shape[0]))  # in place
     assert np.array_equal(forest.predict(X), _per_tree_reference(forest, X))
 
 

@@ -9,16 +9,20 @@ from repro.core.manager import MPCPowerManager
 from repro.core.policies import FixedConfigPolicy, PPKPolicy
 from repro.hardware.apu import APUModel
 from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
+from repro.obs import NOOP, make_instrumentation
 from repro.sim.simulator import OverheadModel
 from repro.sim.turbocore import TurboCorePolicy
 from repro.workloads.traces import (
+    FAMILIES,
     CoverageAssertion,
     PolicySpec,
     RecordedDecision,
+    ScenarioGenerator,
     Trace,
     TraceHeader,
     TraceReplayer,
     build_policy,
+    outcome_decision,
     stamp_decisions,
     trace_from_benchmark,
 )
@@ -251,3 +255,34 @@ def test_recorded_benchmark_replays_exactly():
     assert report.checked == len(stamped.events)
     assert report.mismatches == []
     assert report.passed
+
+
+def _dispatch_all(trace, obs):
+    """Every event of ``trace`` through the replayer's sessions, built
+    under ``obs``: decisions, then per-session stats and snapshots."""
+    replayer = TraceReplayer(trace, check=False)
+    replayer.obs = obs
+    manager = replayer._build_manager()
+    decisions = [
+        outcome_decision(manager.dispatch(event.as_launch()))
+        for event in trace.events
+    ]
+    sessions = [manager.session(sid) for sid in manager.session_ids()]
+    return (
+        decisions,
+        [session.stats for session in sessions],
+        [session.snapshot() for session in sessions],
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_health_on_replay_decides_like_noop(family):
+    """Observation never feeds back into what it observes: tracing,
+    metrics and the health monitor leave every decision, every
+    ``SessionStats`` field and every session snapshot as a NOOP run
+    leaves them."""
+    trace = ScenarioGenerator(seed=0).generate(family)
+    obs = make_instrumentation(health=True)
+    observed = _dispatch_all(trace, obs)
+    assert obs.tracer.spans  # the instrumentation was live
+    assert observed == _dispatch_all(trace, NOOP)

@@ -39,7 +39,9 @@ class TestColumns:
     def test_cpu_power_column_memo_is_per_model_coefficients(self, table):
         a = table.cpu_power_column(CpuPowerModel(2.0, 0.5))
         b = table.cpu_power_column(CpuPowerModel(4.0, 0.5))
+        c = table.cpu_power_column(CpuPowerModel(2.0, 1.5))  # static_w only
         assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestLatticeArithmetic:
