@@ -185,17 +185,21 @@ def check_worker_pickle_safety(
     module: ModuleInfo, index: ProjectIndex
 ) -> Iterator[Finding]:
     """Flag unpicklable process-pool targets and payloads."""
-    scopes = ScopeMap(module.tree)
+    # Built at the first pool-shaped call: most modules have none.
+    scopes: Optional[ScopeMap] = None
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
+        submit = isinstance(func, ast.Attribute) and func.attr == "submit"
+        if not submit and not _is_pool_constructor(module, func):
+            continue
+        if scopes is None:
+            scopes = ScopeMap(module.tree)
         # pool.submit(target, *args, **kwargs)
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "submit"
-            and _resolves_to_pool(module, scopes, func.value)
-        ):
+        if submit:
+            if not _resolves_to_pool(module, scopes, func.value):
+                continue
             if node.args:
                 finding = _check_target(module, scopes, node.args[0])
                 if finding is not None:
@@ -209,7 +213,7 @@ def check_worker_pickle_safety(
                 if finding is not None:
                     yield finding
         # ProcessPoolExecutor(initializer=..., initargs=(...))
-        elif _is_pool_constructor(module, func):
+        else:
             for keyword in node.keywords:
                 if keyword.arg == "initializer":
                     finding = _check_target(module, scopes, keyword.value)

@@ -10,10 +10,12 @@ they are float-for-float the same on any node of any fleet — the
 foundation of the fleet-of-one differential contract
 (``tests/fleet/test_differential.py``).
 
-The node's epoch interface is deliberately narrow and picklable
-(events in, decisions out), so the same object serves both the
-in-process transport and the engine worker-process shard protocol in
-:mod:`repro.fleet.shard`.
+The node's epoch interface is deliberately narrow and picklable: one
+:meth:`FleetNode.epoch` call per budget epoch takes the budget, the
+newly placed sessions and the epoch's slim launches in, and hands the
+decisions, demand and obs deltas back, so the same object serves both
+the in-process transport and the worker-process shard protocol in
+:mod:`repro.fleet.shard` with one message each way per epoch.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ __all__ = ["FleetNode"]
 
 class FleetNode:
     """Hosts one node's worth of sessions behind the epoch protocol.
+
+    The fleet reaches a node once per budget epoch, through
+    :meth:`epoch`; the methods it composes stay callable on their own,
+    and migration keeps its own calls (:meth:`snapshot_session`,
+    :meth:`restore_session`, :meth:`remove_session`).
 
     Args:
         node_id: The node's id within the fleet (e.g. ``node-0``).
@@ -118,6 +125,33 @@ class FleetNode:
 
     # ----- the epoch protocol ---------------------------------------------------
 
+    def epoch(
+        self,
+        budget: Optional[float],
+        sessions: Sequence[Tuple[SessionSpec, Sequence[KernelSpec]]],
+        events: Sequence[Tuple[int, str, str]],
+    ) -> Tuple[
+        List[Tuple[str, int, RecordedDecision]],
+        Dict[str, Any],
+        Tuple[Dict[str, Any], List[Dict[str, Any]]],
+    ]:
+        """One budget epoch: the fleet's only per-epoch command.
+
+        Applies ``budget`` through :meth:`set_budget` (the one
+        apportioned at the previous epoch; ``None`` before the first
+        apportionment and in uncapped runs), places the epoch's newly
+        admitted ``sessions`` (``(spec, kernels)`` pairs), then runs
+        :meth:`step` over ``events``.  The budget reaches every session,
+        migrated-in ones included, before its first launch of the epoch.
+
+        Returns ``(decisions, demand, obs)``: :meth:`step`'s decisions
+        plus this epoch's :meth:`demand` and :meth:`drain_obs`.
+        """
+        self.set_budget(budget)
+        for spec, kernels in sessions:
+            self.add_session(spec, kernels)
+        return self.step(events), self.demand(), self.drain_obs()
+
     def step(
         self, events: Sequence[Tuple[int, str, str]]
     ) -> List[Tuple[str, int, RecordedDecision]]:
@@ -153,7 +187,7 @@ class FleetNode:
         ]
 
     def set_budget(self, watts: Optional[float]) -> None:
-        """Apply this epoch's apportioned budget to every session.
+        """Apply an apportioned budget to every session.
 
         The fleet simulator publishes the budget gauge parent-side
         (after the epoch's registry merge), so the node itself only

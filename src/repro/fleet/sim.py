@@ -4,18 +4,24 @@
 through N simulated nodes.  The event walk is the arrival schedule:
 sessions are placed on the least-loaded node the first time they
 launch, their events buffer per node, and every ``epoch_launches``
-dispatched events the fleet flushes an **epoch**:
+dispatched events the fleet flushes an **epoch**, one
+:meth:`~repro.fleet.node.FleetNode.epoch` message each way per node:
 
-1. each node processes its buffered slice (``step_batch`` chunks),
-2. each node reports epoch-windowed demand (power, throughput),
-3. the :class:`~repro.fleet.budget.BudgetAllocator` re-apportions the
-   global cap and the new per-node budgets are pushed down (becoming
-   the throttle cap every hosted policy sees),
-4. node metrics registries and spans merge parent-side, one ``epoch``
-   span is emitted, and queued sessions are placed into freed
-   capacity.
+1. each node applies the budget apportioned at the previous epoch
+   (the throttle cap every hosted policy sees), places its newly
+   admitted sessions and processes its buffered slice (``step_batch``
+   chunks),
+2. in the same reply each node reports epoch-windowed demand (power,
+   throughput) and drains its metrics and spans,
+3. node registries and spans merge parent-side, and the
+   :class:`~repro.fleet.budget.BudgetAllocator` re-apportions the
+   global cap; the new per-node budgets are recorded and travel with
+   the next epoch's message (the last epoch's are recorded only: no
+   launch follows them),
+4. one ``epoch`` span is emitted, and queued sessions are placed into
+   freed capacity.
 
-With ``cap_w=None`` no budgets are ever pushed, so a fleet of one
+With ``cap_w=None`` no budget is ever apportioned, so a fleet of one
 node reproduces the streaming ``SessionManager`` decisions
 float-for-float (the differential contract, ``tests/fleet/``); with a
 cap, conservation — sum of node budgets never above the cap — is
@@ -109,8 +115,8 @@ class FleetSimulator:
     Args:
         trace: The multi-session trace to drive (validated up front).
         nodes: Fleet size.
-        cap_w: Global power cap; ``None`` runs uncapped (no budgets
-            are ever pushed — the fleet-of-one differential mode).
+        cap_w: Global power cap; ``None`` runs uncapped (no budget is
+            ever apportioned — the fleet-of-one differential mode).
         epoch_launches: Dispatched launches per budget epoch.
         transport: ``"inline"`` (in-process nodes) or ``"process"``
             (one long-lived worker process per node).
@@ -210,6 +216,8 @@ class FleetSimulator:
             shards = self._build_shards(stack)
             pending_new: List[List[Tuple[Any, Any]]] = [[] for _ in shards]
             buffers: List[List[TraceEvent]] = [[] for _ in shards]
+            # Apportioned at the last epoch; rides with the next one.
+            next_budgets: Dict[str, float] = {}
             epoch = 0
 
             def capacity_node() -> Optional[int]:
@@ -236,28 +244,28 @@ class FleetSimulator:
 
             def flush() -> int:
                 """Run one epoch; returns events pre-buffered for the next."""
-                nonlocal epoch
+                nonlocal epoch, next_budgets
                 launches = sum(len(b) for b in buffers)
                 if launches == 0 and not any(pending_new):
                     return 0
                 for i, shard in enumerate(shards):
-                    for spec, kernels in pending_new[i]:
-                        shard.post("add_session", spec, kernels)
-                    if buffers[i]:
-                        # Slim launches: specs already crossed with
-                        # add_session, only keys ride the pipe per event.
-                        shard.post(
-                            "step",
-                            [
-                                (e.index, e.session, e.spec.key)
-                                for e in buffers[i]
-                            ],
-                        )
-                for i, shard in enumerate(shards):
-                    results = shard.collect()
-                    if buffers[i]:
-                        for sid, _index, decision in results[-1]:
-                            report.decisions.setdefault(sid, []).append(decision)
+                    # Slim launches: specs cross once with their
+                    # session, only keys ride the pipe per event.
+                    shard.post(
+                        "epoch",
+                        next_budgets.get(shard.node_id),
+                        pending_new[i],
+                        [(e.index, e.session, e.spec.key) for e in buffers[i]],
+                    )
+                demands: List[NodeDemand] = []
+                for shard in shards:
+                    ((decisions, demand, (snapshot, spans)),) = shard.collect()
+                    for sid, _index, decision in decisions:
+                        report.decisions.setdefault(sid, []).append(decision)
+                    demands.append(NodeDemand(**demand))
+                    registry.merge(snapshot)
+                    for span in spans:
+                        tracer.emit(span)
                 for i, buffer in enumerate(buffers):
                     for event in buffer:
                         remaining[event.session] -= 1
@@ -268,26 +276,11 @@ class FleetSimulator:
                     pending_new[i] = []
                     buffers[i] = []
 
-                # Demand collection + parent-side registry/span merge.
-                for shard in shards:
-                    shard.post("demand")
-                    shard.post("drain_obs")
-                demands: List[NodeDemand] = []
-                for shard in shards:
-                    demand_payload, (snapshot, spans) = shard.collect()
-                    demands.append(NodeDemand(**demand_payload))
-                    registry.merge(snapshot)
-                    for span in spans:
-                        tracer.emit(span)
-
-                # Budget re-negotiation under the global cap.
+                # Budget re-negotiation under the global cap; the nodes
+                # get the new budgets with the next epoch's message.
                 budgets: Dict[str, float] = {}
                 if self.allocator is not None:
                     budgets = self.allocator.apportion(demands)
-                    for shard in shards:
-                        shard.post("set_budget", budgets[shard.node_id])
-                    for shard in shards:
-                        shard.collect()
                     for node_id, watts in budgets.items():
                         registry.gauge(
                             "repro_fleet_node_budget_watts",
@@ -321,6 +314,7 @@ class FleetSimulator:
                         budgets=budgets,
                     )
                 )
+                next_budgets = budgets
                 epoch += 1
 
                 # Admit queued sessions into freed capacity; their

@@ -295,6 +295,15 @@ _ORACLE_MATRICES: "weakref.WeakKeyDictionary[OraclePredictor, weakref.WeakKeyDic
     weakref.WeakKeyDictionary()
 )
 
+#: Each oracle's kernel resolution: the relative-distance scale of its
+#: nominal counters, and the resolved kernel index per counter vector
+#: (a vector's entry dies with the vector).  Outside the instance for
+#: the same reasons as :data:`_ORACLE_MATRICES`; a vector is immutable,
+#: so its nearest kernel never changes.
+_ORACLE_KERNELS: "weakref.WeakKeyDictionary[OraclePredictor, Tuple[np.ndarray, weakref.WeakKeyDictionary[CounterVector, int]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
 
 class OraclePredictor(PerfPowerPredictor):
     """Perfect predictor: looks the answer up in the ground-truth model.
@@ -325,10 +334,17 @@ class OraclePredictor(PerfPowerPredictor):
 
     def _kernel_index(self, counters: CounterVector) -> int:
         """Index of the known kernel whose nominal counters best match."""
-        observed = counters.as_array()
-        scale = np.maximum(np.abs(self._nominal), 1e-9)
-        distance = np.sum(((self._nominal - observed) / scale) ** 2, axis=1)
-        return int(np.argmin(distance))
+        memo = _ORACLE_KERNELS.get(self)
+        if memo is None:
+            scale = np.maximum(np.abs(self._nominal), 1e-9)
+            memo = _ORACLE_KERNELS[self] = (scale, weakref.WeakKeyDictionary())
+        scale, resolved = memo
+        kernel = resolved.get(counters)
+        if kernel is None:
+            observed = counters.as_array()
+            distance = np.sum(((self._nominal - observed) / scale) ** 2, axis=1)
+            kernel = resolved[counters] = int(np.argmin(distance))
+        return kernel
 
     def resolve(self, counters: CounterVector) -> KernelSpec:
         """The known kernel whose nominal counters best match."""

@@ -1,4 +1,4 @@
-"""FleetNode: demand windows, budget application, slim-step protocol."""
+"""FleetNode: demand windows, budget application, slim-step and epoch protocol."""
 
 import pytest
 
@@ -93,3 +93,20 @@ def test_drain_obs_resets_between_epochs(hosted):
         if m["kind"] == "counter"
     }
     assert all(v == 0 for v in totals.values())
+
+
+def test_epoch_is_the_node_methods_in_order():
+    trace = build_schedule_trace(["s"] * 8, name="node-epoch")
+    spec, kernels = trace.session("s"), trace.unique_kernels("s")
+    events = [(e.index, e.session, e.spec.key) for e in trace.events]
+    fused, split = FleetNode("n"), FleetNode("n")
+    for budget, sessions, window in (
+        (None, [(spec, kernels)], events[:4]),
+        (5.0, [], events[4:]),
+    ):
+        split.set_budget(budget)
+        for args in sessions:
+            split.add_session(*args)
+        expected = (split.step(window), split.demand(), split.drain_obs())
+        assert fused.epoch(budget, sessions, window) == expected
+        assert fused.manager.power_budget_w == budget

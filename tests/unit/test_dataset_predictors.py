@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.engine.fingerprint import describe
 from repro.hardware.apu import APUModel
 from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.hardware.table import ConfigTable
@@ -16,7 +17,8 @@ from repro.ml.predictors import (
     OraclePredictor,
     train_predictor,
 )
-from repro.workloads.counters import CounterSynthesizer
+from repro.workloads.counters import CounterSynthesizer, CounterVector
+from repro.workloads.suites import all_benchmarks
 from repro.workloads.kernel import KernelSpec, ScalingClass
 
 KERNELS = [
@@ -152,11 +154,54 @@ class TestOraclePredictor:
     def test_matrix_memo_is_read_only_and_outside_the_instance(self, apu):
         oracle = OraclePredictor(apu, KERNELS)
         pickled = pickle.dumps(oracle)
+        described = describe(oracle)
         counters = CounterSynthesizer(noise=0.0).nominal(KERNELS[0])
         batch = oracle.estimate_matrix(counters, ConfigTable(SMALL_SPACE))
+        assert oracle.resolve(counters).key == "a"
         assert pickle.dumps(oracle) == pickled
+        assert describe(oracle) == described
         with pytest.raises(ValueError):
             batch.times_s[0] = 0.0
+
+    def test_repeated_fills_resolve_a_vector_once(self, apu, monkeypatch):
+        oracle = OraclePredictor(apu, KERNELS)
+        other = OraclePredictor(apu, KERNELS[::-1])
+        counters = CounterSynthesizer(noise=0.05, seed=3).observe(KERNELS[1])
+        table = ConfigTable(SMALL_SPACE)
+        resolutions = []
+        as_array = CounterVector.as_array
+
+        def counting_as_array(vector):
+            resolutions.append(vector)
+            return as_array(vector)
+
+        monkeypatch.setattr(CounterVector, "as_array", counting_as_array)
+        for rows in ([0], [1, 2], [3], None):
+            indices = None if rows is None else np.asarray(rows, dtype=np.intp)
+            oracle.estimate_matrix(counters, table, indices)
+        assert oracle.resolve(counters).key == "b"
+        assert resolutions == [counters]
+        # Resolution is per oracle: another population resolves afresh.
+        assert other.resolve(counters).key == "b"
+        assert resolutions == [counters, counters]
+
+    def test_resolution_matches_the_nearest_kernel_formula(self, apu):
+        for app in all_benchmarks():
+            oracle = OraclePredictor(apu, app.unique_kernels)
+            nominal = np.vstack([
+                CounterSynthesizer(noise=0.0).nominal(k).as_array()
+                for k in app.unique_kernels
+            ])
+            scale = np.maximum(np.abs(nominal), 1e-9)
+            observe = CounterSynthesizer(noise=0.05, seed=11).observe
+            for kernel in app.unique_kernels:
+                counters = observe(kernel)
+                distance = np.sum(
+                    ((nominal - counters.as_array()) / scale) ** 2, axis=1
+                )
+                expected = int(np.argmin(distance))
+                assert oracle._kernel_index(counters) == expected
+                assert oracle._kernel_index(counters) == expected
 
 
 class TestTrainPredictor:
