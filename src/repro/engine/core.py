@@ -116,7 +116,8 @@ class ExperimentEngine:
             parent re-emits them in request order, so a trace is
             byte-identical across job counts (for request matrices where
             baselines precede their dependents, e.g. the canonical
-            matrix).  Worker registry snapshots are merged back with
+            matrix).  A health monitor reads the same spans in the same
+            order.  Worker registry snapshots are merged back with
             provenance.
     """
 
@@ -265,8 +266,7 @@ class ExperimentEngine:
                     self._record_task(
                         obs, "serial", time.perf_counter() - task_start
                     )
-                    for span in spans:
-                        obs.tracer.emit(span)
+                    _reemit(obs, spans)
         self.stats.compute_s += time.perf_counter() - start
         if obs.enabled:
             publish_cache_stats(obs.registry, self.cache.stats, scope="engine")
@@ -336,14 +336,26 @@ class ExperimentEngine:
                     if obs_payload is not None and obs.enabled:
                         obs.registry.merge(obs_payload["registry"])
                         self._record_task(obs, "worker", obs_payload["task_s"])
-                        for span in obs_payload["spans"]:
-                            obs.tracer.emit(span)
+                        _reemit(obs, obs_payload["spans"])
             finally:
                 for _, future in futures:
                     future.cancel()
 
 
 # ----- request computation with span capture --------------------------------
+
+
+def _reemit(obs: Instrumentation, spans: List[Dict[str, Any]]) -> None:
+    """Deliver one request's captured spans to the live instrumentation.
+
+    The capture has no health monitor, so the parent's monitor reads
+    each launch span here, right after the tracer receives it — the
+    order a live session feeds it — and a health-on engine run reports
+    what ``repro obs health`` computes from the written trace.
+    """
+    for span in spans:
+        obs.tracer.emit(span)
+        obs.health.observe_span(span)
 
 
 def _compute_request_with_capture(

@@ -33,17 +33,26 @@ CODE_VERSION = "engine-v1"
 def describe(obj: Any) -> Any:
     """Reduce an object graph to a canonical JSON-able structure.
 
-    Supported nodes: ``None``/bool/int/float/str, enums, numpy scalars
-    and arrays (arrays are content-hashed, not embedded), dataclasses,
-    dicts with string-convertible keys, sequences, sets, and generic
-    objects via their ``__dict__`` (tagged with the class's qualified
-    name so renaming a class invalidates its entries).
+    Supported nodes: ``None``/bool/int/float/str, enums, numpy scalars,
+    arrays (content-hashed, not embedded) and random generators (by
+    bit-generator state), dataclasses, dicts with string-convertible
+    keys, sequences, sets, and generic objects via their ``__dict__``
+    (tagged with the class's qualified name so renaming a class
+    invalidates its entries).
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         # repr round-trips exactly; normalize -0.0 for stability.
         return obj + 0.0
+    # Exact containers first: they are most of a payload's nodes (and
+    # all of an already-described one), and their branches below give
+    # the same result after the checks they skip here.
+    kind = type(obj)
+    if kind is list or kind is tuple:
+        return ["seq", [describe(v) for v in obj]]
+    if kind is dict:
+        return ["dict", sorted((str(k), describe(v)) for k, v in obj.items())]
     if isinstance(obj, enum.Enum):
         return ["enum", type(obj).__name__, obj.value]
     if isinstance(obj, np.ndarray):
@@ -67,6 +76,10 @@ def describe(obj: Any) -> Any:
         cls = type(obj)
         state = {k: describe(v) for k, v in sorted(vars(obj).items())}
         return ["obj", f"{cls.__module__}.{cls.__qualname__}", state]
+    if isinstance(obj, np.random.Generator):
+        # Its bit generator's state fixes every draw it will make (the
+        # trees of a Random Forest keep theirs).
+        return ["rng", describe(obj.bit_generator.state)]
     raise TypeError(f"cannot fingerprint object of type {type(obj)!r}")
 
 

@@ -6,35 +6,42 @@ implementation follows the classic recipe: each tree is fit on a
 bootstrap resample of the training set, considers a random feature
 subset at every split, and the forest predicts the mean of its trees.
 
-Prediction runs on a *flattened* forest: every fitted tree's node
-arrays are concatenated into one contiguous block (child pointers
+Prediction runs on a *flattened* block of trees: every fitted tree's
+node arrays are concatenated into one contiguous block (child pointers
 shifted by per-tree offsets, each leaf a self-loop) so a whole batch
 descends all trees in a fixed number of identical vectorized levels
 instead of one Python call per tree (in blocks of at most
-``PREDICT_BLOCK_ROWS`` rows).  The flat arrays are derived
-state — rebuilt at fit/unpickle time and memoized in a module-level
-WeakKeyDictionary — so pickles and structural fingerprints of the
-forest are byte-identical to the per-tree layout.
+``PREDICT_BLOCK_ROWS`` rows).  One block may hold several forests:
+:func:`predict_forests` descends them all at once and averages each
+forest's trees separately, and ``RandomForestRegressor.predict`` is its
+one-forest case.  The flat arrays are derived state — built on first
+use, or primed by whoever owns the forests, and memoized in a
+module-level WeakKeyDictionary — so pickles and structural fingerprints
+of the forest are byte-identical to the per-tree layout.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ml.tree import DecisionTreeRegressor
 
-__all__ = ["RandomForestRegressor", "mean_absolute_percentage_error"]
+__all__ = [
+    "RandomForestRegressor",
+    "mean_absolute_percentage_error",
+    "predict_forests",
+    "prime_forests",
+]
 
 
 @dataclass(frozen=True)
 class _FlatForest:
-    """One forest's trees as one contiguous block of self-looping nodes.
+    """Forests' trees as one contiguous block of self-looping nodes.
 
     A lane at global node ``i`` steps to
     ``right[i] - (x[feature[i]] <= threshold[i])``: its right child, or
@@ -43,41 +50,51 @@ class _FlatForest:
     constant sentinel column ``width`` of the padded input against a
     ``+inf`` threshold and has ``right[i] == i + 1``, so it always steps
     back to itself.  ``depth`` identical levels thus bring every lane
-    of every tree to its leaf.
+    of every tree to its leaf.  The trees of each forest are adjacent,
+    in forest order, ``sizes`` trees per forest.
     """
 
-    feature: np.ndarray  # int64 split columns; the sentinel ``width`` at leaves
+    feature: np.ndarray  # split columns; the sentinel ``width`` at leaves
     threshold: np.ndarray  # float64 split thresholds; +inf at leaves
     right: np.ndarray  # int64 global right children; i + 1 at leaf i
     value: np.ndarray  # float64 node means (leaf predictions)
     roots: np.ndarray  # int64 per-tree root offsets
     width: int  # input columns the splits read: highest split column + 1
     depth: int  # levels of the deepest tree: the descent's loop count
+    sizes: Tuple[int, ...]  # trees per forest, in forest order
     trees: Tuple[DecisionTreeRegressor, ...]
     node_arrays: Tuple[np.ndarray, ...]
 
-    def matches(self, trees: Sequence[DecisionTreeRegressor]) -> bool:
-        """Whether this flattening is still current for ``trees``.
+    def matches(self, forests: Sequence["RandomForestRegressor"]) -> bool:
+        """Whether this flattening is still current for ``forests``.
 
-        Identity of both the tree objects and their node arrays is
-        checked: replacing a tree *or* refitting one in place (which
-        swaps its ``_feature`` array) invalidates the flattening.
+        Identity of every member tree and of its node arrays is
+        checked: refitting a forest, replacing a tree *or* refitting
+        one in place (which swaps its ``_feature`` array) invalidates
+        the flattening.
         """
-        return len(trees) == len(self.trees) and all(
+        return self.sizes == tuple(len(forest.trees) for forest in forests) and all(
             tree is kept and tree._feature is nodes
-            for tree, kept, nodes in zip(trees, self.trees, self.node_arrays)
+            for tree, kept, nodes in zip(
+                (tree for forest in forests for tree in forest.trees),
+                self.trees,
+                self.node_arrays,
+            )
         )
 
 
-def _flatten(trees: Sequence[DecisionTreeRegressor]) -> _FlatForest:
-    """Concatenate fitted trees into one block of self-looping nodes.
+def _flatten(forests: Sequence["RandomForestRegressor"]) -> _FlatForest:
+    """Concatenate the forests' fitted trees into one block.
 
     Raises:
-        RuntimeError: A tree is not fitted.
+        RuntimeError: A forest or one of its trees is not fitted.
         ValueError: An internal node's children are not an adjacent
             ``(right - 1, right)`` pair, which the single ``right``
             child array cannot represent.
     """
+    if not all(forest.trees for forest in forests):
+        raise RuntimeError("forest is not fitted")
+    trees = [tree for forest in forests for tree in forest.trees]
     if any(tree._feature is None for tree in trees):
         raise RuntimeError("tree is not fitted")
     sizes = [tree.node_count for tree in trees]
@@ -87,7 +104,11 @@ def _flatten(trees: Sequence[DecisionTreeRegressor]) -> _FlatForest:
     # Leaf defaults first: the sentinel column, a +inf threshold, and
     # right == i + 1 at global index i, so a leaf's ``right - 1`` step
     # is a self-loop.  Each tree then writes its internal nodes.
-    feature = np.full(total, width, dtype=np.int64)
+    # Columns are stored in the narrowest unsigned type that holds the
+    # sentinel: one byte for the shipping features, which keeps their
+    # block 5.6 MB smaller, and the gather every level makes from this
+    # array touches less memory.
+    feature = np.full(total, width, dtype=np.min_scalar_type(width))
     threshold = np.full(total, np.inf)
     right = np.arange(1, total + 1, dtype=np.int64)
     for index, (tree, offset) in enumerate(zip(trees, roots)):
@@ -100,7 +121,7 @@ def _flatten(trees: Sequence[DecisionTreeRegressor]) -> _FlatForest:
                 f"and {tree._right[node]} are not adjacent"
             )
         span = slice(offset, offset + internal.size)
-        np.copyto(feature[span], tree._feature, where=internal)
+        np.copyto(feature[span], tree._feature, where=internal, casting="unsafe")
         np.copyto(threshold[span], tree._threshold, where=internal)
         # Child pointers shift by the tree's node offset.
         np.add(tree._right, offset, out=right[span], where=internal)
@@ -122,43 +143,64 @@ def _flatten(trees: Sequence[DecisionTreeRegressor]) -> _FlatForest:
         roots=roots,
         width=width,
         depth=depth,
+        sizes=tuple(len(forest.trees) for forest in forests),
         trees=tuple(trees),
         node_arrays=tuple(t._feature for t in trees),  # type: ignore[misc]
     )
 
 
-#: Derived flat arrays per forest.  A module-level weak-key memo — never
-#: an instance attribute — so flattening neither changes pickle bytes
-#: nor perturbs structural fingerprints (same discipline as
+#: Derived flat arrays per owner: a forest for its own ``predict``, or
+#: the object that descends several forests together (a
+#: ``RandomForestPredictor`` keeps its time and power forests in one
+#: block, and that block is the only flattening of them).  A
+#: module-level weak-key memo — never an instance attribute — so
+#: flattening neither changes pickle bytes nor perturbs structural
+#: fingerprints (same discipline as
 #: ``repro.hardware.table._CPU_POWER_COLUMNS``).  Readers must
-#: revalidate hits against the live tree tuple (``matches``) before
-#: use — a refit rebinds ``forest.trees`` without touching the memo.
-_FLAT_FORESTS: "weakref.WeakKeyDictionary[RandomForestRegressor, _FlatForest]" = (
+#: revalidate hits against the live forests (``matches``) before use —
+#: a refit rebinds ``forest.trees`` without touching the memo.
+_FLAT_FORESTS: "weakref.WeakKeyDictionary[object, _FlatForest]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _flat_forest(forest: "RandomForestRegressor") -> _FlatForest:
-    """The current flattening of ``forest``, (re)built when stale."""
-    flat = _FLAT_FORESTS.get(forest)
-    if flat is None or not flat.matches(forest.trees):
-        flat = _flatten(forest.trees)
-        _FLAT_FORESTS[forest] = flat
+def _flat_forests(owner: object, forests: Sequence["RandomForestRegressor"]) -> _FlatForest:
+    """The current flattening of ``forests`` under ``owner``, (re)built when stale."""
+    flat = _FLAT_FORESTS.get(owner)
+    if flat is None or not flat.matches(forests):
+        flat = _FLAT_FORESTS[owner] = _flatten(forests)
     return flat
+
+
+def prime_forests(owner: object, forests: Sequence["RandomForestRegressor"]) -> None:
+    """Flatten ``forests`` under ``owner`` now, so its first call is fast.
+
+    Forests with no trees, or with unfitted trees (legacy or hand-built
+    pickles), are left to the lazy build in :func:`predict_forests`.
+    """
+    if all(
+        forest.trees and all(tree._feature is not None for tree in forest.trees)
+        for forest in forests
+    ):
+        _flat_forests(owner, forests)
 
 
 #: Most rows one descent walks at once.  Every (tree, row) lane of a
 #: block gathers from the flat node arrays on each level, and a stacked
 #: sweep of 16 lattices (5,376 rows) makes those lane arrays too big to
-#: stay in cache: through the shipping predictor (two 16-tree forests)
-#: on a 2-vCPU host it cost 3.9-4.3 ms per lattice in one descent against
-#: 2.2-2.3 ms in blocks of this size (1.7-2.3 ms for a lone lattice).
-#: Rows are independent, so the block size never changes a prediction.
+#: stay in cache.  Measured through the shipping predictor's one
+#: 32-tree block on a 2-vCPU host (medians of 21 alternated timings,
+#: blocks of 512 / 768 / 1,024 / 1,536 / 2,048 rows): the 16-lattice
+#: stack took 34.4 / 33.9 / 35.1 / 35.4 / 38.8 ms, and a 960-row
+#: stack (64 sessions' fail-safe crosses) 6.1 / 6.0 / 5.8 / 5.9 /
+#: 5.9 ms, so this size keeps that stack in one descent at no cost to
+#: the taller one.  Rows are independent, so the block size never
+#: changes a prediction.
 PREDICT_BLOCK_ROWS = 1024
 
 
-def _descend(flat: _FlatForest, n_trees: int, X: np.ndarray) -> np.ndarray:
-    """Mean of ``n_trees`` flattened trees over the rows of ``X``."""
+def _descend(flat: _FlatForest, X: np.ndarray) -> np.ndarray:
+    """Each flattened forest's mean over the rows of ``X``, one row per forest."""
     n = X.shape[0]
     # Row-major copy of the split columns plus the leaves' sentinel
     # column ``width``, whose 0.0 is always <= their +inf threshold.
@@ -168,19 +210,63 @@ def _descend(flat: _FlatForest, n_trees: int, X: np.ndarray) -> np.ndarray:
     x = padded.ravel()
     # Lane i*n + j descends tree i with sample j.
     nodes = np.repeat(flat.roots, n)
-    row_base = np.tile(np.arange(0, n * stride, stride), n_trees)
+    row_base = np.tile(np.arange(0, n * stride, stride), flat.roots.size)
     for _ in range(flat.depth):
         nodes = flat.right[nodes] - (
             x[row_base + flat.feature[nodes]] <= flat.threshold[nodes]
         )
-    per_tree = flat.value[nodes].reshape(n_trees, n)
-    # Sequential accumulation in tree order: float-for-float identical
-    # to `for tree: acc += tree.predict(X)` (np.sum's pairwise
-    # reduction would drift in the last ulp).
-    acc = np.zeros(n, dtype=float)
-    for row in per_tree:
-        acc += row
-    return acc / n_trees
+    per_tree = flat.value[nodes].reshape(flat.roots.size, n)
+    means = np.empty((len(flat.sizes), n))
+    start = 0
+    for mean, size in zip(means, flat.sizes):
+        # Sequential accumulation in tree order (np.sum's pairwise
+        # reduction would drift in the last ulp); adding 0.0 turns an
+        # all-(-0.0) sum into the +0.0 that ``for tree: acc += ...``
+        # from a zero ``acc`` gives, so each mean is float-for-float
+        # that loop's.
+        total = np.cumsum(per_tree[start : start + size], axis=0)[-1] + 0.0
+        np.divide(total, size, out=mean)
+        start += size
+    return means
+
+
+def predict_forests(
+    owner: object, forests: Sequence["RandomForestRegressor"], X: np.ndarray
+) -> np.ndarray:
+    """Each forest's mean prediction over ``X``, from one shared descent.
+
+    The forests' trees form one flattened block, memoized under
+    ``owner`` (weakly, outside the instance; an owner passes the same
+    forests every time, or each call rebuilds the block).  Rows descend
+    in blocks of at most :data:`PREDICT_BLOCK_ROWS`.  Within a block,
+    every (tree, sample) lane of every forest descends at once through
+    exactly ``depth`` identical levels of one gather-compare-step
+    expression; a lane that reaches its leaf early loops on it.  Each
+    forest's per-tree values are then accumulated in tree order
+    (exactly the float semantics of the historical per-tree loop) and
+    averaged.
+
+    Returns:
+        An array of shape ``(len(forests), n)``: row ``i`` is
+        float-for-float ``forests[i].predict(X)``.
+
+    Raises:
+        RuntimeError: A forest is not fitted.
+        ValueError: ``X`` has fewer columns than the splits read.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    flat = _flat_forests(owner, forests)
+    n, columns = X.shape
+    if columns < flat.width:
+        raise ValueError(
+            f"X has {columns} columns but the forest splits on column "
+            f"{flat.width - 1}, so it needs at least {flat.width}"
+        )
+    out = np.empty((len(forests), n))
+    for start in range(0, n, PREDICT_BLOCK_ROWS):
+        stop = start + PREDICT_BLOCK_ROWS
+        out[:, start:stop] = _descend(flat, X[start:stop])
+    return out
 
 
 class RandomForestRegressor:
@@ -265,26 +351,7 @@ class RandomForestRegressor:
 
         self._target_min = float(y.min())
         self._target_max = float(y.max())
-        # Prime the flattened node arrays so the first prediction after
-        # a fit lands straight on the vectorized descent.
-        _flat_forest(self)
         return self
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Intern string keys exactly as pickle's default load_build
-        # does, so adding this hook leaves re-pickle bytes untouched.
-        for key, value in state.items():
-            if type(key) is str:
-                key = sys.intern(key)
-            self.__dict__[key] = value
-        # Rebuild the flattened arrays eagerly at unpickle time:
-        # deserialized forests (engine workers, the on-disk predictor
-        # cache) go straight onto the hot path.  Legacy or hand-built
-        # pickles with unfitted trees fall back to the lazy rebuild in
-        # predict().
-        trees = self.__dict__.get("trees") or []
-        if trees and all(t._feature is not None for t in trees):
-            _flat_forest(self)
 
     @property
     def is_fitted(self) -> bool:
@@ -299,33 +366,14 @@ class RandomForestRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean prediction across all trees for a batch of samples.
 
-        Rows descend in blocks of at most :data:`PREDICT_BLOCK_ROWS`.
-        Within a block, every (tree, sample) lane of the flattened
-        forest descends at once through exactly ``depth`` identical
-        levels of one gather-compare-step expression; a lane that
-        reaches its leaf early loops on it.  Per-tree values are then
-        accumulated in tree order (sequential ``+=``, exactly the float
-        semantics of the historical per-tree loop) and averaged.
+        The one-forest case of :func:`predict_forests`, flattened under
+        the forest itself.
 
         Raises:
             RuntimeError: The forest is not fitted.
             ValueError: ``X`` has fewer columns than the splits read.
         """
-        if not self.trees:
-            raise RuntimeError("forest is not fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        flat = _flat_forest(self)
-        n, columns = X.shape
-        if columns < flat.width:
-            raise ValueError(
-                f"X has {columns} columns but the forest splits on column "
-                f"{flat.width - 1}, so it needs at least {flat.width}"
-            )
-        out = np.empty(n)
-        for start in range(0, n, PREDICT_BLOCK_ROWS):
-            stop = start + PREDICT_BLOCK_ROWS
-            out[start:stop] = _descend(flat, len(self.trees), X[start:stop])
-        return out
+        return predict_forests(self, (self,), X)[0]
 
     def predict_one(self, x: np.ndarray) -> float:
         """Prediction for a single sample vector."""

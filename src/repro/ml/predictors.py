@@ -21,9 +21,10 @@ import abc
 import hashlib
 import os
 import pickle
+import sys
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +33,12 @@ from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.hardware.dvfs import CPU_PSTATES
 from repro.hardware.table import ConfigTable
 from repro.ml.dataset import build_dataset
-from repro.ml.forest import RandomForestRegressor, mean_absolute_percentage_error
+from repro.ml.forest import (
+    RandomForestRegressor,
+    mean_absolute_percentage_error,
+    predict_forests,
+    prime_forests,
+)
 from repro.workloads.counters import CounterSynthesizer, CounterVector
 from repro.workloads.generator import training_population
 from repro.workloads.kernel import KernelSpec
@@ -222,6 +228,10 @@ class PerfPowerPredictor(abc.ABC):
 class RandomForestPredictor(PerfPowerPredictor):
     """The paper's Random Forest kernel time / GPU power model.
 
+    Both forests descend together: their trees form one flattened block
+    (:func:`~repro.ml.forest.predict_forests`), built when the predictor
+    is constructed or unpickled, and the only flattening of them.
+
     Args:
         time_forest: Forest trained on log kernel time.
         power_forest: Forest trained on GPU-rail power.
@@ -234,6 +244,18 @@ class RandomForestPredictor(PerfPowerPredictor):
         self.time_forest = time_forest
         self.power_forest = power_forest
         self.cpu_model = cpu_model
+        prime_forests(self, (time_forest, power_forest))
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Intern string keys exactly as pickle's default load_build
+        # does, so adding this hook leaves re-pickle bytes untouched.
+        for key, value in state.items():
+            if type(key) is str:
+                key = sys.intern(key)
+            self.__dict__[key] = value
+        # Deserialized predictors (engine workers, the on-disk predictor
+        # cache) go straight onto the hot path.
+        prime_forests(self, (self.time_forest, self.power_forest))
 
     def estimate_matrix_many(
         self,
@@ -241,18 +263,20 @@ class RandomForestPredictor(PerfPowerPredictor):
         table: ConfigTable,
         indices: Optional[np.ndarray] = None,
     ) -> List[EstimateBatch]:
-        """One stacked forest descent for all kernels.
+        """One stacked descent of both forests for all kernels.
 
         Each kernel's counter row is broadcast next to the table's
         precomputed hardware feature block — the same floats
         :func:`~repro.ml.dataset.build_features` concatenates per config,
         without the per-row Python work — and all kernels' rows are
         stacked into one ``(kernels · configs, features)`` matrix, so
-        each forest is descended once for the whole batch.  Tree
-        traversal is row-independent and the per-kernel slices are views
-        of the same prediction arrays, so every returned batch is
-        float-for-float what a call for that kernel alone returns.  CPU
-        power is a gather from the table's memoized per-P-state column.
+        the time and power forests descend once, together, for the
+        whole batch.  Tree traversal is row-independent and the
+        per-kernel slices are views of the same prediction arrays, so
+        every returned batch is float-for-float what a call for that
+        kernel alone returns, and each column is float-for-float its
+        forest's own ``predict``.  CPU power is a gather from the
+        table's memoized per-P-state column.
         """
         if not counters_list:
             return []
@@ -267,8 +291,11 @@ class RandomForestPredictor(PerfPowerPredictor):
             span = slice(i * n, (i + 1) * n)
             X[span, :width] = counters.as_array()
             X[span, width:] = block
-        times = np.exp(self.time_forest.predict(X))
-        powers = np.maximum(0.1, self.power_forest.predict(X))
+        log_times, powers = predict_forests(
+            self, (self.time_forest, self.power_forest), X
+        )
+        times = np.exp(log_times)
+        powers = np.maximum(0.1, powers)
         cpu = table.cpu_power_column(self.cpu_model)
         if indices is not None:
             cpu = cpu[indices]

@@ -12,6 +12,7 @@ multiplexed with others (asserted by the runtime test suite).
 
 from __future__ import annotations
 
+import logging
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.hardware.apu import APUModel
@@ -24,6 +25,8 @@ from repro.sim.simulator import MANAGER_CONFIG, OverheadModel
 from repro.workloads.counters import CounterSynthesizer, CounterVector
 
 __all__ = ["SessionManager", "chunk_distinct_sessions"]
+
+_log = logging.getLogger(__name__)
 
 
 def chunk_distinct_sessions(items: Sequence[Any], key: Any) -> List[List[Any]]:
@@ -96,6 +99,8 @@ class SessionManager:
         self.isolate_faults = isolate_faults
         self.obs = or_noop(obs)
         self._sessions: Dict[str, SessionRuntime] = {}
+        # Fallback sites that have logged their first fault.
+        self._warned: set = set()
 
     # ----- session registry ------------------------------------------------------
 
@@ -186,7 +191,9 @@ class SessionManager:
         one at a time — the stacked rows are float-for-float what each
         session's own sweep would have produced, and fault isolation is
         unchanged (a failing prefetch or group sweep just leaves those
-        sessions to sweep what they miss when they decide).
+        sessions to sweep what they miss when they decide; each such
+        fault increments ``repro_fallbacks_total{site,reason}``, and
+        the first at each site logs a WARNING).
 
         Args:
             events: At most one launch per session; sessions are
@@ -221,10 +228,11 @@ class SessionManager:
                 continue
             try:
                 wanted = tuple(session.prefetch_counters(event))
-            except Exception:
+            except Exception as error:
                 # Fault isolation: a failing prefetch must not take the
                 # batch down — the session sweeps when it decides and
                 # any real fault surfaces through process() as usual.
+                self._fell_back("step_batch.prefetch", error)
                 continue
             if not wanted:
                 continue
@@ -244,8 +252,11 @@ class SessionManager:
             first = members[0][0]
             try:
                 sweeps = first.start_sweeps(list(unique))
-            except Exception:
-                continue  # every member sweeps its misses when it decides
+            except Exception as error:
+                # Every member sweeps its misses when it decides, where
+                # a persistent fault surfaces through process().
+                self._fell_back("step_batch.group_sweep", error)
+                continue
             swept += len(unique)
             shared = dict(zip(unique, sweeps))
             for optimizer, wanted in members:
@@ -273,6 +284,24 @@ class SessionManager:
             ).inc(missed - swept)
 
         return [self.dispatch(event) for event in events]
+
+    def _fell_back(self, site: str, error: Exception) -> None:
+        """Count a fault a fallback absorbed; log a site's first one.
+
+        The counter is registered here, on the fault path only, so
+        fault-free metric snapshots stay as they were.
+        """
+        self.obs.registry.counter(
+            "repro_fallbacks_total",
+            "Faults absorbed by a fallback, by site and exception type",
+        ).inc(site=site, reason=type(error).__name__)
+        if site not in self._warned:
+            self._warned.add(site)
+            _log.warning(
+                "%s fell back after %r; later faults there are only "
+                "counted (repro_fallbacks_total)",
+                site, error, exc_info=True,
+            )
 
     # ----- power budget ----------------------------------------------------------
 

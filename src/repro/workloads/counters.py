@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,6 +122,19 @@ class CounterVector:
         )
 
 
+#: Each synthesizer's noise-free counters per kernel spec: the read-only
+#: float64 vector :meth:`CounterSynthesizer.observe` jitters, and the
+#: same floats as a list.  Module-level and weak-keyed, like the
+#: predictor memos of ``repro.ml.predictors``: a synthesizer pickles and
+#: fingerprints the same whether it has observed launches or not
+#: (``describe(sim)`` feeds every engine cache key).  A synthesizer's
+#: timing model is set once, at construction, and a spec is immutable,
+#: so an entry never goes stale.
+_NOMINAL: "weakref.WeakKeyDictionary[CounterSynthesizer, Dict[KernelSpec, Tuple[np.ndarray, List[float]]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 class CounterSynthesizer:
     """Derives Table-III counters from ground-truth kernel specs.
 
@@ -195,12 +209,22 @@ class CounterSynthesizer:
             sequence: Position of the launch within its run (ties the
                 noise draw to the launch, not to global call order).
         """
-        nominal = self.nominal(spec).as_array()
+        memo = _NOMINAL.get(self)
+        if memo is None:
+            memo = _NOMINAL[self] = {}
+        entry = memo.get(spec)
+        if entry is None:
+            array = self.nominal(spec).as_array()
+            array.flags.writeable = False
+            entry = memo[spec] = (array, array.tolist())
+        nominal, values = entry
+        # A new vector on every call: the optimizer's sweep cache is
+        # keyed by vector object.
         if self.noise == 0.0:
-            return CounterVector.from_array(nominal)
+            return CounterVector(*values)
         digest = hashlib.sha256(
             repr((self.seed, spec.key, sequence)).encode()
         ).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         jitter = rng.normal(1.0, self.noise, size=nominal.shape)
-        return CounterVector.from_array(np.clip(nominal * jitter, 0.0, None))
+        return CounterVector(*np.clip(nominal * jitter, 0.0, None).tolist())

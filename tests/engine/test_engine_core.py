@@ -19,6 +19,7 @@ from repro.engine import (
     RunRequest,
     canonical_requests,
 )
+from repro.obs import HealthMonitor, make_instrumentation
 
 from .conftest import NAMES, small_context
 
@@ -112,6 +113,25 @@ class TestParallelEngine:
 
         assert par_engine.stats.parallel_computed > 0
         assert run_dicts(par_ctx) == run_dicts(serial_ctx)
+
+    def test_health_monitor_reads_every_computed_launch(self, tmp_path):
+        # Requests compute under a capture with no monitor; the parent's
+        # monitor reads the spans it re-emits, so its report is the same
+        # at any job count and equals an offline pass over the trace.
+        reports = []
+        for jobs in (1, 2):
+            obs = make_instrumentation(health=True)
+            cache_dir = tmp_path / f"jobs{jobs}"
+            engine = ExperimentEngine(jobs=jobs, cache_dir=str(cache_dir), obs=obs)
+            ctx = small_context(cache_dir, engine)
+            engine.prefetch(ctx, canonical_requests(ctx))
+            assert obs.health.sessions
+            offline = HealthMonitor()
+            for span in obs.tracer.spans:
+                offline.observe_span(span)
+            assert offline.report() == obs.health.report()
+            reports.append(obs.health.report())
+        assert reports[0] == reports[1]
 
     def test_worker_exception_surfaces_original_traceback(self, cache_dir):
         engine = ExperimentEngine(jobs=2, cache_dir=str(cache_dir))

@@ -71,6 +71,14 @@ class TestDescribe:
     def test_dict_order_is_canonical(self):
         assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
 
+    def test_containers_and_their_subclasses_describe_alike(self):
+        # Every cache key depends on these forms.
+        pair = collections.namedtuple("Pair", "a b")
+        assert describe([1, (2.0,)]) == ["seq", [1, ["seq", [2.0]]]]
+        assert describe(pair(1, 2)) == describe([1, 2])
+        assert describe({"b": 1, "a": [2]}) == ["dict", [("a", ["seq", [2]]), ("b", 1)]]
+        assert describe(collections.OrderedDict(b=1, a=[2])) == describe({"a": [2], "b": 1})
+
     def test_negative_zero_is_normalized(self):
         assert fingerprint(-0.0) == fingerprint(0.0)
 
@@ -86,6 +94,15 @@ class TestDescribe:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             describe(object())
+
+    def test_random_generator_described_by_state(self):
+        # Fitted trees keep their generator, so a supplied Random Forest
+        # predictor is only describable through it.
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        assert fingerprint(a) == fingerprint(b)
+        b.random()
+        assert fingerprint(a) != fingerprint(b)
+        assert fingerprint(a) != fingerprint(np.random.default_rng(8))
 
 
 class TestRunKeys:

@@ -13,6 +13,11 @@ self-loop ignores them, and targets are often constant but for a row
 or two, so bootstrap resamples fit root-only trees beside deep ones.
 Pickle bytes are asserted invariant under prediction: flat arrays are
 derived state and must never leak into serialized forests.
+
+Groups of forests (``predict_forests``: a ``RandomForestPredictor``
+descends its time and power forests in one block) vary tree counts,
+depths and split widths per member, and each member's row of the group
+output must equal both references for that forest alone.
 """
 
 import pickle
@@ -22,7 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml.forest import PREDICT_BLOCK_ROWS, RandomForestRegressor
+import repro.ml.forest as forest_module
+from repro.engine.fingerprint import describe
+from repro.hardware.config import ConfigSpace
+from repro.hardware.table import ConfigTable
+from repro.ml.forest import (
+    _FLAT_FORESTS,
+    PREDICT_BLOCK_ROWS,
+    RandomForestRegressor,
+    predict_forests,
+)
+from repro.ml.predictors import CpuPowerModel, RandomForestPredictor, train_predictor
+from repro.workloads.counters import CounterSynthesizer
+from repro.workloads.kernel import KernelSpec, ScalingClass
 
 forest_params_st = st.tuples(
     st.integers(1, 6),  # n_estimators
@@ -161,15 +178,14 @@ def test_prediction_never_changes_pickle_bytes(params, data):
 @settings(max_examples=25, deadline=None)
 @given(forest_params_st, dataset_st)
 def test_legacy_unpickle_without_primed_arrays(params, data):
-    # A pickle predates the flattening iff its trees carry node arrays
-    # but no flat block was ever built; __setstate__ must prime it and
-    # predict must match a freshly fitted twin exactly.
-    forest, X = _fit(params, data)
-    legacy = pickle.loads(pickle.dumps(forest))
-    from repro.ml.forest import _FLAT_FORESTS
-
+    # A predictor unpickled without its group block (a pickle whose
+    # trees carry node arrays but for which no block was ever built)
+    # must rebuild it on first use and predict exactly like the
+    # predictor it was pickled from.
+    predictor, X = _predictor(params, data)
+    legacy = pickle.loads(pickle.dumps(predictor))
     _FLAT_FORESTS.pop(legacy, None)  # simulate a cold, legacy unpickle
-    assert np.array_equal(legacy.predict(X), forest.predict(X))
+    assert np.array_equal(_both(legacy, X), _both(predictor, X))
 
 
 @settings(max_examples=20, deadline=None)
@@ -202,3 +218,160 @@ def test_nan_row_takes_the_right_branch_at_every_split(params, data):
         acc += rightmost_leaf_value(tree)
     expected = acc / len(forest.trees)
     assert forest.predict(np.full((1, 4), np.nan))[0] == expected
+
+
+# ----- groups of forests ----------------------------------------------------
+
+#: One group member: its forest parameters and how many leading input
+#: columns it trains on (so members' split widths differ).
+member_st = st.tuples(forest_params_st, st.integers(1, 4))
+group_st = st.lists(member_st, min_size=1, max_size=3)
+
+
+class _Owner:
+    """A weak-referenceable key for a group's flattening."""
+
+
+def _fit_group(group, data):
+    """Fitted member forests (each on its own target) and the queries."""
+    X, y, queries = data
+    forests = [
+        RandomForestRegressor(
+            n_estimators=n_estimators,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            seed=seed,
+        ).fit(X[:, :columns], np.roll(y, index))
+        for index, ((n_estimators, max_depth, min_samples_leaf, seed), columns)
+        in enumerate(group)
+    ]
+    return forests, np.vstack((X, queries))
+
+
+def _predictor(params, data):
+    """A predictor whose time and power forests differ in seed and target."""
+    forest, X = _fit(params, data)
+    n_estimators, max_depth, min_samples_leaf, seed = params
+    power = RandomForestRegressor(
+        n_estimators=n_estimators,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        seed=seed + 1,
+    ).fit(data[0], np.roll(data[1], 1))
+    return RandomForestPredictor(forest, power, CpuPowerModel(1.0, 0.0)), X
+
+
+def _both(predictor, X):
+    return predict_forests(
+        predictor, (predictor.time_forest, predictor.power_forest), X
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_st, dataset_st)
+def test_group_descent_equals_both_references(group, data):
+    forests, X = _fit_group(group, data)
+    out = predict_forests(_Owner(), forests, X)
+    assert out.shape == (len(forests), X.shape[0])
+    for forest, row in zip(forests, out):
+        assert np.array_equal(row, _per_tree_reference(forest, X))
+        assert np.array_equal(row, _recursive_reference(forest, X))
+
+
+@settings(max_examples=8, deadline=None)
+@given(group_st, dataset_st, st.integers(1, PREDICT_BLOCK_ROWS + 1))
+def test_group_input_taller_than_a_block(group, data, extra):
+    forests, X = _fit_group(group, data)
+    rows = PREDICT_BLOCK_ROWS + extra
+    tall = np.resize(X, (rows, X.shape[1])) + np.arange(rows)[:, None] / 1000
+    out = predict_forests(_Owner(), forests, tall)
+    for forest, row in zip(forests, out):
+        assert np.array_equal(row, _per_tree_reference(forest, tall))
+
+
+@settings(max_examples=20, deadline=None)
+@given(forest_params_st, dataset_st, st.sampled_from(["time", "power", "tree"]))
+def test_refit_invalidates_the_group_flattening(params, data, refit):
+    # Refitting either forest rebinds its tree list; refitting one tree
+    # of the second forest in place keeps every tree object and swaps
+    # only that tree's node arrays.
+    predictor, X = _predictor(params, data)
+    _both(predictor, X)  # memoize the first flattening
+    rng = np.random.default_rng(1234)
+    train, target = data[0], rng.normal(size=data[0].shape[0])
+    if refit == "tree":
+        predictor.power_forest.trees[-1].fit(train, target)
+    else:
+        getattr(predictor, f"{refit}_forest").fit(train, target)
+    out = _both(predictor, X)
+    assert np.array_equal(out[0], _per_tree_reference(predictor.time_forest, X))
+    assert np.array_equal(out[1], _per_tree_reference(predictor.power_forest, X))
+
+
+@settings(max_examples=20, deadline=None)
+@given(forest_params_st, dataset_st)
+def test_prediction_leaves_pickles_and_descriptions_unchanged(params, data):
+    predictor, X = _predictor(params, data)
+    subjects = (predictor, predictor.time_forest, predictor.power_forest)
+    before = [(pickle.dumps(obj), describe(obj)) for obj in subjects]
+    _both(predictor, X)
+    predictor.time_forest.predict(X)
+    assert [(pickle.dumps(obj), describe(obj)) for obj in subjects] == before
+
+
+@settings(max_examples=15, deadline=None)
+@given(forest_params_st, dataset_st)
+def test_unpickled_predictor_holds_one_flattening(params, data):
+    # The group block replaces the per-forest flattenings: unpickling
+    # primes it, and neither forest gets a block of its own, before or
+    # after the predictor answers.
+    predictor, X = _predictor(params, data)
+    clone = pickle.loads(pickle.dumps(predictor))
+    members = (clone, clone.time_forest, clone.power_forest)
+    assert [obj in _FLAT_FORESTS for obj in members] == [True, False, False]
+    _both(clone, X)
+    assert [obj in _FLAT_FORESTS for obj in members] == [True, False, False]
+
+
+def test_priming_hook_repickles_like_default_unpickling(monkeypatch):
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(40, 4)), rng.normal(size=40)
+    predictor = RandomForestPredictor(
+        RandomForestRegressor(n_estimators=3, seed=1).fit(X, y),
+        RandomForestRegressor(n_estimators=2, seed=2).fit(X, -y),
+        CpuPowerModel(1.0, 0.0),
+    )
+    data = pickle.dumps(predictor)
+    primed = pickle.loads(data)
+    monkeypatch.delattr(RandomForestPredictor, "__setstate__")
+    default = pickle.loads(data)
+    assert primed in _FLAT_FORESTS and default not in _FLAT_FORESTS
+    assert pickle.dumps(primed) == pickle.dumps(default)
+
+
+def test_one_block_call_runs_one_descent(monkeypatch):
+    kernels = [
+        KernelSpec("a", ScalingClass.COMPUTE, 5.0, 0.1, parallel_fraction=0.99),
+        KernelSpec("b", ScalingClass.MEMORY, 0.5, 1.0, parallel_fraction=0.9),
+    ]
+    space = ConfigSpace(
+        cpu_states=("P7", "P1"), nb_states=("NB3", "NB0"),
+        gpu_states=("DPM0", "DPM4"), cu_counts=(2, 8),
+    )
+    predictor = train_predictor(kernels=kernels, space=space, n_estimators=3, max_depth=5)
+    table = ConfigTable.from_configs(space.all_configs())
+    counters = [CounterSynthesizer().observe(spec) for spec in kernels]
+    expected = predictor.estimate_matrix_many(counters, table)
+    descents = []
+    descend = forest_module._descend
+
+    def counting(flat, X):
+        descents.append(X.shape[0])
+        return descend(flat, X)
+
+    monkeypatch.setattr(forest_module, "_descend", counting)
+    batches = predictor.estimate_matrix_many(counters, table)
+    assert descents == [2 * len(table)]
+    for batch, reference in zip(batches, expected):
+        assert np.array_equal(batch.times_s, reference.times_s)
+        assert np.array_equal(batch.gpu_power_w, reference.gpu_power_w)

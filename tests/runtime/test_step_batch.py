@@ -8,6 +8,8 @@ advisory prefetch, the bound on the sweeps an optimizer holds, and
 the batching telemetry.
 """
 
+import logging
+
 import pytest
 
 from repro.core.manager import MPCPowerManager
@@ -78,12 +80,21 @@ def test_unknown_session_rejected(sim):
         manager.step_batch([events["a"][0], ghost[0]])
 
 
-def test_failing_prefetch_falls_back_to_lazy_sweep(sim):
+def _warnings(caplog):
+    return [
+        record for record in caplog.records
+        if record.name == "repro.runtime.manager"
+        and record.levelno == logging.WARNING
+    ]
+
+
+def test_failing_prefetch_falls_back_to_lazy_sweep(sim, caplog):
     class ExplosivePrefetch(PPKPolicy):
         def prefetch_counters(self, index):
             raise RuntimeError("prefetch boom")
 
-    batched = _manager(sim)
+    obs = make_instrumentation()
+    batched = _manager(sim, obs=obs)
     batched.add_session(
         "a",
         ExplosivePrefetch(
@@ -92,9 +103,59 @@ def test_failing_prefetch_falls_back_to_lazy_sweep(sim):
     )
     streaming = _manager(sim)
     _sessions(streaming, sim, ["a"])
-    for event in launch_events(APP, session_id="a"):
-        [outcome] = batched.step_batch([event])
-        assert outcome.record == streaming.dispatch(event).record
+    events = list(launch_events(APP, session_id="a"))
+    with caplog.at_level(logging.WARNING, logger="repro.runtime.manager"):
+        for event in events:
+            [outcome] = batched.step_batch([event])
+            assert outcome.record == streaming.dispatch(event).record
+    # The first launch starts a run, so its policy is never asked.
+    fallbacks = obs.registry.counter("repro_fallbacks_total")
+    assert fallbacks.series() == {
+        (("reason", "RuntimeError"), ("site", "step_batch.prefetch")): len(events) - 1
+    }
+    assert len(_warnings(caplog)) == 1
+
+
+def test_failing_group_sweep_falls_back_counted_and_logged_once(sim, caplog):
+    # A deterministic fault in the stacked call only: a lone session's
+    # own sweeps ask for one vector at a time.
+    class StackedCallFault(OraclePredictor):
+        def estimate_matrix_many(self, counters_list, table, indices=None):
+            if len(counters_list) > 1:
+                raise RuntimeError("stacked call fault")
+            return super().estimate_matrix_many(counters_list, table, indices)
+
+    def build(predictor, obs):
+        manager = _manager(sim, obs=obs)
+        for session_id in ("a", "b"):
+            manager.add_session(session_id, PPKPolicy(turbo_target(sim), predictor))
+        return manager
+
+    obs = make_instrumentation()
+    batched = build(StackedCallFault(sim.apu, APP.unique_kernels), obs)
+    clean_obs = make_instrumentation()
+    streaming = build(OraclePredictor(sim.apu, APP.unique_kernels), clean_obs)
+    # Session b runs one launch ahead, so each batch holds one compute
+    # and one memory kernel and their stacked call asks for two vectors.
+    a = list(launch_events(APP, session_id="a"))
+    b = list(launch_events(APP, session_id="b"))
+    streaming.dispatch(b[0])
+    batched.dispatch(b[0])
+    with caplog.at_level(logging.WARNING, logger="repro.runtime.manager"):
+        for step in range(len(a) - 1):
+            batch = [a[step], b[step + 1]]
+            for event, outcome in zip(batch, batched.step_batch(batch)):
+                assert outcome.record == streaming.dispatch(event).record
+    series = obs.registry.counter("repro_fallbacks_total").series()
+    assert set(series) == {
+        (("reason", "RuntimeError"), ("site", "step_batch.group_sweep"))
+    }
+    assert list(series.values())[0] > 1
+    assert len(_warnings(caplog)) == 1
+    # Registered on the fault path only.
+    names = [metric["name"] for metric in clean_obs.registry.snapshot()["metrics"]]
+    assert "repro_runtime_launches_total" in names
+    assert "repro_fallbacks_total" not in names
 
 
 def test_held_sweeps_never_exceed_kernel_records(sim):

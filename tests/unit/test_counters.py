@@ -110,3 +110,54 @@ class TestSynthesis:
 
     def test_different_kernels_different_signatures(self, synth):
         assert synth.nominal(COMPUTE).signature() != synth.nominal(MEMORY).signature()
+
+
+def _direct_observe(synth, spec, sequence):
+    """The unmemoized formula: nominal counters, then seeded jitter."""
+    import hashlib
+
+    nominal = synth.nominal(spec).as_array()
+    if synth.noise == 0.0:
+        return CounterVector.from_array(nominal)
+    digest = hashlib.sha256(repr((synth.seed, spec.key, sequence)).encode()).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    jitter = rng.normal(1.0, synth.noise, size=nominal.shape)
+    return CounterVector.from_array(np.clip(nominal * jitter, 0.0, None))
+
+
+class TestObservationMemo:
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_memoized_observation_equals_the_direct_formula(self, noise):
+        from repro.workloads.suites import all_benchmarks
+
+        synth = CounterSynthesizer(noise=noise)
+        specs = {
+            spec for app in all_benchmarks() for spec in app.unique_kernels
+        }
+        for spec in sorted(specs, key=lambda spec: spec.key):
+            for sequence in range(3):
+                assert synth.observe(spec, sequence) == _direct_observe(
+                    synth, spec, sequence
+                )
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_observing_leaves_pickle_and_description_unchanged(self, noise):
+        import pickle
+
+        from repro.engine.fingerprint import describe
+
+        synth = CounterSynthesizer(noise=noise)
+        before = (pickle.dumps(synth), describe(synth))
+        for sequence in range(3):
+            synth.observe(COMPUTE, sequence)
+            synth.observe(MEMORY, sequence)
+        assert (pickle.dumps(synth), describe(synth)) == before
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_every_call_returns_a_new_vector(self, noise):
+        # The optimizer's sweep cache is keyed by vector object.
+        synth = CounterSynthesizer(noise=noise)
+        first = synth.observe(COMPUTE, sequence=5)
+        second = synth.observe(COMPUTE, sequence=5)
+        assert first == second
+        assert first is not second

@@ -61,6 +61,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="children 1 and 3 are not adjacent"):
             forest.predict(np.array([[0.0]]))
 
+    def test_negative_zero_leaves_average_to_positive_zero(self):
+        # The per-tree loop sums from a +0.0 accumulator, so leaves of
+        # -0.0 average to +0.0; the descent matches it bit for bit.
+        forest = RandomForestRegressor(n_estimators=2)
+        forest.trees = [_stump(left=2, right=3), _stump(left=2, right=3)]
+        for tree in forest.trees:
+            tree._value = np.array([0.0, 0.0, -0.0, -0.0])
+        out = forest.predict(np.array([[0.0], [1.0]]))
+        assert out.tolist() == [0.0, 0.0] and not np.signbit(out).any()
+
 
 class TestFitting:
     def test_learns_smooth_surface(self):
