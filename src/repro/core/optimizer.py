@@ -22,24 +22,24 @@ falls back to the fail-safe configuration [P7, NB2, DPM4, 8 CUs].
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
-from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig, Knob
+from repro.hardware.config import FAILSAFE_CONFIG, KNOBS, ConfigSpace, HardwareConfig
 from repro.hardware.table import ConfigTable
 from repro.ml.predictors import KernelEstimate, PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
 from repro.workloads.counters import CounterVector
 
 __all__ = [
-    "MAX_PASSES", "OptimizationResult", "PartialSweep", "GreedyHillClimbOptimizer",
+    "MAX_PASSES", "OptimizationResult", "MoveTable", "PartialSweep",
+    "GreedyHillClimbOptimizer", "move_table",
 ]
 
 #: Bound on whole sensitivity-order sweeps of the hill climb, which
@@ -75,38 +75,115 @@ class OptimizationResult:
     fail_safe: bool
 
 
+class MoveTable:
+    """Every knob move of one lattice shape, as flat row indices.
+
+    Built once per shape by :func:`move_table` from the same stride
+    arithmetic as :class:`~repro.hardware.table.ConfigTable` (CPU
+    slowest-varying, CU fastest), so each entry equals the table's
+    ``cross``, ``step_index`` and ``set_knob`` for that row.
+
+    Attributes:
+        cross: Per row, the rows within one knob move of it, ascending.
+        steps: Per row and knob position (``KNOBS`` order), the
+            ``(down, up)`` neighbours one axis step away, ``None`` off
+            the axis end.
+        neighbours: Per row and knob position, the ``(side, row)`` pairs
+            of ``steps`` that exist, down (side 0) before up (side 1).
+        probes: Per row, both axis ends of every probed knob through
+            it, ``(low, high)`` per knob in ``probe_knobs`` order.
+        probe_knobs: ``(knob, position, length - 1)`` of every knob
+            whose axis has two or more values.
+    """
+
+    __slots__ = ("cross", "steps", "neighbours", "probes", "probe_knobs")
+
+    def __init__(self, lengths: Tuple[int, ...]) -> None:
+        _, n_nb, n_gpu, n_cu = lengths
+        strides = (n_nb * n_gpu * n_cu, n_gpu * n_cu, n_cu, 1)
+        self.probe_knobs: Tuple[Tuple[str, int, int], ...] = tuple(
+            (knob, position, length - 1)
+            for position, (knob, length) in enumerate(zip(KNOBS, lengths))
+            if length >= 2
+        )
+        self.cross: List[Tuple[int, ...]] = []
+        self.steps: List[Tuple[Tuple[Optional[int], Optional[int]], ...]] = []
+        self.neighbours: List[Tuple[Tuple[Tuple[int, int], ...], ...]] = []
+        self.probes: List[Tuple[int, ...]] = []
+        for index in range(lengths[0] * strides[0]):
+            cross: List[int] = []
+            steps = []
+            neighbours = []
+            ends = []
+            for stride, length in zip(strides, lengths):
+                # The knob's axis through this row runs from low to high.
+                low = index - index // stride % length * stride
+                high = low + (length - 1) * stride
+                cross.extend(range(low, high + 1, stride))
+                down = index - stride if index > low else None
+                up = index + stride if index < high else None
+                steps.append((down, up))
+                options = []
+                if down is not None:
+                    options.append((0, down))
+                if up is not None:
+                    options.append((1, up))
+                neighbours.append(tuple(options))
+                ends.append((low, high))
+            self.cross.append(tuple(sorted(set(cross))))
+            self.steps.append(tuple(steps))
+            self.neighbours.append(tuple(neighbours))
+            self.probes.append(tuple(
+                row for _, position, _ in self.probe_knobs for row in ends[position]
+            ))
+
+
+#: Move tables by lattice shape (axis lengths in ``KNOBS`` order).
+#: Module-level, so every optimizer on a shape shares one table and no
+#: pickled or described object holds it.
+_MOVE_TABLES: Dict[Tuple[int, ...], MoveTable] = {}
+
+
+def move_table(lengths: Tuple[int, ...]) -> MoveTable:
+    """The shared :class:`MoveTable` of a lattice shape, built on first use."""
+    table = _MOVE_TABLES.get(lengths)
+    if table is None:
+        table = _MOVE_TABLES[lengths] = MoveTable(lengths)
+    return table
+
+
 class PartialSweep:
     """One counter vector's whole-lattice sweep, computed a cross at a time.
 
-    The three estimate columns cover every row of the optimizer's
-    table; ``known`` marks the rows computed so far, and only
-    :meth:`GreedyHillClimbOptimizer._fill` computes rows.  The sweep
-    keeps its own copy of the counter values, never the vector object
-    it is cached under: a ``WeakKeyDictionary`` value that references
-    its key keeps that key alive forever.
+    Four plain-float columns cover every row of the optimizer's table,
+    ``None`` in rows not computed yet; only
+    :meth:`GreedyHillClimbOptimizer._fill` computes rows.  ``energy_j``
+    is the predictor batch's energy column, the same IEEE operations as
+    :attr:`KernelEstimate.energy_j`.  The sweep keeps its own copy of
+    the counter values, never the vector object it is cached under: a
+    ``WeakKeyDictionary`` value that references its key keeps that key
+    alive forever.
 
     Attributes:
         counters: A copy of the swept counter values.
-        times_s / gpu_power_w / cpu_power_w: Estimate columns, NaN in
-            rows not computed yet.
-        known: Which rows have been computed.
+        times_s / gpu_power_w / cpu_power_w / energy_j: Estimate columns.
     """
 
-    __slots__ = ("counters", "times_s", "gpu_power_w", "cpu_power_w", "known")
+    __slots__ = ("counters", "times_s", "gpu_power_w", "cpu_power_w", "energy_j")
 
     def __init__(self, counters: CounterVector, rows: int) -> None:
-        self.counters = dataclasses.replace(counters)
-        self.times_s = np.full(rows, np.nan)
-        self.gpu_power_w = np.full(rows, np.nan)
-        self.cpu_power_w = np.full(rows, np.nan)
-        self.known = np.zeros(rows, dtype=bool)
+        self.counters = CounterVector(**vars(counters))
+        self.times_s: List[Optional[float]] = [None] * rows
+        self.gpu_power_w: List[Optional[float]] = [None] * rows
+        self.cpu_power_w: List[Optional[float]] = [None] * rows
+        self.energy_j: List[Optional[float]] = [None] * rows
 
     def estimate(self, i: int) -> KernelEstimate:
         """The scalar :class:`KernelEstimate` of a computed row."""
         return KernelEstimate(
-            time_s=float(self.times_s[i]),
-            gpu_power_w=float(self.gpu_power_w[i]),
-            cpu_power_w=float(self.cpu_power_w[i]),
+            time_s=self.times_s[i],
+            gpu_power_w=self.gpu_power_w[i],
+            cpu_power_w=self.cpu_power_w[i],
         )
 
 
@@ -124,11 +201,14 @@ class GreedyHillClimbOptimizer:
     within one knob move of a configuration): a new sweep starts with
     the cross through the fail-safe, where every climb starts and
     probes, and a read of a row not computed yet computes the rest of
-    the cross through that row.  Chosen configurations, estimate
-    floats, and evaluation counts are identical to a per-configuration
-    search —
-    ``tests/differential/`` replays every scenario family against such
-    a reference, and the golden-result suite depends on that.
+    the cross through that row.  The climb itself compares plain
+    floats: rows are read from the sweep's lists and knob moves from
+    the lattice shape's shared :class:`MoveTable`, and only the
+    returned row becomes a :class:`KernelEstimate`.  Chosen
+    configurations, estimate floats, and evaluation counts are
+    identical to a per-configuration search — ``tests/differential/``
+    replays every scenario family against such a reference, and the
+    golden-result suite depends on that.
 
     Args:
         space: The searchable configuration space.
@@ -187,6 +267,11 @@ class GreedyHillClimbOptimizer:
         )
 
     @property
+    def move_table(self) -> MoveTable:
+        """The knob moves of this optimizer's lattice shape (shared)."""
+        return move_table(self.table.axis_lengths)
+
+    @property
     def lattice_key(self) -> Tuple:
         """Hashable identity of the search lattice.
 
@@ -226,16 +311,18 @@ class GreedyHillClimbOptimizer:
         consumes rows.
         """
         held = self._sweeps
+        sweeps = [held.get(c) for c in counters_list]
+        if None not in sweeps:
+            return sweeps
         misses = self.missing(counters_list)
-        if misses:
-            swept = dict(swept or {})
-            compute = [c for c in misses if c not in swept]
-            if compute:
-                swept.update(zip(compute, self.start_sweeps(compute)))
-            for counters in misses:
-                held[counters] = swept[counters]
-            if self.obs.enabled:
-                self._m_sweeps.inc(len(misses))
+        swept = dict(swept or {})
+        compute = [c for c in misses if c not in swept]
+        if compute:
+            swept.update(zip(compute, self.start_sweeps(compute)))
+        for counters in misses:
+            held[counters] = swept[counters]
+        if self.obs.enabled:
+            self._m_sweeps.inc(len(misses))
         return [held[c] for c in counters_list]
 
     def start_sweeps(self, counters_list: Sequence[CounterVector]) -> List[PartialSweep]:
@@ -259,17 +346,32 @@ class GreedyHillClimbOptimizer:
         batches = self.predictor.estimate_matrix_many(
             [sweep.counters for sweep in sweeps], self.table, rows
         )
+        positions = rows.tolist()
         for sweep, batch in zip(sweeps, batches):
-            sweep.times_s[rows] = batch.times_s
-            sweep.gpu_power_w[rows] = batch.gpu_power_w
-            sweep.cpu_power_w[rows] = batch.cpu_power_w
-            sweep.known[rows] = True
+            times, gpu, cpu, energy = (
+                sweep.times_s, sweep.gpu_power_w, sweep.cpu_power_w, sweep.energy_j
+            )
+            for i, t, g, c, e in zip(
+                positions,
+                batch.times_s.tolist(),
+                batch.gpu_power_w.tolist(),
+                batch.cpu_power_w.tolist(),
+                batch.energy_j.tolist(),
+            ):
+                times[i], gpu[i], cpu[i], energy[i] = t, g, c, e
+
+    def _fill_missing(self, sweep: PartialSweep, rows: Sequence[int]) -> None:
+        """Compute, in one call, the rows of ``rows`` a sweep lacks."""
+        times = sweep.times_s
+        self._fill(
+            (sweep,),
+            np.array([row for row in rows if times[row] is None], dtype=np.intp),
+        )
 
     def _read(self, sweep: PartialSweep, index: int) -> KernelEstimate:
         """One row of a sweep, computing the cross through it if needed."""
-        if not sweep.known[index]:
-            cross = self.table.cross(index)
-            self._fill((sweep,), cross[~sweep.known[cross]])
+        if sweep.times_s[index] is None:
+            self._fill_missing(sweep, self.move_table.cross[index])
         return sweep.estimate(index)
 
     # ----- single kernel -------------------------------------------------------
@@ -288,68 +390,43 @@ class GreedyHillClimbOptimizer:
             The optimization outcome, including the evaluation count
             that the simulator converts into overhead.
         """
-        evals = 0
-        climb_steps: Dict[str, int] = {}
-        table = self.table
-
-        # The whole search runs on flat table indices; configurations
-        # are materialized only for the returned result.  The dozens of
-        # tiny probe/climb requests a search makes all become row reads
-        # of one sweep, which computes a cross of rows the first time
-        # one of them is read; per-row model evaluation is independent,
-        # so each row is float-for-float what a query for that one
-        # configuration returns.  Every fetch charges one evaluation per
-        # requested index whether the row was cached or fresh — the
-        # search's modelled cost is its per-configuration budget.
+        # The whole search runs on flat table indices and plain floats;
+        # a configuration and an estimate are built only for the
+        # returned row.  The dozens of tiny probe/climb requests a
+        # search makes all become row reads of one sweep, which computes
+        # a cross of rows the first time one of them is read; per-row
+        # model evaluation is independent, so each row is float-for-float
+        # what a query for that one configuration returns.  Every
+        # request charges one evaluation whether the row was read before
+        # in this search or not — the search's modelled cost is its
+        # per-configuration budget.
+        moves = self.move_table
         [sweep] = self.sweep_many((record.counters,))
-        memo: Dict[int, KernelEstimate] = {}
-        memo_hits = 0
-
-        def fetch_many(indices: Sequence[int]) -> List[KernelEstimate]:
-            nonlocal evals, memo_hits
-            evals += len(indices)
-            out = []
-            for index in indices:
-                est = memo.get(index)
-                if est is None:
-                    memo[index] = est = self._read(sweep, index)
-                else:
-                    memo_hits += 1
-                out.append(est)
-            return out
-
-        def fetch_one(index: int) -> KernelEstimate:
-            return fetch_many((index,))[0]
-
-        def feasible(est: KernelEstimate) -> bool:
-            return tracker.admits(record.instructions, est.time_s)
-
-        current_index = self._fail_safe_index
-        current_est = fetch_one(current_index)
+        times, energies = sweep.times_s, sweep.energy_j
 
         # Rank knobs by predicted energy sensitivity: |ΔE| across the
-        # knob's full axis, per configuration step.  Both endpoint probes
-        # of every knob go to the predictor as one batch.
-        probe_knobs = [
-            knob for knob in Knob.ALL if table.axis_length(knob) >= 2
-        ]
-        probes = fetch_many(
-            [
-                table.set_knob(current_index, knob, position)
-                for knob in probe_knobs
-                for position in (0, table.axis_length(knob) - 1)
-            ]
-        )
-        sensitivities: List[Tuple[float, str]] = []
-        for index, knob in enumerate(probe_knobs):
-            low, high = probes[2 * index], probes[2 * index + 1]
-            delta = abs(high.energy_j - low.energy_j) / (table.axis_length(knob) - 1)
-            sensitivities.append((delta, knob))
+        # knob's full axis, per configuration step.  The fail-safe row
+        # and the endpoint probes lie on the fail-safe cross, which
+        # every sweep starts with.
+        current = self._fail_safe_index
+        probes = moves.probes[current]
+        evals = 1 + len(probes)
+        # Rows this search has read: a repeated request is a memo hit.
+        seen: Set[int] = {current, *probes}
+        sensitivities: List[Tuple[float, str, int]] = []
+        for n, (knob, position, span) in enumerate(moves.probe_knobs):
+            low, high = probes[2 * n], probes[2 * n + 1]
+            delta = abs(energies[high] - energies[low]) / span
+            sensitivities.append((delta, knob, position))
         sensitivities.sort(key=lambda item: -item[0])
 
-        best_feasible: Optional[Tuple[int, KernelEstimate]] = (
-            (current_index, current_est) if feasible(current_est) else None
-        )
+        # Equation 4: a row is feasible when its time fits the headroom.
+        headroom = tracker.headroom_s(record.instructions)
+        # Every move lands on a feasible row, so once one is found the
+        # current row is the best feasible one so far.
+        found = times[current] <= headroom
+        climb_steps: Dict[str, int] = {}
+        steps, neighbours = moves.steps, moves.neighbours
 
         # Sweep the knobs in sensitivity order; repeat the sweep until a
         # whole pass makes no move (knobs interact — e.g. a lower NB
@@ -357,74 +434,65 @@ class GreedyHillClimbOptimizer:
         # MAX_PASSES times.
         for _ in range(MAX_PASSES):
             moved = False
-            for _, knob in sensitivities:
-                # Pick the climb direction: the feasible neighbour with
-                # the larger energy reduction.  Both neighbours are
-                # estimated in one predictor batch.
-                steps = [
-                    (d, nxt)
-                    for d in (-1, +1)
-                    if (nxt := table.step_index(current_index, knob, d)) is not None
-                ]
-                estimates = fetch_many([nxt for _, nxt in steps])
-                neighbour_est = {
-                    d: (nxt, est)
-                    for (d, nxt), est in zip(steps, estimates)
-                }
-                direction = 0
+            for _, knob, position in sensitivities:
+                # Pick the climb side: the feasible neighbour, down
+                # (side 0) or up (side 1), with the larger energy
+                # reduction.
+                options = neighbours[current][position]
+                for _, index in options:
+                    seen.add(index)
+                    if times[index] is None:
+                        self._fill_missing(sweep, moves.cross[index])
+                evals += len(options)
+                energy = energies[current]
+                side = -1
                 best_gain = 1e-12
-                for d, (nxt, est) in neighbour_est.items():
-                    if feasible(est) and current_est.energy_j - est.energy_j > best_gain:
-                        best_gain = current_est.energy_j - est.energy_j
-                        direction = d
-                if direction == 0:
+                for option_side, index in options:
+                    if times[index] <= headroom and energy - energies[index] > best_gain:
+                        best_gain = energy - energies[index]
+                        side, chosen = option_side, index
+                if side < 0:
                     # No energy-reducing feasible neighbour; but if we
                     # are still infeasible, move toward feasibility.
-                    if best_feasible is None:
-                        for d, (nxt, est) in neighbour_est.items():
-                            if feasible(est):
-                                current_index, current_est = nxt, est
-                                best_feasible = (current_index, current_est)
+                    if not found:
+                        for _, index in options:
+                            if times[index] <= headroom:
+                                current = index
+                                found = moved = True
                                 climb_steps[knob] = climb_steps.get(knob, 0) + 1
-                                moved = True
                                 break
                     continue
 
-                current_index, current_est = neighbour_est[direction]
-                best_feasible = (current_index, current_est)
+                current = chosen
+                found = moved = True
                 climb_steps[knob] = climb_steps.get(knob, 0) + 1
-                moved = True
                 # Keep climbing until the energy increases (paper: "the
                 # search stops once the energy increases") or we fall
                 # off the axis or out of feasibility.
                 while True:
-                    nxt = table.step_index(current_index, knob, direction)
-                    if nxt is None:
+                    index = steps[current][position][side]
+                    if index is None:
                         break
-                    est = fetch_one(nxt)
-                    if not feasible(est) or est.energy_j >= current_est.energy_j:
+                    seen.add(index)
+                    if times[index] is None:
+                        self._fill_missing(sweep, moves.cross[index])
+                    evals += 1
+                    if not times[index] <= headroom or energies[index] >= energies[current]:
                         break
-                    current_index, current_est = nxt, est
-                    best_feasible = (current_index, current_est)
+                    current = index
                     climb_steps[knob] = climb_steps.get(knob, 0) + 1
             if not moved:
                 break
 
-        if best_feasible is None:
-            fail_est = fetch_one(self._fail_safe_index)
-            if self.obs.enabled:
-                self._record_search(evals, climb_steps, memo_hits)
-            return OptimizationResult(
-                config=self.fail_safe, estimate=fail_est,
-                evaluations=evals, fail_safe=True,
-            )
-
+        if not found:
+            # The fail-safe row is requested once more for the result.
+            evals += 1
         if self.obs.enabled:
-            self._record_search(evals, climb_steps, memo_hits)
-        chosen_index, est = best_feasible
+            self._record_search(evals, climb_steps, evals - len(seen))
         return OptimizationResult(
-            config=table.config_at(chosen_index), estimate=est,
-            evaluations=evals, fail_safe=False,
+            config=self.table.config_at(current) if found else self.fail_safe,
+            estimate=sweep.estimate(current),
+            evaluations=evals, fail_safe=not found,
         )
 
     def _record_search(self, evals: int, climb_steps: Dict[str, int],
@@ -584,10 +652,10 @@ class GreedyHillClimbOptimizer:
         reserve_insts = 0.0
         pending: dict = {}
         for record, sweep in zip(to_reserve, sweeps[len(window):]):
-            estimate = sweep.estimate(self._fail_safe_index)
+            time_s = sweep.times_s[self._fail_safe_index]
             total_evals += 1
-            pending[id(record)] = (record.instructions, estimate.time_s)
-            reserve_time += estimate.time_s
+            pending[id(record)] = (record.instructions, time_s)
+            reserve_time += time_s
             reserve_insts += record.instructions
         speculative.update(reserve_insts, reserve_time)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.fingerprint import CODE_VERSION, describe, fingerprint
+from repro.engine.fingerprint import CODE_VERSION, Described, describe, fingerprint
 from repro.engine.serialize import run_result_from_dict, run_result_to_dict
 from repro.engine.variants import VARIANTS, RunKey, RunRequest, produced_keys
 from repro.obs import Instrumentation, NOOP, or_noop, publish_cache_stats
@@ -166,10 +166,24 @@ class ExperimentEngine:
             payload["predictor"] = ctx.predictor_fingerprint()
         return describe(payload)
 
+    def _run_base(self, ctx: Any, request: RunRequest) -> Described:
+        """The ``base`` entry of a request's run keys, described once.
+
+        A run key fingerprints ``{"base": <described payload>, "run":
+        ...}``, which describes the described payload a second time;
+        that second description is the same for every run key of the
+        request, so it is made here once and wrapped to be reused.
+        """
+        return Described(describe(self._base_payload(ctx, request)))
+
     def key_for(self, ctx: Any, request: RunRequest, run_key: RunKey,
-                base: Any = None) -> str:
-        """Cache key of one produced run of a request."""
-        base = base if base is not None else self._base_payload(ctx, request)
+                base: Optional[Described] = None) -> str:
+        """Cache key of one produced run of a request.
+
+        ``base`` is the request's :meth:`_run_base`, passed by callers
+        that key several of its runs.
+        """
+        base = base if base is not None else self._run_base(ctx, request)
         return fingerprint({"base": base, "run": list(run_key)})
 
     # ----- cache access ---------------------------------------------------------
@@ -179,7 +193,7 @@ class ExperimentEngine:
         """Load every run a request produces, or ``None`` on any miss."""
         keys = produced_keys(request)
         self.stats.requests += 1
-        base = self._base_payload(ctx, request)
+        base = self._run_base(ctx, request)
         loaded: Dict[RunKey, RunResult] = {}
         for run_key in keys:
             payload = self.cache.load(self.key_for(ctx, request, run_key, base))
@@ -195,7 +209,7 @@ class ExperimentEngine:
     def store_request(self, ctx: Any, request: RunRequest,
                       runs: Dict[RunKey, RunResult]) -> None:
         """Persist every run a request produced."""
-        base = self._base_payload(ctx, request)
+        base = self._run_base(ctx, request)
         for run_key, run in runs.items():
             summary = {
                 "benchmark": request.benchmark,

@@ -23,11 +23,25 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["CODE_VERSION", "describe", "canonical_json", "fingerprint"]
+__all__ = ["CODE_VERSION", "Described", "describe", "canonical_json", "fingerprint"]
 
 #: Bump to invalidate every cached result (simulation-affecting code
 #: changes that are not visible in the described object graphs).
 CODE_VERSION = "engine-v1"
+
+
+class Described:
+    """A structure :func:`describe` already returned, kept as it is.
+
+    :func:`describe` returns the wrapped value unchanged, so a large
+    described structure that recurs in many payloads is walked once,
+    not once per payload.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
 
 
 def describe(obj: Any) -> Any:
@@ -53,6 +67,8 @@ def describe(obj: Any) -> Any:
         return ["seq", [describe(v) for v in obj]]
     if kind is dict:
         return ["dict", sorted((str(k), describe(v)) for k, v in obj.items())]
+    if kind is Described:
+        return obj.value
     if isinstance(obj, enum.Enum):
         return ["enum", type(obj).__name__, obj.value]
     if isinstance(obj, np.ndarray):

@@ -172,6 +172,13 @@ class ConfigTable:
 
     # ----- index-space knob arithmetic ---------------------------------------
 
+    @property
+    def axis_lengths(self) -> Tuple[int, ...]:
+        """Every knob's axis length, in ``KNOBS`` order (lattice tables only)."""
+        self._require_lattice()
+        assert self._axis_lengths is not None
+        return self._axis_lengths
+
     def axis_length(self, knob: str) -> int:
         """Number of values on a knob's axis (lattice tables only)."""
         self._require_lattice()

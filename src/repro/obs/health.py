@@ -439,8 +439,11 @@ class HealthMonitor:
         health = self.sessions.get(session)
         if health is None:
             # Slow path: canonicalize the id (handles missing/odd
-            # values) and register the session.
-            session = str(session or "")
+            # values) and register the session.  A launch with no
+            # session id comes from a plain application run (the
+            # experiment engine, `repro run`), which is its own health
+            # session, named by its app and policy.
+            session = str(session or "") or f"{get('app')}/{get('policy')}"
             health = self.sessions.get(session)
             if health is None:
                 health = self.sessions[session] = SessionHealth(session)

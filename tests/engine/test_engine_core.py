@@ -133,6 +133,25 @@ class TestParallelEngine:
             reports.append(obs.health.report())
         assert reports[0] == reports[1]
 
+    def test_each_run_is_its_own_health_session(self, tmp_path):
+        # Engine runs carry no session id; the monitor keys each one by
+        # its (app, policy), so unrelated runs share no detector state.
+        obs = make_instrumentation(health=True)
+        engine = ExperimentEngine(jobs=1, cache_dir=str(tmp_path), obs=obs)
+        ctx = small_context(tmp_path, engine)
+        engine.prefetch(ctx, canonical_requests(ctx))
+        launches = {}
+        for span in obs.tracer.spans:
+            if span["name"] == "launch":
+                attrs = span["attributes"]
+                assert attrs["session"] == ""
+                run = f"{attrs['app']}/{attrs['policy']}"
+                launches[run] = launches.get(run, 0) + 1
+        assert len(launches) > 1
+        assert {
+            name: health.decisions for name, health in obs.health.sessions.items()
+        } == launches
+
     def test_worker_exception_surfaces_original_traceback(self, cache_dir):
         engine = ExperimentEngine(jobs=2, cache_dir=str(cache_dir))
         ctx = small_context(cache_dir, engine)

@@ -25,7 +25,7 @@ from repro.engine import (
     produced_keys,
     variants,
 )
-from repro.engine.fingerprint import canonical_json, describe, fingerprint
+from repro.engine.fingerprint import Described, canonical_json, describe, fingerprint
 from repro.obs import make_instrumentation
 from repro.workloads.kernel import KernelSpec
 
@@ -81,6 +81,15 @@ class TestDescribe:
 
     def test_negative_zero_is_normalized(self):
         assert fingerprint(-0.0) == fingerprint(0.0)
+
+    @given(json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_described_value_is_kept_as_it_is(self, value):
+        described = describe(value)
+        assert describe(Described(described)) is described
+        assert fingerprint({"base": Described(described), "run": [1]}) == (
+            fingerprint({"base": value, "run": [1]})
+        )
 
     def test_dataclass_fields_described(self):
         @dataclasses.dataclass
@@ -190,6 +199,21 @@ class TestRunKeys:
         ppk = RunRequest("NBody", "ppk")
         assert self.key(engine, ctx, turbo) == self.key(engine, other, turbo)
         assert self.key(engine, ctx, ppk) != self.key(engine, other, ppk)
+
+    def test_every_canonical_key_matches_the_two_describe_formula(self, pair):
+        # A run key is the fingerprint of {"base": <described payload>,
+        # "run": [...]}; describing the base once per request must give
+        # the same bytes, so no cached entry is orphaned.
+        engine, ctx = pair
+        checked = 0
+        for request in canonical_requests(ctx):
+            base = engine._base_payload(ctx, request)
+            for run_key in produced_keys(request):
+                assert engine.key_for(ctx, request, run_key) == fingerprint(
+                    {"base": base, "run": list(run_key)}
+                )
+                checked += 1
+        assert checked > len(canonical_requests(ctx))
 
     def test_default_rf_fingerprint_needs_no_training(self, cache_dir, engine):
         from repro.experiments.common import ExperimentContext

@@ -264,6 +264,15 @@ class TestMetricsAndSpans:
         )
         assert monitor.sessions["s"].decisions == 1
 
+    def test_launches_without_a_session_are_keyed_by_app_and_policy(self):
+        monitor = HealthMonitor()
+        for app, policy in [("a", "MPC"), ("b", "MPC"), ("a", "PPK"), ("a", "MPC")]:
+            monitor.observe_launch(launch(session="", app=app, policy=policy))
+        monitor.observe_launch(launch(session="s", app="a", policy="MPC"))
+        assert {
+            name: health.decisions for name, health in monitor.sessions.items()
+        } == {"a/MPC": 2, "b/MPC": 1, "a/PPK": 1, "s": 1}
+
 
 class TestNullMonitor:
     def test_null_monitor_is_inert(self):

@@ -1,12 +1,16 @@
 """Unit tests for greedy hill climbing and the MPC window optimization."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.optimizer import GreedyHillClimbOptimizer
+from repro.core.optimizer import GreedyHillClimbOptimizer, MoveTable, move_table
 from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
 from repro.hardware.apu import APUModel
-from repro.hardware.config import ConfigSpace
+from repro.hardware.config import KNOBS, ConfigSpace
+from repro.hardware.table import ConfigTable
 from repro.ml.predictors import OraclePredictor, PerfPowerPredictor, train_predictor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.workloads.counters import CounterSynthesizer
@@ -292,3 +296,66 @@ def test_forest_backed_searches_never_descend_single_trees(apu, space, monkeypat
     for result in [single, *batch]:
         assert result.config in space
         assert result.evaluations > 1
+
+
+# ----- the shared move table ---------------------------------------------------
+
+#: A restricted lattice whose NB axis holds one value: the probe skips
+#: that knob, and the table has no NB moves.
+SINGLE_NB_SPACE = ConfigSpace(
+    cpu_states=("P7", "P4", "P1"), nb_states=("NB2",),
+    gpu_states=("DPM0", "DPM4"), cu_counts=(2, 4, 8),
+)
+
+
+class TestMoveTable:
+    @pytest.mark.parametrize(
+        "space", [ConfigSpace(), SINGLE_NB_SPACE], ids=["table-i", "single-nb"]
+    )
+    def test_every_row_equals_config_table_arithmetic(self, space):
+        table = ConfigTable(space)
+        moves = move_table(table.axis_lengths)
+        # A single-value axis is never probed, so never climbed.
+        probed = [knob for knob in KNOBS if table.axis_length(knob) >= 2]
+        assert [knob for knob, _, _ in moves.probe_knobs] == probed
+        assert [
+            (KNOBS[position], span) for _, position, span in moves.probe_knobs
+        ] == [(knob, table.axis_length(knob) - 1) for knob in probed]
+        assert len(moves.cross) == len(table)
+        for index in range(len(table)):
+            assert list(moves.cross[index]) == table.cross(index).tolist()
+            for position, knob in enumerate(KNOBS):
+                down, up = moves.steps[index][position]
+                assert down == table.step_index(index, knob, -1)
+                assert up == table.step_index(index, knob, +1)
+                assert moves.neighbours[index][position] == tuple(
+                    (side, row) for side, row in enumerate((down, up))
+                    if row is not None
+                )
+            assert moves.probes[index] == tuple(
+                table.set_knob(index, knob, end)
+                for knob in probed
+                for end in (0, table.axis_length(knob) - 1)
+            )
+
+    def test_optimizers_on_one_lattice_share_one_table(self, apu, space):
+        a = _optimizer(apu, space, [COMPUTE])
+        b = GreedyHillClimbOptimizer(ConfigSpace(), OraclePredictor(apu, [MEMORY]))
+        assert a.move_table is b.move_table
+        assert a.move_table is not _optimizer(apu, SINGLE_NB_SPACE, [COMPUTE]).move_table
+        # Held by the module memo, never by the optimizer itself.
+        a.optimize_kernel(_record(COMPUTE), PerformanceTracker(_targets(apu, space)["easy"]))
+        assert not any(isinstance(value, MoveTable) for value in vars(a).values())
+
+    def test_cached_sweep_holds_no_reference_to_its_vector(self, apu, space):
+        optimizer = _optimizer(apu, space, [COMPUTE])
+        counters = CounterSynthesizer().observe(COMPUTE, sequence=3)
+        [sweep] = optimizer.sweep_many([counters])
+        assert sweep.counters == counters
+        assert sweep.counters is not counters
+        assert not any(ref is counters for ref in gc.get_referents(sweep))
+        alive = weakref.ref(counters)
+        del counters
+        gc.collect()
+        assert alive() is None
+        assert len(optimizer._sweeps) == 0
