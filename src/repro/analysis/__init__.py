@@ -2,16 +2,13 @@
 
 ``repro lint`` machine-checks the correctness properties the engine,
 runtime, and obs layers rely on but cannot enforce at runtime:
-simulated-time discipline (RL001), seeded randomness (RL002),
-process-pool pickle safety (RL004), and — via the flow-sensitive tier
-(:mod:`repro.analysis.flow`: per-function CFGs plus dataflow
-fixpoints) — lock discipline (RL009) and unguarded shared-state
-mutation (RL012).  Invariants a test can pin (serializer and
-trace-format coverage, describable fingerprint inputs, obs purity,
-memo staleness, mutable defaults, budget conservation) are pinned by
-tests instead.  See ``docs/ANALYSIS.md``
-for the full catalogue, the suppression and annotation syntax, and how
-to add a rule.
+simulated-time discipline (RL001), seeded randomness (RL002) and
+process-pool pickle safety (RL004).  Invariants a test can pin
+(serializer and trace-format coverage, describable fingerprint inputs,
+obs purity, memo staleness, mutable defaults, budget conservation, the
+metrics registry's lock discipline) are pinned by tests instead.  See
+``docs/ANALYSIS.md`` for the full catalogue, the suppression syntax,
+and how to add a rule.
 
 Public API::
 

@@ -2,10 +2,10 @@
 
 :func:`run_lint` is the single entry point used by the CLI and the
 tests.  It discovers ``*.py`` files under the given paths, parses each
-once, builds the cross-module :class:`~repro.analysis.index.ProjectIndex`,
-runs the selected rules, filters suppressed findings, and returns a
-:class:`LintResult` whose :attr:`~LintResult.exit_code` follows the
-usual linter convention (0 clean, 1 findings, 2 unusable input).
+once, runs the selected rules on every module, filters suppressed
+findings, and returns a :class:`LintResult` whose
+:attr:`~LintResult.exit_code` follows the usual linter convention (0
+clean, 1 findings, 2 unusable input).
 
 Files that fail to parse produce a single :data:`PARSE_ERROR_ID`
 finding instead of aborting the run, so one broken fixture cannot hide
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.index import ModuleInfo, ProjectIndex, build_module
+from repro.analysis.index import ModuleInfo, build_module
 from repro.analysis.registry import Rule, resolve_selection
 
 # Importing the rules package registers the built-in rule catalogue.
@@ -126,17 +126,14 @@ def _parse_all(
 
 
 def _run_rules(
-    rules: Sequence[Rule], modules: Sequence[ModuleInfo], index: ProjectIndex
+    rules: Sequence[Rule], modules: Sequence[ModuleInfo]
 ) -> Tuple[List[Finding], Dict[str, float]]:
     findings: List[Finding] = []
     timings: Dict[str, float] = {}
     for rule in rules:
         start = time.perf_counter()
-        if rule.module_check is not None:
-            for module in modules:
-                findings.extend(rule.module_check(module, index))
-        if rule.project_check is not None:
-            findings.extend(rule.project_check(index))
+        for module in modules:
+            findings.extend(rule.check(module))
         timings[rule.id] = time.perf_counter() - start
     return findings, timings
 
@@ -177,8 +174,7 @@ def run_lint(
     rules = resolve_selection(select, ignore)
     files = discover_files(paths)
     modules, findings = _parse_all(files, root)
-    index = ProjectIndex(modules=modules)
-    rule_findings, timings = _run_rules(rules, modules, index)
+    rule_findings, timings = _run_rules(rules, modules)
     findings.extend(rule_findings)
     kept, suppressed = _apply_suppressions(findings, modules)
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))

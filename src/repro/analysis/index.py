@@ -1,12 +1,9 @@
-"""The cross-module project index rules run against.
+"""The parsed modules rules run against.
 
 The engine parses every discovered file once into a :class:`ModuleInfo`
-(AST, source, suppressions, normalized path) and aggregates them into a
-:class:`ProjectIndex`.  Each module carries its import alias map, so
-every rule resolves ``np.random.default_rng`` and friends the same way;
-derived facts that more than one rule needs (the flow models and the
-call graph of :mod:`repro.analysis.flow`) live in the ``caches`` of the
-module or the index, so individual rules stay small and single-purpose.
+(AST, source, suppressions, normalized path).  Each module carries its
+import alias map, so every rule resolves ``np.random.default_rng`` and
+friends the same way.
 
 Path scoping uses the *normalized relative path* (``rel_path``, always
 ``/``-separated).  Rules match path fragments such as
@@ -26,7 +23,6 @@ from repro.analysis.suppressions import Suppressions, scan_suppressions
 
 __all__ = [
     "ModuleInfo",
-    "ProjectIndex",
     "build_module",
     "dotted_name",
 ]
@@ -56,9 +52,6 @@ class ModuleInfo:
         suppressions: The file's suppression directives.
         import_aliases: Local name -> imported dotted name, e.g.
             ``{"np": "numpy", "perf_counter": "time.perf_counter"}``.
-        caches: Scratch space for derived per-module facts (e.g. the
-            flow model built by :mod:`repro.analysis.flow`), keyed by
-            subsystem; never part of module identity.
     """
 
     path: str
@@ -67,9 +60,6 @@ class ModuleInfo:
     source: str
     suppressions: Suppressions
     import_aliases: Dict[str, str] = field(default_factory=dict)
-    caches: Dict[str, object] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Fully-qualified dotted name of a ``Name``/``Attribute`` chain.
@@ -127,23 +117,6 @@ def build_module(path: str, root: Optional[str] = None) -> ModuleInfo:
         source=source,
         suppressions=scan_suppressions(source),
         import_aliases=_import_aliases(tree),
-    )
-
-
-@dataclass
-class ProjectIndex:
-    """Every linted module, plus scratch space for cross-module facts.
-
-    Attributes:
-        modules: Every successfully parsed module, in discovery order.
-        caches: Scratch space for derived cross-module facts (e.g. the
-            call-graph layer of :mod:`repro.analysis.flow`), keyed by
-            subsystem; never part of index identity.
-    """
-
-    modules: List[ModuleInfo] = field(default_factory=list)
-    caches: Dict[str, object] = field(
-        default_factory=dict, repr=False, compare=False
     )
 
 

@@ -1,15 +1,8 @@
 """The pluggable rule registry.
 
 A rule is a plain function registered with the :func:`rule` decorator.
-Two shapes exist:
-
-* **module rules** (``scope="module"``) are called once per linted file
-  with ``(module, index)`` and yield findings for that file;
-* **flow rules** (``scope="flow"``) are called once per lint run with
-  the whole :class:`~repro.analysis.index.ProjectIndex`, may relate
-  facts across files, and build per-function CFGs and run dataflow
-  fixpoints (:mod:`repro.analysis.flow`) — the most expensive tier,
-  surfaced as such by ``--list-rules`` and ``--stats``.
+It is called once per linted file with that file's
+:class:`~repro.analysis.index.ModuleInfo` and yields findings for it.
 
 Registration is import-time: :mod:`repro.analysis.rules` imports every
 rule module, so constructing an engine is enough to see the full
@@ -22,12 +15,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.index import ModuleInfo, ProjectIndex
+from repro.analysis.index import ModuleInfo
 
 __all__ = ["Rule", "rule", "all_rules", "get_rule", "resolve_selection"]
 
-ModuleCheck = Callable[[ModuleInfo, ProjectIndex], Iterable[Finding]]
-ProjectCheck = Callable[[ProjectIndex], Iterable[Finding]]
+ModuleCheck = Callable[[ModuleInfo], Iterable[Finding]]
 
 
 @dataclass(frozen=True)
@@ -40,27 +32,14 @@ class Rule:
         name: Short kebab-case name for reports.
         severity: Default severity of the rule's findings.
         description: One-line rationale shown in the catalogue.
-        scope: ``"module"`` or ``"flow"``.
-        module_check: Per-file check (module-scope rules).
-        project_check: Whole-index check (flow-scope rules).
+        check: The per-file check.
     """
 
     id: str
     name: str
     severity: Severity
     description: str
-    scope: str = "module"
-    module_check: Optional[ModuleCheck] = None
-    project_check: Optional[ProjectCheck] = None
-
-    @property
-    def needs_index(self) -> bool:
-        """Whether the rule reads the cross-module ProjectIndex.
-
-        Module rules receive the index but only look at their own
-        file; flow rules cannot run without it.
-        """
-        return self.scope == "flow"
+    check: ModuleCheck
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -71,8 +50,7 @@ def rule(
     name: str,
     description: str,
     severity: Severity = Severity.ERROR,
-    scope: str = "module",
-) -> Callable[[Callable[..., Iterable[Finding]]], Callable[..., Iterable[Finding]]]:
+) -> Callable[[ModuleCheck], ModuleCheck]:
     """Register a check function as a lint rule.
 
     Args:
@@ -81,22 +59,15 @@ def rule(
         name: Short kebab-case rule name.
         description: One-line rationale.
         severity: Default severity for the rule's findings.
-        scope: ``"module"`` or ``"flow"``.
     """
-    if scope not in ("module", "flow"):
-        raise ValueError(f"unknown rule scope {scope!r}")
 
-    def decorator(
-        check: Callable[..., Iterable[Finding]]
-    ) -> Callable[..., Iterable[Finding]]:
+    def decorator(check: ModuleCheck) -> ModuleCheck:
         _REGISTRY[id] = Rule(
             id=id,
             name=name,
             severity=severity,
             description=description,
-            scope=scope,
-            module_check=check if scope == "module" else None,
-            project_check=check if scope != "module" else None,
+            check=check,
         )
         return check
 

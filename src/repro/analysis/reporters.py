@@ -14,6 +14,8 @@ Schema history:
   are deliberately *not* serialized: reports must be byte-stable for
   identical trees.
 * **3** — drops that summary count together with baseline files.
+* **4** — drops ``scope`` and ``needs_index`` from the rule metadata:
+  every rule checks one module at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ __all__ = [
 ]
 
 #: Bump when the JSON report layout changes.
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 
 def render_text(result: LintResult) -> str:
@@ -56,14 +58,11 @@ def _rule_meta(rule_id: str) -> Dict[str, Any]:
     except KeyError:
         # A report parsed from an older run may name rules this build
         # no longer registers; keep the id, degrade the rest.
-        return {"id": rule_id, "name": None, "scope": None,
-                "severity": None, "needs_index": None}
+        return {"id": rule_id, "name": None, "severity": None}
     return {
         "id": rule.id,
         "name": rule.name,
-        "scope": rule.scope,
         "severity": rule.severity.value,
-        "needs_index": rule.needs_index,
     }
 
 
@@ -100,23 +99,11 @@ def parse_json(text: str) -> LintResult:
 
 
 def render_catalogue() -> str:
-    """The registered rule catalogue, one line per rule.
-
-    Each line names the rule's scope tier — ``module`` (one file at a
-    time) or ``flow`` (CFG + dataflow fixpoints over the cross-module
-    index, the most expensive) — and marks the tier that cannot run
-    without the cross-module ProjectIndex.
-    """
-    lines = []
-    for rule in all_rules():
-        scope = rule.scope
-        if rule.needs_index:
-            scope += ", needs project index"
-        lines.append(
-            f"{rule.id} {rule.name} [{rule.severity.value}] "
-            f"({scope}): {rule.description}"
-        )
-    return "\n".join(lines)
+    """The registered rule catalogue, one line per rule."""
+    return "\n".join(
+        f"{rule.id} {rule.name} [{rule.severity.value}]: {rule.description}"
+        for rule in all_rules()
+    )
 
 
 def render_stats(result: LintResult) -> str:
@@ -124,15 +111,11 @@ def render_stats(result: LintResult) -> str:
     counts: Dict[str, int] = {}
     for finding in result.findings:
         counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-    lines = ["rule     scope     time      findings"]
+    lines = ["rule     time      findings"]
     for rule_id in result.rules_run:
-        meta = _rule_meta(rule_id)
-        scope = meta["scope"] or "?"
         seconds = result.timings.get(rule_id)
         timed = f"{seconds * 1000.0:7.1f}ms" if seconds is not None else "       —"
-        lines.append(
-            f"{rule_id:<8} {scope:<9} {timed}  {counts.get(rule_id, 0):8d}"
-        )
+        lines.append(f"{rule_id:<8} {timed}  {counts.get(rule_id, 0):8d}")
     total = sum(result.timings.values())
-    lines.append(f"total    {'':<9} {total * 1000.0:7.1f}ms")
+    lines.append(f"total    {total * 1000.0:7.1f}ms")
     return "\n".join(lines)

@@ -19,7 +19,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.index import ModuleInfo, ProjectIndex, dotted_name
+from repro.analysis.index import ModuleInfo, dotted_name
 from repro.analysis.registry import rule
 from repro.analysis.rules.common import ScopeMap
 
@@ -181,9 +181,7 @@ def _check_payload(
     "process-pool submissions must be module-level callables with "
     "plain-value payloads (no locks, files, or obs bundles)",
 )
-def check_worker_pickle_safety(
-    module: ModuleInfo, index: ProjectIndex
-) -> Iterator[Finding]:
+def check_worker_pickle_safety(module: ModuleInfo) -> Iterator[Finding]:
     """Flag unpicklable process-pool targets and payloads."""
     # Built at the first pool-shaped call: most modules have none.
     scopes: Optional[ScopeMap] = None

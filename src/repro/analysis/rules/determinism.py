@@ -23,7 +23,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.index import ModuleInfo, ProjectIndex, path_matches
+from repro.analysis.index import ModuleInfo, path_matches
 from repro.analysis.registry import rule
 
 __all__ = ["check_wallclock", "check_unseeded_rng"]
@@ -98,7 +98,7 @@ def _has_seed_argument(call: ast.Call) -> bool:
     "simulated-time code must never read the wall clock "
     "(inject a clock or pass time explicitly)",
 )
-def check_wallclock(module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
+def check_wallclock(module: ModuleInfo) -> Iterator[Finding]:
     """Flag wall-clock reads in simulated-time modules."""
     if not any(path_matches(module.rel_path, hot) for hot in HOT_PATHS):
         return
@@ -126,7 +126,7 @@ def check_wallclock(module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding
     "unseeded-rng",
     "random draws must come from an explicitly seeded generator",
 )
-def check_unseeded_rng(module: ModuleInfo, index: ProjectIndex) -> Iterator[Finding]:
+def check_unseeded_rng(module: ModuleInfo) -> Iterator[Finding]:
     """Flag unseeded or process-global random number generation."""
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):

@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--list-rules", action="store_true",
-        help="print the rule catalogue (id, scope, index needs) and exit",
+        help="print the rule catalogue (id, name, severity) and exit",
     )
     lint.add_argument(
         "--stats", action="store_true",

@@ -271,7 +271,9 @@ class ExperimentEngine:
                         ctx, request, obs.registry
                     )
                 else:
-                    computed = VARIANTS[request.variant].compute(ctx, request)
+                    computed = VARIANTS[request.variant].compute(
+                        ctx, request, obs
+                    )
                     spans = []
                 ctx._runs.update(computed)
                 self.store_request(ctx, request, computed)
@@ -375,34 +377,16 @@ def _reemit(obs: Instrumentation, spans: List[Dict[str, Any]]) -> None:
 def _compute_request_with_capture(
     ctx: Any, request: RunRequest, registry: Any
 ) -> Tuple[Dict[RunKey, RunResult], List[Dict[str, Any]]]:
-    """Compute one request, capturing the spans of the runs it produces.
+    """Compute one request into ``registry``, capturing its spans.
 
-    The context's instrumentation is swapped for a private tracer (the
-    registry flows through unswapped) for the duration of the compute,
-    and the captured spans are filtered to the app/policy identities of
-    the runs the request itself produces.  Dependency runs computed on
-    the way (e.g. the Turbo baseline behind ``target_throughput``) are
-    dropped: on the serial path they trace under their own request, so
-    filtering is what keeps a trace identical across job counts.
+    Only the runs the request produces are instrumented: a dependency
+    computed on the way (the Turbo baseline behind
+    ``target_throughput``) runs uninstrumented, so neither the trace
+    nor the metrics depend on which process computed what.
     """
-    prior = getattr(ctx, "obs", None)
     capture = Instrumentation(registry, Tracer(keep=True))
-    ctx.obs = capture
-    try:
-        runs = VARIANTS[request.variant].compute(ctx, request)
-    finally:
-        ctx.obs = prior if prior is not None else NOOP
-    identities = {(run.app_name, run.policy_name) for run in runs.values()}
-    spans = [
-        span
-        for span in capture.tracer.spans
-        if (
-            span.get("attributes", {}).get("app"),
-            span.get("attributes", {}).get("policy"),
-        )
-        in identities
-    ]
-    return runs, spans
+    runs = VARIANTS[request.variant].compute(ctx, request, capture)
+    return runs, capture.tracer.spans
 
 
 # ----- worker side ----------------------------------------------------------
@@ -452,7 +436,7 @@ def _worker_compute(request: RunRequest) -> Tuple[str, Any, Any]:
                 "task_s": time.perf_counter() - start,
             }
         else:
-            runs = VARIANTS[request.variant].compute(_WORKER_CTX, request)
+            runs = VARIANTS[request.variant].compute(_WORKER_CTX, request, NOOP)
         return (
             "ok",
             [

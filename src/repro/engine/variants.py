@@ -27,7 +27,7 @@ from repro.core.manager import MPCPowerManager
 from repro.core.oracle import solve_theoretically_optimal
 from repro.core.policies import PlannedPolicy, PPKPolicy
 from repro.ml.errors import SyntheticErrorPredictor
-from repro.obs import Instrumentation, NOOP
+from repro.obs import Instrumentation
 from repro.runtime.session import invocation_pair
 from repro.sim.trace import RunResult
 from repro.sim.turbocore import TurboCorePolicy
@@ -73,14 +73,15 @@ class VariantSpec:
 
     Attributes:
         produces: Maps a request to the run keys it computes.
-        compute: Executes the request against a context, returning one
-            :class:`RunResult` per produced key.
+        compute: Executes the request against a context under the
+            given instrumentation, returning one :class:`RunResult` per
+            produced key.
         needs: Names of context-level fingerprint dependencies; the
             single dynamic dependency is ``"predictor"``.
     """
 
     produces: Callable[[RunRequest], Tuple[RunKey, ...]]
-    compute: Callable[[Any, RunRequest], Dict[RunKey, RunResult]]
+    compute: Callable[[Any, RunRequest, Instrumentation], Dict[RunKey, RunResult]]
     needs: Callable[[RunRequest], Tuple[str, ...]]
 
 
@@ -100,41 +101,42 @@ def _needs(*names: str) -> Callable[[RunRequest], Tuple[str, ...]]:
 # is produced; ExperimentContext delegates here.  They intentionally use
 # the context's shared building blocks (app/predictor/oracle/target) so
 # that derived runs (e.g. the Turbo baseline behind target_throughput)
-# flow through the cache as their own requests.
+# flow through the cache as their own requests.  Only the runs a request
+# produces are instrumented, with the ``obs`` they are handed.
 
 
-def _obs(ctx: Any) -> Instrumentation:
-    """The context's instrumentation (no-op for contexts without one)."""
-    return getattr(ctx, "obs", NOOP)
-
-
-def _compute_turbo(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_turbo(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     run = ctx.sim.run(
-        ctx.app(name), TurboCorePolicy(tdp_w=ctx.apu.tdp_w), obs=_obs(ctx)
+        ctx.app(name), TurboCorePolicy(tdp_w=ctx.apu.tdp_w), obs=obs
     )
     return {(name, "turbo"): run}
 
 
-def _compute_ppk(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_ppk(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     policy = PPKPolicy(ctx.target_throughput(name), ctx.predictor, ctx.space)
-    return {(name, "ppk"): ctx.sim.run(ctx.app(name), policy, obs=_obs(ctx))}
+    return {(name, "ppk"): ctx.sim.run(ctx.app(name), policy, obs=obs)}
 
 
-def _compute_ppk_oracle(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_ppk_oracle(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     policy = PPKPolicy(ctx.target_throughput(name), ctx.oracle(name), ctx.space)
-    run = ctx.sim.run(
-        ctx.app(name), policy, charge_overhead=False, obs=_obs(ctx)
-    )
+    run = ctx.sim.run(ctx.app(name), policy, charge_overhead=False, obs=obs)
     return {(name, "ppk_oracle"): run}
 
 
-def _compute_mpc_pair(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_mpc_pair(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     adaptive = request.variant == "mpc_pair"
-    obs = _obs(ctx)
     manager = MPCPowerManager(
         ctx.target_throughput(name),
         ctx.predictor,
@@ -153,9 +155,10 @@ def _compute_mpc_pair(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
     }
 
 
-def _compute_mpc_ideal(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_mpc_ideal(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
-    obs = _obs(ctx)
     manager = MPCPowerManager(
         ctx.target_throughput(name),
         ctx.oracle(name),
@@ -171,12 +174,13 @@ def _compute_mpc_ideal(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]
     return {(name, "mpc_ideal"): run}
 
 
-def _compute_mpc_variant(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_mpc_variant(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     tag = request.param("tag")
     sim = request.param("simulator") or ctx.sim
     manager_kwargs = dict(request.param("kwargs", ()))
-    obs = _obs(ctx)
     manager = MPCPowerManager(
         ctx.target_throughput(name),
         ctx.predictor,
@@ -190,9 +194,10 @@ def _compute_mpc_variant(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResul
     return {(name, "mpc_variant", tag): run}
 
 
-def _run_with_predictor(ctx: Any, name: str, predictor: Any) -> RunResult:
+def _run_with_predictor(
+    ctx: Any, name: str, predictor: Any, obs: Instrumentation
+) -> RunResult:
     """Full-horizon, overhead-free MPC steady state (Figure 13 setup)."""
-    obs = _obs(ctx)
     manager = MPCPowerManager(
         ctx.target_throughput(name),
         predictor,
@@ -208,13 +213,15 @@ def _run_with_predictor(ctx: Any, name: str, predictor: Any) -> RunResult:
     return steady
 
 
-def _compute_mpc_pred(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_mpc_pred(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     tag = request.param("tag")
     predictor = request.param("predictor")
     if predictor is None:
         predictor = ctx.predictor
-    run = _run_with_predictor(ctx, name, predictor)
+    run = _run_with_predictor(ctx, name, predictor, obs)
     return {(name, "mpc_pred", tag): run}
 
 
@@ -223,26 +230,28 @@ def error_model_tag(time_error: float, power_error: float) -> str:
     return f"err_{time_error:g}_{power_error:g}"
 
 
-def _compute_mpc_error(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_mpc_error(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     time_error = request.param("time_error")
     power_error = request.param("power_error")
     predictor = SyntheticErrorPredictor(
         ctx.oracle(name), time_error, power_error
     )
-    run = _run_with_predictor(ctx, name, predictor)
+    run = _run_with_predictor(ctx, name, predictor, obs)
     return {(name, "mpc_pred", error_model_tag(time_error, power_error)): run}
 
 
-def _compute_to(ctx: Any, request: RunRequest) -> Dict[RunKey, RunResult]:
+def _compute_to(
+    ctx: Any, request: RunRequest, obs: Instrumentation
+) -> Dict[RunKey, RunResult]:
     name = request.benchmark
     plan = solve_theoretically_optimal(
         ctx.app(name), ctx.apu, ctx.target_throughput(name), ctx.space
     )
     policy = PlannedPolicy(plan.configs, name="TheoreticallyOptimal")
-    run = ctx.sim.run(
-        ctx.app(name), policy, charge_overhead=False, obs=_obs(ctx)
-    )
+    run = ctx.sim.run(ctx.app(name), policy, charge_overhead=False, obs=obs)
     return {(name, "to"): run}
 
 

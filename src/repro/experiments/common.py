@@ -37,7 +37,7 @@ from repro.ml.predictors import (
     RandomForestPredictor,
     train_predictor,
 )
-from repro.obs import Instrumentation, or_noop
+from repro.obs import NOOP, Instrumentation, or_noop
 from repro.sim.simulator import Simulator
 from repro.sim.trace import RunResult
 from repro.workloads.app import Application
@@ -226,14 +226,21 @@ class ExperimentContext:
         return OraclePredictor(self.apu, self.app(name).unique_kernels)
 
     def target_throughput(self, name: str) -> float:
-        """The baseline (Turbo Core) kernel throughput of a benchmark."""
-        turbo = self.turbo(name)
+        """The baseline (Turbo Core) kernel throughput of a benchmark.
+
+        A missing baseline is computed uninstrumented: it is an input
+        to the run being computed, not a requested run.
+        """
+        turbo = self._run(RunRequest(name, "turbo"), NOOP)[(name, "turbo")]
         return turbo.instructions / turbo.kernel_time_s
 
     # ----- cached runs -----------------------------------------------------------
 
-    def _run(self, request: RunRequest) -> Dict[RunKey, RunResult]:
-        """Resolve a request: memory, then engine cache, then compute."""
+    def _run(
+        self, request: RunRequest, obs: Optional[Instrumentation] = None
+    ) -> Dict[RunKey, RunResult]:
+        """Resolve a request: memory, then engine cache, then compute
+        under ``obs`` (default: the context's instrumentation)."""
         keys = produced_keys(request)
         if all(key in self._runs for key in keys):
             return {key: self._runs[key] for key in keys}
@@ -242,7 +249,9 @@ class ExperimentContext:
             if loaded is not None:
                 self._runs.update(loaded)
                 return loaded
-        computed = VARIANTS[request.variant].compute(self, request)
+        computed = VARIANTS[request.variant].compute(
+            self, request, self.obs if obs is None else obs
+        )
         self._runs.update(computed)
         if self.engine is not None:
             self.engine.store_request(self, request, computed)

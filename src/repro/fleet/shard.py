@@ -16,7 +16,7 @@ behind one post/collect protocol:
 The protocol is split into :meth:`post` and :meth:`collect` so the
 parent can post one epoch's work to *every* node before collecting any
 result — the fan-out that buys wall-clock parallelism without threads
-(and therefore without new lock discipline for RL009/RL012 to check).
+(so every metrics registry keeps one writer thread).
 A budget epoch is one round trip per node: the fleet posts a single
 ``epoch`` command (budget, new sessions, slim launches) to each node
 and collects one reply (decisions, demand, obs deltas).

@@ -41,7 +41,6 @@ decides exactly like a NOOP one; ``tests/traces/test_replay.py``).
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from enum import IntEnum
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -384,7 +383,7 @@ class HealthMonitor:
         registry = self.registry
         # The registry-wide lock, held once per decision around the
         # bulk metric writes (see observe_launch).
-        self._lock = getattr(registry, "lock", None) or threading.Lock()
+        self._lock = registry.lock
         self._m_decisions = registry.counter(
             "repro_health_decisions_total",
             "Launch decisions seen by the health monitor",

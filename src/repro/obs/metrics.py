@@ -53,7 +53,6 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-# repro-lint: shared-state=_series
 class _Bound:
     """One label set of a metric with its key pre-resolved.
 
@@ -63,6 +62,9 @@ class _Bound:
     the series once via :meth:`_Metric.labelled` and mutate the parent
     metric's storage directly — snapshot/merge/exposition are
     unaffected, only the per-call label work disappears.
+
+    Every update is written once, here: the labelled metric calls and
+    :meth:`MetricsRegistry.merge` write through bound handles too.
     """
 
     __slots__ = ("_lock", "_series", "_key")
@@ -82,7 +84,6 @@ class BoundCounter(_Bound):
         with self._lock:
             self.inc_unlocked(value)
 
-    # repro-lint: requires-lock=lock
     def inc_unlocked(self, value: float = 1.0) -> None:
         """:meth:`inc` for callers already holding the registry lock."""
         if value < 0:
@@ -98,9 +99,8 @@ class BoundGauge(_Bound):
 
     def set(self, value: float) -> None:
         with self._lock:
-            self._series[self._key] = float(value)
+            self.set_unlocked(value)
 
-    # repro-lint: requires-lock=lock
     def set_unlocked(self, value: float) -> None:
         """:meth:`set` for callers already holding the registry lock."""
         self._series[self._key] = float(value)
@@ -124,17 +124,11 @@ class BoundHistogram(_Bound):
         with self._lock:
             self.observe_unlocked(value)
 
-    # repro-lint: requires-lock=lock
     def observe_unlocked(self, value: float) -> None:
         """:meth:`observe` for callers already holding the registry lock."""
         state = self._series.get(self._key)
         if state is None:
-            buckets = self._buckets
-            state = self._series[self._key] = {
-                "counts": [0] * (len(buckets) + 1),
-                "sum": 0.0,
-                "count": 0,
-            }
+            state = self._new_state()
         for index, bound in enumerate(self._buckets):
             if value <= bound:
                 state["counts"][index] += 1
@@ -144,8 +138,26 @@ class BoundHistogram(_Bound):
         state["sum"] += value
         state["count"] += 1
 
+    def merge_unlocked(self, other: Dict[str, Any]) -> None:
+        """Add another registry's state of this series (lock held)."""
+        state = self._series.get(self._key)
+        if state is None:
+            state = self._new_state()
+        state["counts"] = [
+            a + b for a, b in zip(state["counts"], other["counts"])
+        ]
+        state["sum"] += float(other["sum"])
+        state["count"] += int(other["count"])
 
-# repro-lint: shared-state=_series
+    def _new_state(self) -> Dict[str, Any]:
+        state = self._series[self._key] = {
+            "counts": [0] * (len(self._buckets) + 1),
+            "sum": 0.0,
+            "count": 0,
+        }
+        return state
+
+
 class _Metric:
     """Shared plumbing of all labelled metric kinds."""
 
@@ -174,13 +186,7 @@ class Counter(_Metric):
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
         """Add ``value`` (must be non-negative) to a label set."""
-        self._inc_key(_label_key(labels), value)
-
-    def _inc_key(self, key: LabelKey, value: float) -> None:
-        if value < 0:
-            raise ValueError("counters can only increase")
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + value
+        self.labelled(**labels).inc(value)
 
     def value(self, **labels: Any) -> float:
         """Current value of one label set (0.0 when never touched)."""
@@ -204,19 +210,11 @@ class Gauge(_Metric):
 
     def set(self, value: float, **labels: Any) -> None:
         """Set a label set to ``value``."""
-        self._set_key(_label_key(labels), value)
-
-    def _set_key(self, key: LabelKey, value: float) -> None:
-        with self._lock:
-            self._series[key] = float(value)
+        self.labelled(**labels).set(value)
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
         """Adjust a label set by ``value`` (may be negative)."""
-        self._inc_key(_label_key(labels), value)
-
-    def _inc_key(self, key: LabelKey, value: float) -> None:
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + value
+        self.labelled(**labels).inc(value)
 
     def value(self, **labels: Any) -> float:
         """Current value of one label set (0.0 when never set)."""
@@ -252,26 +250,7 @@ class Histogram(_Metric):
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation into a label set."""
-        self._observe_key(_label_key(labels), value)
-
-    def _observe_key(self, key: LabelKey, value: float) -> None:
-        with self._lock:
-            state = self._series.get(key)
-            if state is None:
-                state = {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                }
-                self._series[key] = state
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    state["counts"][index] += 1
-                    break
-            else:
-                state["counts"][-1] += 1
-            state["sum"] += value
-            state["count"] += 1
+        self.labelled(**labels).observe(value)
 
     def count(self, **labels: Any) -> int:
         """Total observations of one label set."""
@@ -286,7 +265,6 @@ class Histogram(_Metric):
             return state["sum"] if state else 0.0
 
 
-# repro-lint: shared-state=_metrics,sources
 class MetricsRegistry:
     """Thread-safe, mergeable home of one process's metrics.
 
@@ -384,6 +362,7 @@ class MetricsRegistry:
             raise ValueError(
                 f"unsupported metrics snapshot schema: {snapshot.get('schema')!r}"
             )
+        incoming = []
         for entry in snapshot["metrics"]:
             name, kind = entry["name"], entry["kind"]
             if kind == "counter":
@@ -396,33 +375,19 @@ class MetricsRegistry:
                 )
             else:
                 raise ValueError(f"unknown metric kind {kind!r}")
-            for raw_key, value in entry["series"]:
-                key = tuple((k, v) for k, v in raw_key)
-                with self._lock:
-                    if kind == "gauge":
-                        metric._series[key] = float(value)
-                    elif kind == "counter":
-                        metric._series[key] = (
-                            metric._series.get(key, 0.0) + float(value)
-                        )
-                    else:
-                        state = metric._series.get(key)
-                        if state is None:
-                            state = {
-                                "counts": [0] * (len(metric.buckets) + 1),
-                                "sum": 0.0,
-                                "count": 0,
-                            }
-                            metric._series[key] = state
-                        state["counts"] = [
-                            a + b
-                            for a, b in zip(state["counts"], value["counts"])
-                        ]
-                        state["sum"] += float(value["sum"])
-                        state["count"] += int(value["count"])
-        # Inside the frame: a racing snapshot_and_reset must never see
-        # merged series paired with a stale source count (RL012).
+            incoming.append((kind, metric, entry["series"]))
+        # One frame for every series and the source count, so a racing
+        # snapshot_and_reset never sees a half-merged registry.
         with self._lock:
+            for kind, metric, series in incoming:
+                for raw_key, value in series:
+                    bound = metric.labelled(**dict(raw_key))
+                    if kind == "counter":
+                        bound.inc_unlocked(float(value))
+                    elif kind == "gauge":
+                        bound.set_unlocked(value)
+                    else:
+                        bound.merge_unlocked(value)
             self.sources += int(snapshot.get("sources", 1))
 
     def snapshot_and_reset(self) -> Dict[str, Any]:
@@ -437,8 +402,7 @@ class MetricsRegistry:
                 # Clear in place: bound handles (``labelled()``) alias
                 # the series dict and must survive the reset.
                 metric._series.clear()
-            # Reset under the same frame as the series it describes,
-            # so concurrent merge() calls cannot interleave (RL012).
+            # Under the frame that clears the series it describes.
             self.sources = 1
         return snap
 

@@ -90,6 +90,4 @@ def test_files_checked_counts_every_file():
 def test_registered_rule_ids():
     ids = [rule.id for rule in all_rules()]
     assert ids == sorted(ids)
-    assert set(ids) == {
-        "RL001", "RL002", "RL004", "RL009", "RL012",
-    }
+    assert set(ids) == {"RL001", "RL002", "RL004"}

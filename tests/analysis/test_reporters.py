@@ -25,7 +25,7 @@ def test_json_round_trip_is_lossless():
 
 def test_json_layout():
     payload = json.loads(render_json(lint_fixture("rl002/bad_rng.py")))
-    assert payload["schema"] == REPORT_SCHEMA == 3
+    assert payload["schema"] == REPORT_SCHEMA == 4
     assert payload["tool"] == "repro-lint"
     assert payload["summary"]["findings"] == len(payload["findings"])
     assert payload["summary"]["errors"] == 3
@@ -34,13 +34,14 @@ def test_json_layout():
 
 
 def test_json_rules_metadata_names_scope_and_index_need():
+    """The metadata names no scope and no index need: every rule checks
+    one module at a time."""
     payload = json.loads(render_json(lint_fixture("rl002/good_rng.py")))
     by_id = {entry["id"]: entry for entry in payload["rules"]}
     assert set(by_id) == set(payload["rules_run"])
-    assert by_id["RL002"]["scope"] == "module"
-    assert by_id["RL002"]["needs_index"] is False
-    assert by_id["RL009"]["scope"] == "flow"
-    assert by_id["RL009"]["needs_index"] is True
+    assert by_id["RL002"] == {
+        "id": "RL002", "name": "unseeded-rng", "severity": "error",
+    }
 
 
 def test_unknown_schema_rejected():
@@ -61,10 +62,11 @@ def test_text_report_has_location_lines_and_summary():
 
 
 def test_catalogue_lists_every_rule_with_scope():
-    catalogue = render_catalogue()
-    for rule_id in (
-        "RL001", "RL002", "RL004", "RL009", "RL012",
-    ):
-        assert rule_id in catalogue
-    assert "(module)" in catalogue
-    assert "(flow, needs project index)" in catalogue
+    """One line per rule: id, name, severity and description, and no
+    scope, as every rule checks one module at a time."""
+    lines = render_catalogue().splitlines()
+    assert [line.split()[0] for line in lines] == ["RL001", "RL002", "RL004"]
+    assert lines[1] == (
+        "RL002 unseeded-rng [error]: "
+        "random draws must come from an explicitly seeded generator"
+    )
