@@ -114,9 +114,8 @@ class ExperimentEngine:
             computed request's launch spans are delivered to it — on the
             parallel path the workers capture spans per request and the
             parent re-emits them in request order, so a trace is
-            byte-identical across job counts (for request matrices where
-            baselines precede their dependents, e.g. the canonical
-            matrix).  A health monitor reads the same spans in the same
+            byte-identical across job counts, whatever the request
+            order.  A health monitor reads the same spans in the same
             order.  Worker registry snapshots are merged back with
             provenance.
     """
@@ -137,44 +136,57 @@ class ExperimentEngine:
 
     # ----- fingerprinting -------------------------------------------------------
 
-    def _base_payload(self, ctx: Any, request: RunRequest) -> Any:
-        """Described key material shared by a request's produced runs."""
+    def _base_payload(self, ctx: Any, request: RunRequest,
+                      described: Optional[Dict[Any, Described]] = None) -> Any:
+        """Described key material shared by a request's produced runs.
+
+        ``described`` holds the parts a payload shares with other
+        requests of the context (the simulator, the search space, the
+        DVFS tables, the predictor and each benchmark's app), each
+        described once; :meth:`prefetch` passes one per call.  Without
+        it every part is described afresh.
+        """
         from repro.hardware import dvfs
+
+        described = {} if described is None else described
+
+        def part(name: Any, build: Any) -> Described:
+            if name not in described:
+                described[name] = Described(describe(build()))
+            return described[name]
 
         spec = VARIANTS[request.variant]
         payload: Dict[str, Any] = {
             "code": CODE_VERSION,
             "benchmark": request.benchmark,
-            "app": ctx.app(request.benchmark),
-            "sim": ctx.sim,
-            "space": {
+            "app": part(("app", request.benchmark),
+                        lambda: ctx.app(request.benchmark)),
+            "sim": part("sim", lambda: ctx.sim),
+            "space": part("space", lambda: {
                 "cpu": ctx.space.cpu_axis,
                 "nb": ctx.space.nb_axis,
                 "gpu": ctx.space.gpu_axis,
                 "cu": ctx.space.cu_axis,
-            },
-            "dvfs": {
+            }),
+            "dvfs": part("dvfs", lambda: {
                 "cpu": dict(dvfs.CPU_PSTATES),
                 "nb": dict(dvfs.NB_PSTATES),
                 "gpu": dict(dvfs.GPU_DPM_STATES),
                 "cu": tuple(dvfs.CU_COUNTS),
-            },
+            }),
             "variant": request.variant,
             "params": dict(request.params),
         }
         if "predictor" in spec.needs(request):
-            payload["predictor"] = ctx.predictor_fingerprint()
+            payload["predictor"] = part("predictor", ctx.predictor_fingerprint)
         return describe(payload)
 
-    def _run_base(self, ctx: Any, request: RunRequest) -> Described:
-        """The ``base`` entry of a request's run keys, described once.
-
-        A run key fingerprints ``{"base": <described payload>, "run":
-        ...}``, which describes the described payload a second time;
-        that second description is the same for every run key of the
-        request, so it is made here once and wrapped to be reused.
-        """
-        return Described(describe(self._base_payload(ctx, request)))
+    def _run_base(self, ctx: Any, request: RunRequest,
+                  described: Optional[Dict[Any, Described]] = None) -> Described:
+        """The ``base`` entry of a request's run keys: its base payload,
+        described once and wrapped so that no run key describes it
+        again."""
+        return Described(self._base_payload(ctx, request, described))
 
     def key_for(self, ctx: Any, request: RunRequest, run_key: RunKey,
                 base: Optional[Described] = None) -> str:
@@ -188,12 +200,18 @@ class ExperimentEngine:
 
     # ----- cache access ---------------------------------------------------------
 
-    def load_request(self, ctx: Any,
-                     request: RunRequest) -> Optional[Dict[RunKey, RunResult]]:
-        """Load every run a request produces, or ``None`` on any miss."""
+    def load_request(
+        self, ctx: Any, request: RunRequest,
+        described: Optional[Dict[Any, Described]] = None,
+    ) -> Optional[Dict[RunKey, RunResult]]:
+        """Load every run a request produces, or ``None`` on any miss.
+
+        ``described`` is a prefetch's shared key parts (see
+        :meth:`_base_payload`).
+        """
         keys = produced_keys(request)
         self.stats.requests += 1
-        base = self._run_base(ctx, request)
+        base = self._run_base(ctx, request, described)
         loaded: Dict[RunKey, RunResult] = {}
         for run_key in keys:
             payload = self.cache.load(self.key_for(ctx, request, run_key, base))
@@ -207,9 +225,10 @@ class ExperimentEngine:
         return loaded
 
     def store_request(self, ctx: Any, request: RunRequest,
-                      runs: Dict[RunKey, RunResult]) -> None:
+                      runs: Dict[RunKey, RunResult],
+                      described: Optional[Dict[Any, Described]] = None) -> None:
         """Persist every run a request produced."""
-        base = self._run_base(ctx, request)
+        base = self._run_base(ctx, request, described)
         for run_key, run in runs.items():
             summary = {
                 "benchmark": request.benchmark,
@@ -236,6 +255,9 @@ class ExperimentEngine:
         Returns:
             The engine's cumulative stats (also kept on ``self.stats``).
         """
+        # Key parts every request shares, described once per call: the
+        # context cannot change them while it computes.
+        described: Dict[Any, Described] = {}
         todo: List[RunRequest] = []
         seen: set = set()
         for request in requests:
@@ -245,7 +267,7 @@ class ExperimentEngine:
             seen.add(keys)
             if all(key in ctx._runs for key in keys):
                 continue
-            loaded = self.load_request(ctx, request)
+            loaded = self.load_request(ctx, request, described)
             if loaded is not None:
                 ctx._runs.update(loaded)
                 continue
@@ -257,14 +279,19 @@ class ExperimentEngine:
         obs = self._obs_for(ctx)
         start = time.perf_counter()
         if self.jobs > 1 and len(todo) > 1:
-            self._compute_parallel(ctx, todo, obs)
+            self._compute_parallel(ctx, todo, obs, described)
         else:
+            produced: set = set()
             for request in todo:
                 keys = produced_keys(request)
-                # An earlier miss may have computed this as a dependency
-                # (e.g. the Turbo baseline behind target_throughput).
-                if all(key in ctx._runs for key in keys):
+                # Skip what an earlier request of this call produced.  A
+                # run an earlier request computed only as a dependency
+                # (the Turbo baseline behind target_throughput) ran
+                # uninstrumented, so it is computed again, as a worker
+                # would.
+                if all(key in produced for key in keys):
                     continue
+                produced.update(keys)
                 task_start = time.perf_counter()
                 if obs.enabled:
                     computed, spans = _compute_request_with_capture(
@@ -276,7 +303,7 @@ class ExperimentEngine:
                     )
                     spans = []
                 ctx._runs.update(computed)
-                self.store_request(ctx, request, computed)
+                self.store_request(ctx, request, computed, described)
                 self.stats.computed += 1
                 if obs.enabled:
                     self._record_task(
@@ -305,8 +332,10 @@ class ExperimentEngine:
             "Wall-clock seconds spent computing one request",
         ).observe(seconds, mode=mode)
 
-    def _compute_parallel(self, ctx: Any, todo: List[RunRequest],
-                          obs: Instrumentation = NOOP) -> None:
+    def _compute_parallel(
+        self, ctx: Any, todo: List[RunRequest], obs: Instrumentation = NOOP,
+        described: Optional[Dict[Any, Described]] = None,
+    ) -> None:
         """Fan the misses out over a process pool and collect results."""
         # Materialize the predictor up front: workers must never each
         # pay for Random Forest training, and the trained object ships
@@ -346,7 +375,7 @@ class ExperimentEngine:
                         for key, run_dict in payload
                     }
                     ctx._runs.update(runs)
-                    self.store_request(ctx, request, runs)
+                    self.store_request(ctx, request, runs, described)
                     self.stats.computed += 1
                     self.stats.parallel_computed += 1
                     if obs_payload is not None and obs.enabled:

@@ -27,7 +27,9 @@ __all__ = ["CODE_VERSION", "Described", "describe", "canonical_json", "fingerpri
 
 #: Bump to invalidate every cached result (simulation-affecting code
 #: changes that are not visible in the described object graphs).
-CODE_VERSION = "engine-v1"
+#: History: ``engine-v2`` keys each run on its request's base payload
+#: described once (``engine-v1`` described it twice).
+CODE_VERSION = "engine-v2"
 
 
 class Described:

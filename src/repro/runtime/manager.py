@@ -28,6 +28,20 @@ __all__ = ["SessionManager", "chunk_distinct_sessions"]
 
 _log = logging.getLogger(__name__)
 
+#: The counters every ``step_batch`` call under live obs increments, in
+#: increment order: (name, help).
+_BATCHED_COUNTERS = (
+    ("repro_runtime_batched_steps_total", "step_batch calls processed"),
+    ("repro_runtime_batched_launches_total",
+     "Launches processed through step_batch"),
+    ("repro_runtime_batched_sweeps_total",
+     "Distinct whole-lattice sweeps started for batches (rows covered, "
+     "not computed)"),
+    ("repro_runtime_batched_dedup_hits_total",
+     "Sweeps a session missed that another session's request in the "
+     "same stacked call supplied"),
+)
+
 
 def chunk_distinct_sessions(items: Sequence[Any], key: Any) -> List[List[Any]]:
     """Split ``items`` into maximal distinct-session runs, in order.
@@ -101,6 +115,9 @@ class SessionManager:
         self._sessions: Dict[str, SessionRuntime] = {}
         # Fallback sites that have logged their first fault.
         self._warned: set = set()
+        # The batched_* counters, bound at the first step_batch call
+        # under live obs, when they register.
+        self._m_batched: Optional[Tuple[Any, ...]] = None
 
     # ----- session registry ------------------------------------------------------
 
@@ -263,25 +280,17 @@ class SessionManager:
                 optimizer.sweep_many(wanted, shared)
 
         if self.obs.enabled:
-            registry = self.obs.registry
-            registry.counter(
-                "repro_runtime_batched_steps_total",
-                "step_batch calls processed",
-            ).inc()
-            registry.counter(
-                "repro_runtime_batched_launches_total",
-                "Launches processed through step_batch",
-            ).inc(len(events))
-            registry.counter(
-                "repro_runtime_batched_sweeps_total",
-                "Distinct whole-lattice sweeps started for batches (rows "
-                "covered, not computed)",
-            ).inc(swept)
-            registry.counter(
-                "repro_runtime_batched_dedup_hits_total",
-                "Sweeps a session missed that another session's "
-                "request in the same stacked call supplied",
-            ).inc(missed - swept)
+            if self._m_batched is None:
+                registry = self.obs.registry
+                self._m_batched = tuple(
+                    registry.counter(name, help).labelled()
+                    for name, help in _BATCHED_COUNTERS
+                )
+            steps, launches, sweeps, dedup_hits = self._m_batched
+            steps.inc()
+            launches.inc(len(events))
+            sweeps.inc(swept)
+            dedup_hits.inc(missed - swept)
 
         return [self.dispatch(event) for event in events]
 

@@ -283,9 +283,11 @@ class SessionRuntime:
         self.stats = SessionStats()
         self._result: Optional[RunResult] = None
         # Pre-bound series handles for the per-launch telemetry (the
-        # session/policy labels never change after construction); the
-        # rare paths — faults, TDP throttles, fail-safe causes — keep
-        # the plain labelled API.  No-ops under NOOP obs.
+        # session/policy labels never change after construction).  TDP
+        # throttles and fail-safe causes bind theirs at first use, when
+        # the labelled API would register them, so snapshots are
+        # unchanged; faults keep the labelled API.  No-ops under NOOP
+        # obs.
         registry = self.obs.registry
         self._m_runs = registry.counter(
             "repro_runtime_runs_total", "Application invocations started"
@@ -301,6 +303,8 @@ class SessionRuntime:
             "Per-launch optimizer overhead time",
         ).labelled(session=session_id)
         self._m_lock = registry.lock
+        self._m_throttles: Any = None
+        self._m_fail_safe: Dict[str, Any] = {}
 
     # ----- run lifecycle --------------------------------------------------------
 
@@ -440,11 +444,13 @@ class SessionRuntime:
             if throttled != decision.config:
                 decision = replace(decision, config=throttled)
                 span.annotate("tdp_throttled", True)
-                registry.counter(
-                    "repro_runtime_tdp_throttles_total",
-                    "Launches whose configuration was throttled into the "
-                    "active power cap (TDP or node budget)",
-                ).inc(session=self.session_id)
+                if self._m_throttles is None:
+                    self._m_throttles = registry.counter(
+                        "repro_runtime_tdp_throttles_total",
+                        "Launches whose configuration was throttled into "
+                        "the active power cap (TDP or node budget)",
+                    ).labelled(session=self.session_id)
+                self._m_throttles.inc()
 
         # 3. charge the decision's optimizer overhead.
         overhead_time = 0.0
@@ -539,17 +545,17 @@ class SessionRuntime:
 
         if registry.enabled:
             if decision.fail_safe:
-                # Rare path; stays on the labelled API (and outside the
-                # bulk lock hold below — the registry lock is not
-                # reentrant).
-                registry.counter(
-                    "repro_runtime_fail_safe_total",
-                    "Fail-safe launches, by cause (policy decision vs fault "
-                    "degradation)",
-                ).inc(
-                    session=self.session_id,
-                    cause="fault" if fallback else "policy",
-                )
+                # Outside the bulk lock hold below: the registry lock is
+                # not reentrant.
+                cause = "fault" if fallback else "policy"
+                fail_safe = self._m_fail_safe.get(cause)
+                if fail_safe is None:
+                    fail_safe = self._m_fail_safe[cause] = registry.counter(
+                        "repro_runtime_fail_safe_total",
+                        "Fail-safe launches, by cause (policy decision vs "
+                        "fault degradation)",
+                    ).labelled(session=self.session_id, cause=cause)
+                fail_safe.inc()
             with self._m_lock:
                 self._m_launches.inc_unlocked()
                 self._m_kernel_seconds.observe_unlocked(record.time_s)

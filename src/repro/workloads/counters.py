@@ -134,6 +134,21 @@ _NOMINAL: "weakref.WeakKeyDictionary[CounterSynthesizer, Dict[KernelSpec, Tuple[
     weakref.WeakKeyDictionary()
 )
 
+#: Most jittered observations :data:`_OBSERVED` keeps per synthesizer;
+#: a full memo is cleared.  One pass of a shipping workload observes at
+#: most a few hundred distinct (kernel, sequence) pairs.
+_OBSERVED_BOUND = 4096
+
+#: Each noisy synthesizer's jittered counters per (kernel spec, launch
+#: sequence), as a list of floats.  The jitter is drawn from the
+#: synthesizer's seed and noise level (both set once, at construction),
+#: the spec's key and the sequence, and it scales the whole spec's
+#: nominal counters, so a hit holds exactly the floats a miss computes.
+#: Outside the instance for the same reasons as :data:`_NOMINAL`.
+_OBSERVED: "weakref.WeakKeyDictionary[CounterSynthesizer, Dict[Tuple[KernelSpec, int], List[float]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
 
 class CounterSynthesizer:
     """Derives Table-III counters from ground-truth kernel specs.
@@ -209,6 +224,30 @@ class CounterSynthesizer:
             sequence: Position of the launch within its run (ties the
                 noise draw to the launch, not to global call order).
         """
+        # A new vector on every call: the optimizer's sweep cache is
+        # keyed by vector object.
+        if self.noise == 0.0:
+            return CounterVector(*self._nominal_entry(spec)[1])
+        memo = _OBSERVED.get(self)
+        if memo is None:
+            memo = _OBSERVED[self] = {}
+        key = (spec, sequence)
+        values = memo.get(key)
+        if values is None:
+            nominal = self._nominal_entry(spec)[0]
+            digest = hashlib.sha256(
+                repr((self.seed, spec.key, sequence)).encode()
+            ).digest()
+            rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+            jitter = rng.normal(1.0, self.noise, size=nominal.shape)
+            values = np.clip(nominal * jitter, 0.0, None).tolist()
+            if len(memo) >= _OBSERVED_BOUND:
+                memo.clear()
+            memo[key] = values
+        return CounterVector(*values)
+
+    def _nominal_entry(self, spec: KernelSpec) -> Tuple[np.ndarray, List[float]]:
+        """The :data:`_NOMINAL` entry of ``spec``, computed on first use."""
         memo = _NOMINAL.get(self)
         if memo is None:
             memo = _NOMINAL[self] = {}
@@ -217,14 +256,4 @@ class CounterSynthesizer:
             array = self.nominal(spec).as_array()
             array.flags.writeable = False
             entry = memo[spec] = (array, array.tolist())
-        nominal, values = entry
-        # A new vector on every call: the optimizer's sweep cache is
-        # keyed by vector object.
-        if self.noise == 0.0:
-            return CounterVector(*values)
-        digest = hashlib.sha256(
-            repr((self.seed, spec.key, sequence)).encode()
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        jitter = rng.normal(1.0, self.noise, size=nominal.shape)
-        return CounterVector(*np.clip(nominal * jitter, 0.0, None).tolist())
+        return entry

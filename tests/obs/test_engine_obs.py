@@ -140,3 +140,42 @@ class TestDisabledDefault:
         assert not ctx.obs.enabled
         assert not engine.obs.enabled
         assert ctx.obs.tracer.spans == []
+
+
+class TestRequestOrder:
+    """A requested run is traced whatever the request order: the serial
+    path computes again, under capture, a run that an earlier request
+    computed only as an uninstrumented dependency, as a worker does."""
+
+    @staticmethod
+    def counts(registry):
+        """Every counter series and every histogram's bucket counts and
+        count, except the engine's own task accounting."""
+        out = {}
+        for metric in registry.snapshot()["metrics"]:
+            if metric["name"].startswith("repro_engine_task"):
+                continue
+            for key, value in metric["series"]:
+                name = (metric["name"], json.dumps(key))
+                if metric["kind"] == "counter":
+                    out[name] = value
+                elif metric["kind"] == "histogram":
+                    out[name] = (value["counts"], value["count"])
+        return out
+
+    @pytest.mark.parametrize(
+        "variants", [("ppk_oracle", "turbo"), ("turbo", "ppk_oracle")]
+    )
+    def test_serial_prefetch_traces_like_parallel(self, tmp_path, variants):
+        requests = [RunRequest("NBody", variant) for variant in variants]
+        ctx1, obs1 = traced_context(tmp_path / "c1", jobs=1)
+        ctx1.engine.prefetch(ctx1, requests)
+        ctx2, obs2 = traced_context(tmp_path / "c2", jobs=2)
+        ctx2.engine.prefetch(ctx2, requests)
+
+        serial, parallel = obs1.tracer.spans, obs2.tracer.spans
+        policies = {span["attributes"]["policy"] for span in serial}
+        assert len(policies) == 2, policies
+        assert canonical(serial) == canonical(parallel)
+        assert self.counts(obs1.registry)
+        assert self.counts(obs1.registry) == self.counts(obs2.registry)

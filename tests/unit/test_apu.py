@@ -1,11 +1,21 @@
 """Unit tests for the APU facade and Measurement telemetry."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.engine.fingerprint import describe
+from repro.hardware import apu as apu_module
 from repro.hardware.apu import APUModel, Measurement
-from repro.hardware.config import HardwareConfig
+from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
+from repro.hardware.dvfs import GPU_DPM_STATES
 from repro.hardware.power import PowerModel, PowerModelParams
+from repro.ml.dataset import build_dataset
+from repro.workloads.generator import KernelPopulationGenerator
 from repro.workloads.kernel import KernelSpec, ScalingClass
+from repro.workloads.suites import all_benchmarks, benchmark
 
 KERNEL = KernelSpec("k", ScalingClass.COMPUTE, 5.0, 0.2, parallel_fraction=0.98)
 BASE = HardwareConfig(cpu="P1", nb="NB0", gpu="DPM4", cu=8)
@@ -81,3 +91,138 @@ class TestConstruction:
         assert apu.within_tdp(KERNEL, BASE)
         tiny = APUModel(power=PowerModel(PowerModelParams(tdp_w=10.0)))
         assert not tiny.within_tdp(KERNEL, BASE)
+
+
+def _direct(apu, spec, config):
+    """One unmemoized timing-plus-power evaluation: (measurement, power)."""
+    timing = apu.timing.kernel_timing(spec, config)
+    breakdown = apu.power.kernel_power(config, timing, spec.activity_factor)
+    measurement = Measurement(
+        time_s=timing.total_time_s,
+        gpu_power_w=breakdown.gpu_w,
+        cpu_power_w=breakdown.cpu_w,
+        temperature_c=breakdown.temperature_c,
+    )
+    return measurement, breakdown
+
+
+def _direct_manager(apu, time_s, config):
+    breakdown = apu.power.manager_power(config)
+    return Measurement(
+        time_s=time_s,
+        gpu_power_w=breakdown.gpu_w,
+        cpu_power_w=breakdown.cpu_w,
+        temperature_c=breakdown.temperature_c,
+    )
+
+
+def _throttle_space_configs():
+    """The 560 configurations the TDP throttle can step through."""
+    return ConfigSpace(gpu_states=tuple(GPU_DPM_STATES)).all_configs()
+
+
+class TestGroundTruthMemo:
+    """``execute``, ``kernel_power`` and ``manager_measurement`` memoize
+    per model; every hit must be the floats a fresh evaluation gives."""
+
+    def test_repeated_calls_equal_a_direct_evaluation(self):
+        apu = APUModel()
+        configs = _throttle_space_configs()
+        assert len(configs) == 560
+        cross = [
+            config for config in configs
+            if sum(
+                getattr(config, knob) != getattr(FAILSAFE_CONFIG, knob)
+                for knob in ("cpu", "nb", "gpu", "cu")
+            ) <= 1
+        ]
+        rng = np.random.default_rng(26)
+        sample = [configs[i] for i in rng.choice(len(configs), 24, replace=False)]
+        specs = sorted(
+            {spec for app in all_benchmarks() for spec in app.unique_kernels},
+            key=lambda spec: spec.key,
+        )
+        for spec in specs:
+            for config in cross + sample:
+                measurement, breakdown = _direct(apu, spec, config)
+                for _ in range(2):  # a miss, then a hit
+                    assert apu.kernel_power(spec, config) == breakdown
+                    assert apu.execute(spec, config) == measurement
+        for config in cross + sample:
+            for time_s in (0.0, 0.004, 0.004, 1.5):
+                assert apu.manager_measurement(time_s, config) == _direct_manager(
+                    apu, time_s, config
+                )
+
+    def test_specs_sharing_a_key_are_evaluated_apart(self, apu):
+        heavier = dataclasses.replace(KERNEL, compute_work=KERNEL.compute_work * 3)
+        assert heavier.key == KERNEL.key
+        for spec in (KERNEL, heavier, KERNEL, heavier):
+            measurement, breakdown = _direct(apu, spec, BASE)
+            assert apu.execute(spec, BASE) == measurement
+            assert apu.kernel_power(spec, BASE) == breakdown
+        assert apu.execute(KERNEL, BASE) != apu.execute(heavier, BASE)
+
+    def test_models_with_other_params_share_no_entries(self):
+        default = APUModel()
+        hotter = APUModel.with_params(PowerModelParams(gpu_dyn_w_per_cu_v2ghz=4.0))
+        for model in (default, hotter, default, hotter):
+            measurement, breakdown = _direct(model, KERNEL, BASE)
+            assert model.execute(KERNEL, BASE) == measurement
+            assert model.kernel_power(KERNEL, BASE) == breakdown
+            assert model.manager_measurement(0.01, BASE) == _direct_manager(
+                model, 0.01, BASE
+            )
+        assert default.execute(KERNEL, BASE) != hotter.execute(KERNEL, BASE)
+        idler = APUModel.with_params(PowerModelParams(gpu_idle_leak_w=3.0))
+        for model in (default, idler, default, idler):
+            assert model.manager_measurement(0.01, BASE) == _direct_manager(
+                model, 0.01, BASE
+            )
+        assert (
+            default.manager_measurement(0.01, BASE)
+            != idler.manager_measurement(0.01, BASE)
+        )
+
+    def test_memo_leaves_pickle_and_description_unchanged(self):
+        apu = APUModel()
+        before = (pickle.dumps(apu), describe(apu))
+        for config in _throttle_space_configs()[:40]:
+            apu.execute(KERNEL, config)
+            apu.kernel_power(KERNEL, config)
+            apu.manager_measurement(0.01, config)
+        assert (pickle.dumps(apu), describe(apu)) == before
+
+    def test_the_memos_are_bounded_and_stay_exact(self):
+        apu = APUModel()
+        configs = _throttle_space_configs()
+        specs = benchmark("hybridsort").unique_kernels
+        assert len(specs) * len(configs) > apu_module._MEMO_BOUND
+        for spec in specs:
+            for i, config in enumerate(configs):
+                measurement = apu.execute(spec, config)
+                if i % 37 == 0:
+                    assert measurement == _direct(apu, spec, config)[0]
+                assert len(apu_module._LAUNCHES[apu]) <= apu_module._MEMO_BOUND
+        for spec in (specs[0], specs[-1]):
+            for config in (configs[0], configs[-1]):
+                assert apu.execute(spec, config) == _direct(apu, spec, config)[0]
+                assert apu.kernel_power(spec, config) == _direct(apu, spec, config)[1]
+
+    def test_the_manager_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(apu_module, "_MEMO_BOUND", 16)
+        apu = APUModel()
+        configs = _throttle_space_configs()
+        for config in configs[:50] + configs[:50]:
+            assert apu.manager_measurement(0.01, config) == _direct_manager(
+                apu, 0.01, config
+            )
+            assert len(apu_module._MANAGER_POWER[apu]) <= 16
+
+    def test_characterizing_a_population_passes_through(self):
+        # Training runs every (kernel, configuration) pair once.
+        apu = APUModel()
+        kernels = KernelPopulationGenerator(seed=5).population(14)
+        dataset = build_dataset(kernels, apu=apu)
+        assert len(dataset.log_time) > apu_module._MEMO_BOUND
+        assert len(apu_module._LAUNCHES[apu]) <= apu_module._MEMO_BOUND

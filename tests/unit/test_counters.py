@@ -161,3 +161,56 @@ class TestObservationMemo:
         second = synth.observe(COMPUTE, sequence=5)
         assert first == second
         assert first is not second
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_repeated_observations_equal_the_direct_formula(self, noise):
+        from repro.workloads.suites import all_benchmarks
+
+        synth = CounterSynthesizer(noise=noise)
+        specs = sorted(
+            {spec for app in all_benchmarks() for spec in app.unique_kernels},
+            key=lambda spec: spec.key,
+        )
+        sequences = (0, 1, 7, 1000)
+        for _ in range(3):  # a miss, then hits
+            for spec in specs:
+                for sequence in sequences:
+                    assert synth.observe(spec, sequence) == _direct_observe(
+                        synth, spec, sequence
+                    )
+
+    def test_specs_sharing_a_key_are_observed_apart(self):
+        # The noise is drawn from the spec's key, but it scales the whole
+        # spec's nominal counters: a spec differing in any other field
+        # observes differently.
+        import dataclasses
+
+        synth = CounterSynthesizer(noise=0.02)
+        heavier = dataclasses.replace(MEMORY, compute_work=MEMORY.compute_work * 3)
+        assert heavier.key == MEMORY.key
+        for spec in (MEMORY, heavier, MEMORY, heavier):
+            assert synth.observe(spec, 4) == _direct_observe(synth, spec, 4)
+        assert synth.observe(MEMORY, 4) != synth.observe(heavier, 4)
+
+    def test_the_memo_is_bounded_and_stays_exact(self):
+        from repro.workloads import counters
+
+        synth = CounterSynthesizer(noise=0.02)
+        bound = counters._OBSERVED_BOUND
+        for sequence in range(bound + 50):
+            observed = synth.observe(COMPUTE, sequence)
+            if sequence % 97 == 0:
+                assert observed == _direct_observe(synth, COMPUTE, sequence)
+            assert len(counters._OBSERVED[synth]) <= bound
+        for sequence in (0, bound - 1, bound, bound + 49):
+            assert synth.observe(COMPUTE, sequence) == _direct_observe(
+                synth, COMPUTE, sequence
+            )
+        assert len(counters._OBSERVED[synth]) <= bound
+
+    def test_each_synthesizer_keeps_its_own_observations(self):
+        seeded = CounterSynthesizer(noise=0.02, seed=1)
+        other = CounterSynthesizer(noise=0.02, seed=2)
+        for synth in (seeded, other, seeded, other):
+            assert synth.observe(COMPUTE, 3) == _direct_observe(synth, COMPUTE, 3)
+        assert seeded.observe(COMPUTE, 3) != other.observe(COMPUTE, 3)
