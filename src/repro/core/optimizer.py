@@ -31,15 +31,14 @@ import numpy as np
 
 from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
-from repro.hardware.config import FAILSAFE_CONFIG, KNOBS, ConfigSpace, HardwareConfig
+from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
 from repro.hardware.table import ConfigTable
 from repro.ml.predictors import KernelEstimate, PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
 from repro.workloads.counters import CounterVector
 
 __all__ = [
-    "MAX_PASSES", "OptimizationResult", "MoveTable", "PartialSweep",
-    "GreedyHillClimbOptimizer", "move_table",
+    "MAX_PASSES", "OptimizationResult", "PartialSweep", "GreedyHillClimbOptimizer",
 ]
 
 #: Bound on whole sensitivity-order sweeps of the hill climb, which
@@ -73,83 +72,6 @@ class OptimizationResult:
     estimate: KernelEstimate
     evaluations: int
     fail_safe: bool
-
-
-class MoveTable:
-    """Every knob move of one lattice shape, as flat row indices.
-
-    Built once per shape by :func:`move_table` from the same stride
-    arithmetic as :class:`~repro.hardware.table.ConfigTable` (CPU
-    slowest-varying, CU fastest), so each entry equals the table's
-    ``cross``, ``step_index`` and ``set_knob`` for that row.
-
-    Attributes:
-        cross: Per row, the rows within one knob move of it, ascending.
-        steps: Per row and knob position (``KNOBS`` order), the
-            ``(down, up)`` neighbours one axis step away, ``None`` off
-            the axis end.
-        neighbours: Per row and knob position, the ``(side, row)`` pairs
-            of ``steps`` that exist, down (side 0) before up (side 1).
-        probes: Per row, both axis ends of every probed knob through
-            it, ``(low, high)`` per knob in ``probe_knobs`` order.
-        probe_knobs: ``(knob, position, length - 1)`` of every knob
-            whose axis has two or more values.
-    """
-
-    __slots__ = ("cross", "steps", "neighbours", "probes", "probe_knobs")
-
-    def __init__(self, lengths: Tuple[int, ...]) -> None:
-        _, n_nb, n_gpu, n_cu = lengths
-        strides = (n_nb * n_gpu * n_cu, n_gpu * n_cu, n_cu, 1)
-        self.probe_knobs: Tuple[Tuple[str, int, int], ...] = tuple(
-            (knob, position, length - 1)
-            for position, (knob, length) in enumerate(zip(KNOBS, lengths))
-            if length >= 2
-        )
-        self.cross: List[Tuple[int, ...]] = []
-        self.steps: List[Tuple[Tuple[Optional[int], Optional[int]], ...]] = []
-        self.neighbours: List[Tuple[Tuple[Tuple[int, int], ...], ...]] = []
-        self.probes: List[Tuple[int, ...]] = []
-        for index in range(lengths[0] * strides[0]):
-            cross: List[int] = []
-            steps = []
-            neighbours = []
-            ends = []
-            for stride, length in zip(strides, lengths):
-                # The knob's axis through this row runs from low to high.
-                low = index - index // stride % length * stride
-                high = low + (length - 1) * stride
-                cross.extend(range(low, high + 1, stride))
-                down = index - stride if index > low else None
-                up = index + stride if index < high else None
-                steps.append((down, up))
-                options = []
-                if down is not None:
-                    options.append((0, down))
-                if up is not None:
-                    options.append((1, up))
-                neighbours.append(tuple(options))
-                ends.append((low, high))
-            self.cross.append(tuple(sorted(set(cross))))
-            self.steps.append(tuple(steps))
-            self.neighbours.append(tuple(neighbours))
-            self.probes.append(tuple(
-                row for _, position, _ in self.probe_knobs for row in ends[position]
-            ))
-
-
-#: Move tables by lattice shape (axis lengths in ``KNOBS`` order).
-#: Module-level, so every optimizer on a shape shares one table and no
-#: pickled or described object holds it.
-_MOVE_TABLES: Dict[Tuple[int, ...], MoveTable] = {}
-
-
-def move_table(lengths: Tuple[int, ...]) -> MoveTable:
-    """The shared :class:`MoveTable` of a lattice shape, built on first use."""
-    table = _MOVE_TABLES.get(lengths)
-    if table is None:
-        table = _MOVE_TABLES[lengths] = MoveTable(lengths)
-    return table
 
 
 class PartialSweep:
@@ -203,8 +125,9 @@ class GreedyHillClimbOptimizer:
     probes, and a read of a row not computed yet computes the rest of
     the cross through that row.  The climb itself compares plain
     floats: rows are read from the sweep's lists and knob moves from
-    the lattice shape's shared :class:`MoveTable`, and only the
-    returned row becomes a :class:`KernelEstimate`.  Chosen
+    the table's shared :class:`~repro.hardware.table.MoveTable`
+    (:meth:`ConfigTable.moves`), and only the returned row becomes a
+    :class:`KernelEstimate`.  Chosen
     configurations, estimate floats, and evaluation counts are
     identical to a per-configuration search — ``tests/differential/``
     replays every scenario family against such a reference, and the
@@ -257,7 +180,9 @@ class GreedyHillClimbOptimizer:
         self._m_lock = registry.lock
         self.table = ConfigTable(space)
         self._fail_safe_index = self.table.index_of_config(self.fail_safe)
-        self._fail_safe_cross = self.table.cross(self._fail_safe_index)
+        self._fail_safe_cross = np.array(
+            self.table.moves().cross[self._fail_safe_index], dtype=np.intp
+        )
         # Sweeps by counter vector.  Weakly keyed: the pattern extractor
         # gives a kernel a new vector object each time it runs, so an
         # entry dies with the last record that could ask for it, and the
@@ -265,11 +190,6 @@ class GreedyHillClimbOptimizer:
         self._sweeps: weakref.WeakKeyDictionary[CounterVector, PartialSweep] = (
             weakref.WeakKeyDictionary()
         )
-
-    @property
-    def move_table(self) -> MoveTable:
-        """The knob moves of this optimizer's lattice shape (shared)."""
-        return move_table(self.table.axis_lengths)
 
     @property
     def lattice_key(self) -> Tuple:
@@ -368,12 +288,6 @@ class GreedyHillClimbOptimizer:
             np.array([row for row in rows if times[row] is None], dtype=np.intp),
         )
 
-    def _read(self, sweep: PartialSweep, index: int) -> KernelEstimate:
-        """One row of a sweep, computing the cross through it if needed."""
-        if sweep.times_s[index] is None:
-            self._fill_missing(sweep, self.move_table.cross[index])
-        return sweep.estimate(index)
-
     # ----- single kernel -------------------------------------------------------
 
     def optimize_kernel(self, record: KernelRecord,
@@ -400,7 +314,7 @@ class GreedyHillClimbOptimizer:
         # request charges one evaluation whether the row was read before
         # in this search or not — the search's modelled cost is its
         # per-configuration budget.
-        moves = self.move_table
+        moves = self.table.moves()
         [sweep] = self.sweep_many((record.counters,))
         times, energies = sweep.times_s, sweep.energy_j
 

@@ -65,8 +65,8 @@ def _menus(
     """Per-unique-kernel (time, energy) menus and launch multiplicities.
 
     Each menu is one columnar ground-truth evaluation over the whole
-    lattice (``tolist()`` yields the same floats the scalar
-    ``apu.execute`` loop produced, in the same ``all_configs`` order).
+    lattice, in ``all_configs`` order; each row holds the floats
+    ``apu.execute`` returns for that configuration.
     """
     table = ConfigTable(space)
     keys: List[str] = []

@@ -164,17 +164,3 @@ class ResultCache:
         finally:
             self.stats.store_s += time.perf_counter() - start
         self.stats.stores += 1
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if not os.path.isdir(self.root):
-            return removed
-        for name in os.listdir(self.root):
-            if name.endswith(".json"):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed

@@ -6,10 +6,6 @@ DESIGN.md for the experiment index and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-from repro.experiments.common import (
-    ExperimentContext,
-    ExperimentTable,
-    default_context,
-)
+from repro.experiments.common import ExperimentContext, ExperimentTable
 
-__all__ = ["ExperimentContext", "ExperimentTable", "default_context"]
+__all__ = ["ExperimentContext", "ExperimentTable"]

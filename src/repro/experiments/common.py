@@ -44,7 +44,7 @@ from repro.workloads.app import Application
 from repro.workloads.generator import training_population
 from repro.workloads.suites import BENCHMARK_NAMES, benchmark
 
-__all__ = ["ExperimentTable", "ExperimentContext", "default_context"]
+__all__ = ["ExperimentTable", "ExperimentContext"]
 
 #: Default on-disk cache for the trained Random Forest.
 DEFAULT_CACHE_DIR = ".cache"
@@ -360,14 +360,3 @@ class ExperimentContext:
     def theoretically_optimal(self, name: str) -> RunResult:
         """The Theoretically Optimal plan, replayed with no overheads."""
         return self._run_one(RunRequest(name, "to"), (name, "to"))
-
-
-_DEFAULT: Optional[ExperimentContext] = None
-
-
-def default_context() -> ExperimentContext:
-    """A process-wide shared context (used by benches and examples)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = ExperimentContext()
-    return _DEFAULT

@@ -22,7 +22,7 @@ from repro.hardware.dvfs import (
     memory_bus_bandwidth_gbps,
     rail_voltage,
 )
-from repro.hardware.perf import KernelTiming, TimingModel
+from repro.hardware.perf import TimingModel
 from repro.hardware.power import PowerBreakdown, PowerModel, PowerModelParams
 from repro.hardware.table import ConfigTable
 from repro.hardware.telemetry import PowerSample, PowerTelemetry, PowerTrace
@@ -45,7 +45,6 @@ __all__ = [
     "CU_COUNTS",
     "rail_voltage",
     "memory_bus_bandwidth_gbps",
-    "KernelTiming",
     "TimingModel",
     "PowerBreakdown",
     "PowerModel",

@@ -21,8 +21,9 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.hardware.config import HardwareConfig
-from repro.hardware.perf import KernelTiming, TimingModel
+from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.dvfs import GPU_DPM_STATES
+from repro.hardware.perf import TimingModel
 from repro.hardware.power import PowerBreakdown, PowerModel, PowerModelParams
 from repro.hardware.table import ConfigTable
 from repro.hardware.thermal import ThermalModel
@@ -30,7 +31,7 @@ from repro.hardware.thermal import ThermalModel
 if TYPE_CHECKING:  # imported lazily to avoid a hardware <-> workloads cycle
     from repro.workloads.kernel import KernelSpec
 
-__all__ = ["Measurement", "MeasurementMatrix", "APUModel"]
+__all__ = ["Measurement", "MeasurementMatrix", "APUModel", "PART_TABLE"]
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,9 @@ class Measurement:
 class MeasurementMatrix:
     """Telemetry columns for one kernel over many configurations.
 
-    The struct-of-arrays twin of :class:`Measurement`, indexed like the
-    source :class:`ConfigTable` rows; elements are float-for-float equal
-    to the scalar :meth:`APUModel.execute` results.
+    The struct-of-arrays form of :class:`Measurement`, indexed like the
+    source :class:`ConfigTable` rows; each row holds the floats
+    :meth:`APUModel.execute` returns for that configuration.
     """
 
     times_s: np.ndarray
@@ -103,11 +104,17 @@ class MeasurementMatrix:
         )
 
 
+#: Every configuration the part can run, as one table: the searched
+#: lattice plus the two DPM states only the TDP throttle steps through
+#: (7 CPU x 4 NB x 5 DPM x 4 CU = 560 rows).  A :data:`_LAUNCHES` miss
+#: evaluates one row of it.
+PART_TABLE = ConfigTable(ConfigSpace(gpu_states=tuple(GPU_DPM_STATES)))
+
 #: Most entries each APU model keeps in :data:`_LAUNCHES` and in
 #: :data:`_MANAGER_POWER`; a full memo is cleared.  One pass of a
 #: shipping workload runs at most a few hundred distinct (kernel,
-#: configuration) pairs, while characterizing the training population
-#: runs every pair once and passes through.
+#: configuration) pairs; training characterization evaluates whole
+#: tables through :meth:`APUModel.execute_matrix` and adds no entry.
 _MEMO_BOUND = 4096
 
 #: Each APU model's ground truth per (kernel spec, configuration): the
@@ -161,10 +168,6 @@ class APUModel:
 
     # ----- kernel execution ------------------------------------------------
 
-    def kernel_timing(self, spec: KernelSpec, config: HardwareConfig) -> KernelTiming:
-        """Timing breakdown of one launch of ``spec`` at ``config``."""
-        return self.timing.kernel_timing(spec, config)
-
     def kernel_power(self, spec: KernelSpec, config: HardwareConfig) -> PowerBreakdown:
         """Average power while ``spec`` runs at ``config``."""
         return self._launch(spec, config)[1]
@@ -182,10 +185,13 @@ class APUModel:
         key = (spec, config)
         entry = memo.get(key)
         if entry is None:
-            timing = self.timing.kernel_timing(spec, config)
-            breakdown = self.power.kernel_power(config, timing, spec.activity_factor)
+            row = np.array([PART_TABLE.index_of_config(config)])
+            timing = self.timing.kernel_timing_matrix(spec, PART_TABLE, row)
+            breakdown = self.power.kernel_power_matrix(
+                PART_TABLE, timing, spec.activity_factor, row
+            ).breakdown(0)
             measurement = Measurement(
-                time_s=timing.total_time_s,
+                time_s=float(timing.total_time_s[0]),
                 gpu_power_w=breakdown.gpu_w,
                 cpu_power_w=breakdown.cpu_w,
                 temperature_c=breakdown.temperature_c,
@@ -199,12 +205,11 @@ class APUModel:
                        indices: Optional[np.ndarray] = None) -> MeasurementMatrix:
         """Telemetry for one kernel over many configurations at once.
 
-        Columnar counterpart of :meth:`execute` against a
-        :class:`ConfigTable`: one vectorized timing + power evaluation
-        instead of a per-config Python loop, with rows float-for-float
-        identical to the scalar path.  This is what the oracle
-        predictor, the TO menu construction, and the exhaustive search
-        paths run on.
+        One vectorized timing + power evaluation against a
+        :class:`ConfigTable`, the same model :meth:`execute` reads one
+        row of, so each row equals ``execute(spec, table.configs[i])``
+        float for float.  This is what the oracle predictor, the TO
+        menu construction and training characterization run on.
 
         Args:
             spec: The kernel.

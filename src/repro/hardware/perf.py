@@ -1,7 +1,8 @@
 """Ground-truth kernel timing model.
 
-This module computes how long a kernel launch takes at a given hardware
-configuration.  It stands in for the paper's physical measurements of
+This module computes how long a kernel launch takes at each hardware
+configuration of a :class:`~repro.hardware.table.ConfigTable`.  It
+stands in for the paper's physical measurements of
 336 (kernel, configuration) points on the AMD A10-7850K, using a
 roofline-style model that reproduces the four scaling behaviours of the
 paper's Figure 2:
@@ -24,13 +25,12 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.hardware.config import HardwareConfig
 from repro.hardware.table import ConfigTable
 
 if TYPE_CHECKING:  # imported lazily to avoid a hardware <-> workloads cycle
     from repro.workloads.kernel import KernelSpec
 
-__all__ = ["KernelTiming", "KernelTimingMatrix", "TimingModel"]
+__all__ = ["KernelTimingMatrix", "TimingModel"]
 
 #: Vector lanes per GPU compute unit (GCN-style SIMD width).
 LANES_PER_CU = 64
@@ -46,51 +46,21 @@ BW_DEMAND_PER_CU_GHZ = 6.0
 
 
 @dataclass(frozen=True)
-class KernelTiming:
-    """Timing breakdown of one kernel launch.
+class KernelTimingMatrix:
+    """Timing breakdown of one kernel over many configurations.
+
+    Every field but ``serial_time_s`` is a float64 array indexed like
+    the source :class:`ConfigTable` rows.
 
     Attributes:
         compute_time_s: Time the compute pipeline needs, in isolation.
         memory_time_s: Time the memory system needs, in isolation.
-        serial_time_s: Fixed serial/launch time.
+        serial_time_s: Fixed serial/launch time (one float).
         total_time_s: Wall-clock kernel time (serial + max of the two
             overlapped components).
         achieved_bandwidth_gbps: DRAM bandwidth actually consumed.
         effective_memory_traffic_gb: Memory traffic after shared-cache
             interference inflation.
-    """
-
-    compute_time_s: float
-    memory_time_s: float
-    serial_time_s: float
-    total_time_s: float
-    achieved_bandwidth_gbps: float
-    effective_memory_traffic_gb: float
-
-    @property
-    def compute_utilization(self) -> float:
-        """Fraction of the overlapped window the compute pipeline is busy."""
-        window = self.total_time_s - self.serial_time_s
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.compute_time_s / window)
-
-    @property
-    def memory_utilization(self) -> float:
-        """Fraction of the overlapped window the memory system is busy."""
-        window = self.total_time_s - self.serial_time_s
-        if window <= 0:
-            return 0.0
-        return min(1.0, self.memory_time_s / window)
-
-
-@dataclass(frozen=True)
-class KernelTimingMatrix:
-    """Per-config timing columns for one kernel over many configurations.
-
-    The struct-of-arrays twin of :class:`KernelTiming`: every field is a
-    float64 array indexed like the source :class:`ConfigTable` rows, and
-    every element equals the corresponding scalar field float for float.
     """
 
     compute_time_s: np.ndarray
@@ -102,7 +72,7 @@ class KernelTimingMatrix:
 
     @property
     def compute_utilization(self) -> np.ndarray:
-        """Elementwise :attr:`KernelTiming.compute_utilization`."""
+        """Fraction of the overlapped window the compute pipeline is busy."""
         window = self.total_time_s - self.serial_time_s
         util = np.zeros_like(window)
         np.divide(self.compute_time_s, window, out=util, where=window > 0)
@@ -129,76 +99,17 @@ class TimingModel:
         self.lanes_per_cu = lanes_per_cu
         self.bw_demand_per_cu_ghz = bw_demand_per_cu_ghz
 
-    def amdahl_speedup(self, spec: KernelSpec, cu: int) -> float:
-        """Compute-side speedup of ``cu`` CUs over a single CU."""
-        p = spec.parallel_fraction
-        return 1.0 / ((1.0 - p) + p / cu)
-
-    def effective_memory_traffic(self, spec: KernelSpec, cu: int) -> float:
-        """Memory traffic in GB including shared-cache interference.
-
-        Beyond ``cache_sweet_spot_cu`` active CUs, each extra CU inflates
-        off-chip traffic by ``cache_interference`` of the base amount —
-        the destructive interference that makes "peak" kernels fastest
-        at a mid-size configuration.
-        """
-        extra_cus = max(0, cu - spec.cache_sweet_spot_cu)
-        return spec.memory_traffic * (1.0 + spec.cache_interference * extra_cus)
-
-    def achievable_bandwidth(self, spec: KernelSpec, config: HardwareConfig) -> float:
-        """DRAM bandwidth in GB/s this kernel can pull at this config.
-
-        The bus bandwidth is set by the NB state; a small/slow GPU
-        configuration may additionally be request-rate limited.
-        """
-        bus = config.memory_bandwidth_gbps
-        demand = self.bw_demand_per_cu_ghz * config.cu * config.gpu_state.freq_ghz
-        return min(bus, demand)
-
-    def kernel_timing(self, spec: KernelSpec, config: HardwareConfig) -> KernelTiming:
-        """Full timing breakdown of one kernel launch at one config."""
-        f_gpu = config.gpu_state.freq_ghz
-        lane_rate = (
-            self.lanes_per_cu
-            * f_gpu
-            * spec.compute_efficiency
-            * self.amdahl_speedup(spec, config.cu)
-        )  # giga-lane-ops per second
-
-        compute_time = spec.compute_work / lane_rate if spec.compute_work else 0.0
-
-        traffic = self.effective_memory_traffic(spec, config.cu)
-        bandwidth = self.achievable_bandwidth(spec, config)
-        memory_time = traffic / bandwidth if traffic else 0.0
-
-        overlapped = max(compute_time, memory_time)
-        total = spec.serial_time_s + overlapped
-        achieved = traffic / overlapped if overlapped > 0 and traffic else 0.0
-
-        return KernelTiming(
-            compute_time_s=compute_time,
-            memory_time_s=memory_time,
-            serial_time_s=spec.serial_time_s,
-            total_time_s=total,
-            achieved_bandwidth_gbps=achieved,
-            effective_memory_traffic_gb=traffic,
-        )
-
-    def kernel_time(self, spec: KernelSpec, config: HardwareConfig) -> float:
-        """Wall-clock seconds for one launch of ``spec`` at ``config``."""
-        return self.kernel_timing(spec, config).total_time_s
-
     def kernel_timing_matrix(
         self, spec: KernelSpec, table: ConfigTable,
         indices: Optional[np.ndarray] = None,
     ) -> KernelTimingMatrix:
         """Timing breakdowns for one kernel over many configurations.
 
-        Columnar counterpart of :meth:`kernel_timing`, evaluated against
-        a :class:`ConfigTable`.  Every operation is elementwise float64
-        in the same order as the scalar model, so each row is
-        float-for-float identical to ``kernel_timing(spec, configs[i])``
-        — the golden-result suite depends on that.
+        The only timing model: every launch, counter synthesis and
+        training row reads a row of it.  Each row depends on that row's
+        configuration alone (elementwise float64), so a one-row
+        evaluation equals the same row of a whole-table one, float for
+        float.
 
         Args:
             spec: The kernel.

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hardware.config import HardwareConfig
-from repro.hardware.perf import KernelTiming, KernelTimingMatrix
+from repro.hardware.perf import KernelTimingMatrix
 from repro.hardware.table import ConfigTable
 from repro.hardware.thermal import ThermalModel
 
@@ -72,8 +72,7 @@ class PowerBreakdown:
 class PowerBreakdownMatrix:
     """Per-config power columns: struct-of-arrays :class:`PowerBreakdown`.
 
-    Each field is a float64 array over a :class:`ConfigTable` row set;
-    every element equals the scalar breakdown's field float for float.
+    Each field is a float64 array over a :class:`ConfigTable` row set.
     """
 
     gpu_dynamic_w: np.ndarray
@@ -91,6 +90,16 @@ class PowerBreakdownMatrix:
     def total_w(self) -> np.ndarray:
         """Total chip power column."""
         return self.gpu_w + self.cpu_w
+
+    def breakdown(self, i: int) -> PowerBreakdown:
+        """The scalar :class:`PowerBreakdown` of one row."""
+        return PowerBreakdown(
+            gpu_dynamic_w=float(self.gpu_dynamic_w[i]),
+            gpu_leakage_w=float(self.gpu_leakage_w[i]),
+            nb_w=float(self.nb_w[i]),
+            cpu_w=float(self.cpu_w[i]),
+            temperature_c=float(self.temperature_c[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -159,76 +168,19 @@ class PowerModel:
         leakage = p.cpu_leak_w_per_v * state.voltage * leak_factor
         return dynamic + leakage
 
-    def gpu_dynamic_power(self, config: HardwareConfig, compute_util: float,
-                          activity: float = 1.0) -> float:
-        """GPU core switching power at a utilization/activity level."""
-        p = self.params
-        v_rail = config.rail_voltage
-        return (
-            p.gpu_dyn_w_per_cu_v2ghz
-            * config.cu
-            * v_rail**2
-            * config.gpu_state.freq_ghz
-            * compute_util
-            * activity
-        )
-
-    def gpu_leakage_power(self, config: HardwareConfig,
-                          leak_factor: float = 1.0) -> float:
-        """GPU leakage: inactive CUs are power-gated and leak nothing."""
-        p = self.params
-        v_rail = config.rail_voltage
-        nominal = (p.gpu_leak_base_w_per_v + p.gpu_leak_w_per_cu_v * config.cu) * v_rail
-        return nominal * leak_factor
-
-    def nb_power(self, config: HardwareConfig, achieved_bw_gbps: float,
-                 leak_factor: float = 1.0) -> float:
-        """Northbridge + DRAM interface power."""
-        p = self.params
-        v_rail = config.rail_voltage
-        dynamic = p.nb_dyn_w_per_v2ghz * v_rail**2 * config.nb_state.freq_ghz
-        leakage = p.nb_leak_w_per_v * v_rail * leak_factor
-        dram = p.dram_base_w + p.dram_w_per_gbps * achieved_bw_gbps
-        return dynamic + leakage + dram
-
     # ----- whole-chip scenarios -------------------------------------------
-
-    def kernel_power(self, config: HardwareConfig, timing: KernelTiming,
-                     activity: float = 1.0) -> PowerBreakdown:
-        """Average chip power while a kernel runs at ``config``.
-
-        The CPU busy-waits (one spinning core).  Leakage and temperature
-        are solved self-consistently through the thermal model.
-        """
-        gpu_dyn = self.gpu_dynamic_power(config, timing.compute_utilization, activity)
-        nb_base = self.nb_power(config, timing.achieved_bandwidth_gbps, leak_factor=1.0)
-        cpu_dyn_only = self.cpu_power(config, busy_cores=1, leak_factor=0.0)
-
-        nominal_leak = (
-            self.gpu_leakage_power(config, 1.0)
-            + self.params.cpu_leak_w_per_v * config.cpu_state.voltage
-        )
-        dynamic = gpu_dyn + nb_base + cpu_dyn_only
-        temp, factor = self.thermal.solve(dynamic, nominal_leak)
-
-        return PowerBreakdown(
-            gpu_dynamic_w=gpu_dyn,
-            gpu_leakage_w=self.gpu_leakage_power(config, factor),
-            nb_w=nb_base,
-            cpu_w=self.cpu_power(config, busy_cores=1, leak_factor=factor),
-            temperature_c=temp,
-        )
 
     def kernel_power_matrix(
         self, table: ConfigTable, timing: KernelTimingMatrix,
         activity: float = 1.0, indices: Optional[np.ndarray] = None,
     ) -> PowerBreakdownMatrix:
-        """Columnar :meth:`kernel_power` over a :class:`ConfigTable`.
+        """Average chip power while a kernel runs, per configuration.
 
-        Elementwise float64 with the same operation order as the scalar
-        path (including the coefficient groupings and the thermal
-        fixed-point), so each row is float-for-float identical to
-        ``kernel_power(configs[i], timing_i, activity)``.
+        The only kernel power model: every launch and training row reads
+        a row of it.  The CPU busy-waits (one spinning core, the rest
+        clock-gated); leakage and temperature are solved
+        self-consistently through the thermal model.  Each row depends
+        on that row's configuration alone (elementwise float64).
 
         Args:
             table: Columnar configuration set.
@@ -262,33 +214,32 @@ class PowerModel:
             * activity
         )
 
+        # The NB shares the GPU rail; its leakage stays at the nominal
+        # factor, and the DRAM interface draws per GB/s actually moved.
         nb_dynamic = p.nb_dyn_w_per_v2ghz * v_rail**2 * nb_freq
-        nb_leakage = p.nb_leak_w_per_v * v_rail * 1.0
+        nb_leakage = p.nb_leak_w_per_v * v_rail
         dram = p.dram_base_w + p.dram_w_per_gbps * timing.achieved_bandwidth_gbps
-        nb_base = nb_dynamic + nb_leakage + dram
+        nb = nb_dynamic + nb_leakage + dram
 
-        # cpu_power(config, busy_cores=1, leak_factor=...): the same
-        # coefficient grouping as the scalar path, leakage split out so
-        # the leak factor applies per element.
+        # One spinning CPU core, the rest gated (see cpu_power).
         cpu_coef = (
-            1 * p.cpu_busy_w_per_v2ghz
-            + (p.cpu_cores - 1) * p.cpu_idle_w_per_v2ghz
+            p.cpu_busy_w_per_v2ghz + (p.cpu_cores - 1) * p.cpu_idle_w_per_v2ghz
         )
-        v2f = cpu_voltage**2 * cpu_freq
-        cpu_dynamic = cpu_coef * v2f
-        cpu_dyn_only = cpu_dynamic + p.cpu_leak_w_per_v * cpu_voltage * 0.0
+        cpu_dynamic = cpu_coef * (cpu_voltage**2 * cpu_freq)
 
+        # Gated CUs leak nothing.
         gpu_leak_nominal = (
             p.gpu_leak_base_w_per_v + p.gpu_leak_w_per_cu_v * cu
         ) * v_rail
-        nominal_leak = gpu_leak_nominal * 1.0 + p.cpu_leak_w_per_v * cpu_voltage
-        dynamic = gpu_dyn + nb_base + cpu_dyn_only
-        temp, factor = self.thermal.solve_many(dynamic, nominal_leak)
+        nominal_leak = gpu_leak_nominal + p.cpu_leak_w_per_v * cpu_voltage
+        temp, factor = self.thermal.solve_many(
+            gpu_dyn + nb + cpu_dynamic, nominal_leak
+        )
 
         return PowerBreakdownMatrix(
             gpu_dynamic_w=gpu_dyn,
             gpu_leakage_w=gpu_leak_nominal * factor,
-            nb_w=nb_base,
+            nb_w=nb,
             cpu_w=cpu_dynamic + p.cpu_leak_w_per_v * cpu_voltage * factor,
             temperature_c=temp,
         )
@@ -305,15 +256,12 @@ class PowerModel:
             self.params.gpu_idle_leak_w
             + self.params.cpu_leak_w_per_v * config.cpu_state.voltage
         )
-        temp, factor = self.thermal.solve(cpu_dyn_only, nominal_leak)
+        temp, factor = self.thermal.solve_many(cpu_dyn_only, nominal_leak)
+        factor = float(factor)
         return PowerBreakdown(
             gpu_dynamic_w=0.0,
             gpu_leakage_w=self.params.gpu_idle_leak_w * factor,
             nb_w=0.0,
             cpu_w=self.cpu_power(config, busy_cores=1, leak_factor=factor),
-            temperature_c=temp,
+            temperature_c=float(temp),
         )
-
-    def within_tdp(self, breakdown: PowerBreakdown) -> bool:
-        """Whether a power breakdown respects the chip TDP."""
-        return breakdown.total_w <= self.params.tdp_w

@@ -12,36 +12,108 @@ ground-truth models can work on flat index arrays:
   voltage, memory bandwidth, CU count),
 * the static per-config block of the ML feature matrix (the seven
   hardware columns of :data:`repro.ml.dataset.FEATURE_NAMES`), and
-* O(1) flat-index <-> config mapping plus pure-arithmetic knob stepping
-  (strides instead of ``replace()``/``axis.index()``).
+* O(1) config -> flat-index mapping, plus every knob move of the
+  lattice as flat indices in one :class:`MoveTable` per lattice shape.
 
 Flat order is exactly :meth:`ConfigSpace.all_configs` order (CPU
 slowest-varying, CU fastest-varying), so ``table.configs[i]`` and
 ``space.all_configs()[i]`` always agree.
 
-Every column is computed eagerly in ``__init__`` from the same scalar
-``HardwareConfig`` properties the scalar path reads, so columnar math
-over these columns is float-for-float identical to the scalar path.
-Instances are plain data — safe to pickle into engine worker processes
-(RL004) and stable under ``engine.fingerprint.describe()``: the
-only derived state that depends on *usage* (the per-CPU-power-model
-column memo) lives in a module-level ``WeakKeyDictionary``, never in
-``__dict__``.
+Every column is computed eagerly in ``__init__`` from the
+``HardwareConfig`` properties.  Instances are plain data — safe to
+pickle into engine worker processes (RL004) and stable under
+``engine.fingerprint.describe()``: the only derived state that depends
+on *usage* (the per-CPU-power-model column memo and the move tables)
+lives in module-level memos, never in ``__dict__``.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.config import KNOBS, ConfigSpace, HardwareConfig
 
-__all__ = ["ConfigTable"]
+__all__ = ["ConfigTable", "MoveTable", "move_table"]
 
-#: Position of each knob in the canonical (cpu, nb, gpu, cu) order.
-_KNOB_POS = {knob: position for position, knob in enumerate(KNOBS)}
+
+class MoveTable:
+    """Every knob move of one lattice shape, as flat row indices.
+
+    Built once per shape by :func:`move_table` from the table's stride
+    arithmetic (CPU slowest-varying, CU fastest), so each entry names
+    the rows :meth:`ConfigSpace.step` and the axis ends reach.
+
+    Attributes:
+        cross: Per row, the rows within one knob move of it, ascending.
+        steps: Per row and knob position (``KNOBS`` order), the
+            ``(down, up)`` neighbours one axis step away, ``None`` off
+            the axis end.
+        neighbours: Per row and knob position, the ``(side, row)`` pairs
+            of ``steps`` that exist, down (side 0) before up (side 1).
+        probes: Per row, both axis ends of every probed knob through
+            it, ``(low, high)`` per knob in ``probe_knobs`` order.
+        probe_knobs: ``(knob, position, length - 1)`` of every knob
+            whose axis has two or more values.
+    """
+
+    __slots__ = ("cross", "steps", "neighbours", "probes", "probe_knobs")
+
+    def __init__(self, lengths: Tuple[int, ...]) -> None:
+        _, n_nb, n_gpu, n_cu = lengths
+        strides = (n_nb * n_gpu * n_cu, n_gpu * n_cu, n_cu, 1)
+        self.probe_knobs: Tuple[Tuple[str, int, int], ...] = tuple(
+            (knob, position, length - 1)
+            for position, (knob, length) in enumerate(zip(KNOBS, lengths))
+            if length >= 2
+        )
+        self.cross: List[Tuple[int, ...]] = []
+        self.steps: List[Tuple[Tuple[Optional[int], Optional[int]], ...]] = []
+        self.neighbours: List[Tuple[Tuple[Tuple[int, int], ...], ...]] = []
+        self.probes: List[Tuple[int, ...]] = []
+        for index in range(lengths[0] * strides[0]):
+            cross: List[int] = []
+            steps = []
+            neighbours = []
+            ends = []
+            for stride, length in zip(strides, lengths):
+                # The knob's axis through this row runs from low to high.
+                low = index - index // stride % length * stride
+                high = low + (length - 1) * stride
+                cross.extend(range(low, high + 1, stride))
+                down = index - stride if index > low else None
+                up = index + stride if index < high else None
+                steps.append((down, up))
+                options = []
+                if down is not None:
+                    options.append((0, down))
+                if up is not None:
+                    options.append((1, up))
+                neighbours.append(tuple(options))
+                ends.append((low, high))
+            self.cross.append(tuple(sorted(set(cross))))
+            self.steps.append(tuple(steps))
+            self.neighbours.append(tuple(neighbours))
+            self.probes.append(tuple(
+                row for _, position, _ in self.probe_knobs for row in ends[position]
+            ))
+
+
+#: Move tables by lattice shape (axis lengths in ``KNOBS`` order).
+#: Module-level, so every table of a shape shares one and no pickled or
+#: described object holds it.
+_MOVE_TABLES: Dict[Tuple[int, ...], MoveTable] = {}
+
+
+def move_table(lengths: Tuple[int, ...]) -> MoveTable:
+    """The shared :class:`MoveTable` of a lattice shape, built on first use."""
+    table = _MOVE_TABLES.get(lengths)
+    if table is None:
+        table = _MOVE_TABLES[lengths] = MoveTable(lengths)
+    return table
+
 
 #: Per-table memo of CPU-power columns, keyed by the CPU model's
 #: ``(coef, static)`` coefficients.  Module-level (weak-keyed) rather
@@ -57,9 +129,9 @@ _CPU_POWER_COLUMNS: "weakref.WeakKeyDictionary[ConfigTable, Dict[Tuple[float, fl
 class ConfigTable:
     """A configuration set encoded as numpy struct-of-arrays.
 
-    Build with :class:`ConfigSpace` for the full lattice (index grids
-    and knob stepping included) or :meth:`from_configs` for an ad-hoc
-    configuration list (columns only — used by the scalar-API wrappers).
+    Build with :class:`ConfigSpace` for the full lattice (flat-index
+    lookup and knob moves included) or :meth:`from_configs` for an
+    ad-hoc configuration list.
 
     Attributes:
         space: The source space, or ``None`` for an ad-hoc table.
@@ -68,31 +140,25 @@ class ConfigTable:
             gpu_freq_ghz / rail_voltage / cu_count: float64 columns.
         feature_block: ``(n, 7)`` static hardware block of the model
             feature matrix, columns in ``FEATURE_NAMES`` order.
-        cpu_index / nb_index / gpu_index / cu_index: per-config knob
-            axis indices (lattice tables only).
     """
 
     def __init__(self, space: ConfigSpace) -> None:
         self.space: Optional[ConfigSpace] = space
         self._init_columns(tuple(space.all_configs()))
         lengths = tuple(len(space.axis(knob)) for knob in KNOBS)
-        n_cpu, n_nb, n_gpu, n_cu = lengths
+        _, n_nb, n_gpu, n_cu = lengths
         self._axis_lengths: Optional[Tuple[int, ...]] = lengths
         self._strides: Optional[Tuple[int, ...]] = (
             n_nb * n_gpu * n_cu, n_gpu * n_cu, n_cu, 1,
         )
-        flat = np.arange(len(self.configs), dtype=np.intp)
-        self.cpu_index = flat // self._strides[0]
-        self.nb_index = (flat // self._strides[1]) % n_nb
-        self.gpu_index = (flat // self._strides[2]) % n_gpu
-        self.cu_index = flat % n_cu
 
     @classmethod
     def from_configs(cls, configs: Sequence[HardwareConfig]) -> "ConfigTable":
         """Columnar view of an arbitrary configuration list.
 
-        No lattice structure: ``config_at`` and the columns work, the
-        index-arithmetic helpers (stepping, ``index_of_config``) do not.
+        Rows follow ``configs`` in order.  Every column, ``config_at``
+        and the ground-truth and predictor evaluations work; the
+        lattice lookups (``index_of_config``, ``moves``) raise.
         """
         if not configs:
             raise ValueError("need at least one configuration")
@@ -165,77 +231,16 @@ class ConfigTable:
             + strides[3] * space.index_of(KNOBS[3], config.cu)
         )
 
+    def moves(self) -> MoveTable:
+        """Every knob move of this lattice, shared by its shape (lattice tables only)."""
+        self._require_lattice()
+        assert self._axis_lengths is not None
+        return move_table(self._axis_lengths)
+
     def _require_lattice(self) -> ConfigSpace:
         if self.space is None:
             raise ValueError("ad-hoc ConfigTable has no lattice structure")
         return self.space
-
-    # ----- index-space knob arithmetic ---------------------------------------
-
-    @property
-    def axis_lengths(self) -> Tuple[int, ...]:
-        """Every knob's axis length, in ``KNOBS`` order (lattice tables only)."""
-        self._require_lattice()
-        assert self._axis_lengths is not None
-        return self._axis_lengths
-
-    def axis_length(self, knob: str) -> int:
-        """Number of values on a knob's axis (lattice tables only)."""
-        self._require_lattice()
-        assert self._axis_lengths is not None
-        return self._axis_lengths[_KNOB_POS[knob]]
-
-    def axis_position(self, index: int, knob: str) -> int:
-        """The knob's axis index at a flat config index."""
-        self._require_lattice()
-        assert self._strides is not None and self._axis_lengths is not None
-        position = _KNOB_POS[knob]
-        return (index // self._strides[position]) % self._axis_lengths[position]
-
-    def set_knob(self, index: int, knob: str, axis_index: int) -> int:
-        """Flat index with one knob moved to a given axis position."""
-        self._require_lattice()
-        assert self._strides is not None and self._axis_lengths is not None
-        position = _KNOB_POS[knob]
-        length = self._axis_lengths[position]
-        if not 0 <= axis_index < length:
-            raise ValueError(f"axis index {axis_index} off knob {knob!r} (len {length})")
-        stride = self._strides[position]
-        current = (index // stride) % length
-        return index + (axis_index - current) * stride
-
-    def cross(self, index: int) -> np.ndarray:
-        """Flat indices of the rows within one knob move of ``index``.
-
-        The configuration itself plus every other position of each
-        knob's axis through it — ``1 + sum(len(axis) - 1)`` rows, 15 of
-        the 336 on the Table-I lattice — in ascending order.
-        """
-        self._require_lattice()
-        assert self._strides is not None and self._axis_lengths is not None
-        rows = {index}
-        for stride, length in zip(self._strides, self._axis_lengths):
-            start = index - (index // stride) % length * stride
-            rows.update(range(start, start + length * stride, stride))
-        return np.array(sorted(rows), dtype=np.intp)
-
-    def step_index(self, index: int, knob: str, direction: int) -> Optional[int]:
-        """Step one knob by +-1 in index space; ``None`` off the axis end.
-
-        The arithmetic twin of :meth:`ConfigSpace.step` — no dataclass
-        allocation, no axis scan.
-        """
-        if direction not in (-1, 1):
-            raise ValueError("direction must be +1 or -1")
-        self._require_lattice()
-        assert self._strides is not None and self._axis_lengths is not None
-        position = _KNOB_POS[knob]
-        stride = self._strides[position]
-        length = self._axis_lengths[position]
-        moved = (index // stride) % length + direction
-        if moved < 0 or moved >= length:
-            return None
-        return index + direction * stride
 
     # ----- derived columns ----------------------------------------------------
 

@@ -38,24 +38,17 @@ class ThermalModel:
     leakage_tc_per_c: float = 0.008
     reference_c: float = 65.0
 
-    def temperature(self, total_power_w: float) -> float:
-        """Steady-state die temperature at a given total chip power."""
-        if total_power_w < 0:
-            raise ValueError("power must be non-negative")
-        return self.ambient_c + self.theta_c_per_w * total_power_w
-
-    def leakage_factor(self, temperature_c: float) -> float:
-        """Multiplier on nominal leakage power at a die temperature."""
-        factor = 1.0 + self.leakage_tc_per_c * (temperature_c - self.reference_c)
-        return max(0.5, factor)
-
-    def solve(self, dynamic_power_w: float, nominal_leakage_w: float,
-              iterations: int = 3) -> tuple:
-        """Fixed-point solve for (temperature, leakage factor).
+    def solve_many(self, dynamic_power_w: np.ndarray,
+                   nominal_leakage_w: np.ndarray,
+                   iterations: int = 3) -> tuple:
+        """Fixed-point solve for (temperature, leakage factor), elementwise.
 
         Leakage depends on temperature and temperature on total power
-        (dynamic + leakage); a few fixed-point iterations converge to
-        well under 0.1 °C for realistic chip powers.
+        (dynamic + leakage): die temperature is ``ambient + theta *
+        power`` and leakage scales by ``1 + tc * (temp - reference)``,
+        floored at 0.5.  A few fixed-point iterations converge to well
+        under 0.1 °C for realistic chip powers.  Inputs are float64
+        arrays (or floats) of non-negative watts.
 
         Args:
             dynamic_power_w: Temperature-independent power in watts.
@@ -63,28 +56,8 @@ class ThermalModel:
             iterations: Fixed-point iterations to run.
 
         Returns:
-            Tuple ``(temperature_c, leakage_factor)``.
-        """
-        factor = 1.0
-        temp = self.temperature(dynamic_power_w + nominal_leakage_w)
-        for _ in range(iterations):
-            factor = self.leakage_factor(temp)
-            temp = self.temperature(dynamic_power_w + nominal_leakage_w * factor)
-        return temp, factor
-
-    def solve_many(self, dynamic_power_w: np.ndarray,
-                   nominal_leakage_w: np.ndarray,
-                   iterations: int = 3) -> tuple:
-        """Vectorized :meth:`solve` over arrays of power points.
-
-        Elementwise float64 with the same operation order and iteration
-        count as the scalar solve, so results are float-for-float
-        identical per element (the columnar decide path depends on
-        this).  Inputs are assumed non-negative — the scalar path's
-        negative-power guard is the caller's job here.
-
-        Returns:
-            Tuple ``(temperature_c, leakage_factor)`` of arrays.
+            Tuple ``(temperature_c, leakage_factor)``, shaped like the
+            inputs.
         """
         temp = self.ambient_c + self.theta_c_per_w * (
             dynamic_power_w + nominal_leakage_w

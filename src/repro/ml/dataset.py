@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.hardware.apu import APUModel
 from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.table import ConfigTable
 from repro.workloads.counters import COUNTER_NAMES, CounterSynthesizer, CounterVector
 from repro.workloads.kernel import KernelSpec
 
@@ -130,7 +131,7 @@ def build_dataset(
     time_rng = np.random.default_rng(seed)
     power_rng = np.random.default_rng(seed + 104729)
 
-    configs = space.all_configs()
+    table = ConfigTable(space)
     rows: List[np.ndarray] = []
     log_times: List[float] = []
     powers: List[float] = []
@@ -138,13 +139,20 @@ def build_dataset(
 
     for spec in kernels:
         counters = synthesizer.observe(spec)
-        for config in configs:
-            measurement = apu.execute(spec, config)
+        # One ground-truth evaluation per kernel, read row by row in
+        # configuration order: each row takes the next draw of both
+        # noise streams.
+        measured = apu.execute_matrix(spec, table)
+        for config, time_s, gpu_power_w in zip(
+            table.configs,
+            measured.times_s.tolist(),
+            measured.gpu_power_w.tolist(),
+        ):
             time_factor = max(0.5, 1.0 + time_rng.normal(0.0, time_noise))
             power_factor = max(0.5, 1.0 + power_rng.normal(0.0, power_noise))
             rows.append(build_features(counters, config))
-            log_times.append(np.log(measurement.time_s * time_factor))
-            powers.append(measurement.gpu_power_w * power_factor)
+            log_times.append(np.log(time_s * time_factor))
+            powers.append(gpu_power_w * power_factor)
             keys.append(spec.key)
 
     return CharacterizationDataset(

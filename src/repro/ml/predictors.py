@@ -515,17 +515,16 @@ def evaluate_predictor(
     space = space if space is not None else ConfigSpace()
     synthesizer = CounterSynthesizer(noise=0.0)
 
+    table = ConfigTable(space)
     true_t, pred_t, true_p, pred_p = [], [], [], []
     for spec in kernels:
         counters = synthesizer.nominal(spec)
-        configs = space.all_configs()
-        estimates = predictor.estimate_batch(counters, configs)
-        for config, estimate in zip(configs, estimates):
-            measurement = apu.execute(spec, config)
-            true_t.append(measurement.time_s)
-            pred_t.append(estimate.time_s)
-            true_p.append(measurement.gpu_power_w)
-            pred_p.append(estimate.gpu_power_w)
+        estimates = predictor.estimate_batch(counters, table.configs)
+        measured = apu.execute_matrix(spec, table)
+        true_t.extend(measured.times_s.tolist())
+        pred_t.extend(estimate.time_s for estimate in estimates)
+        true_p.extend(measured.gpu_power_w.tolist())
+        pred_p.extend(estimate.gpu_power_w for estimate in estimates)
 
     return (
         mean_absolute_percentage_error(np.asarray(true_t), np.asarray(pred_t)),

@@ -31,14 +31,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.hardware.apu import APUModel
-from repro.hardware.config import (
-    FAILSAFE_CONFIG,
-    ConfigSpace,
-    HardwareConfig,
-    Knob,
-)
-from repro.hardware.dvfs import GPU_DPM_STATES
+from repro.hardware.apu import PART_TABLE, APUModel
+from repro.hardware.config import FAILSAFE_CONFIG, HardwareConfig, Knob
 from repro.obs import Instrumentation, or_noop
 from repro.runtime.events import KernelLaunch, LaunchOutcome, launch_events
 from repro.sim.policy import Decision, Observation, PowerPolicy
@@ -65,9 +59,9 @@ SESSION_SNAPSHOT_SCHEMA = 2
 RECENT_ERRORS_LIMIT = 8
 
 #: The throttling hardware sees every DPM state, not just the
-#: software-searched subset.  Built once at module load instead of per
-#: launch (the seed rebuilt this ConfigSpace inside every throttle call).
-_THROTTLE_SPACE = ConfigSpace(gpu_states=tuple(GPU_DPM_STATES))
+#: software-searched subset: the space of the APU model's table of
+#: every configuration the part can run.
+_THROTTLE_SPACE = PART_TABLE.space
 
 
 def throttle_to_cap(apu: APUModel, spec: KernelSpec,
@@ -282,19 +276,28 @@ class SessionRuntime:
         self.charge_overhead = charge_overhead
         self.stats = SessionStats()
         self._result: Optional[RunResult] = None
-        # Pre-bound series handles for the per-launch telemetry (the
-        # session/policy labels never change after construction).  TDP
-        # throttles and fail-safe causes bind theirs at first use, when
-        # the labelled API would register them, so snapshots are
-        # unchanged; faults keep the labelled API.  No-ops under NOOP
-        # obs.
+        self._m_lock = self.obs.registry.lock
+        self._bind_series()
+
+    def _bind_series(self) -> None:
+        """Bind the per-launch series to the current session id.
+
+        Pre-bound handles skip the registry lookup and label
+        canonicalization on every launch.  TDP throttles and fail-safe
+        causes bind theirs at first use, when the labelled API would
+        register them, so snapshots are unchanged; faults keep the
+        labelled API.  Binding registers nothing, and every handle is a
+        no-op under NOOP obs.  :meth:`restore` rebinds, since it takes
+        the snapshot's session id.
+        """
         registry = self.obs.registry
+        session_id, policy = self.session_id, self.policy.name
         self._m_runs = registry.counter(
             "repro_runtime_runs_total", "Application invocations started"
-        ).labelled(session=session_id, policy=policy.name)
+        ).labelled(session=session_id, policy=policy)
         self._m_launches = registry.counter(
             "repro_runtime_launches_total", "Kernel launches processed"
-        ).labelled(session=session_id, policy=policy.name)
+        ).labelled(session=session_id, policy=policy)
         self._m_kernel_seconds = registry.histogram(
             "repro_runtime_kernel_seconds", "Per-launch kernel execution time"
         ).labelled(session=session_id)
@@ -302,7 +305,6 @@ class SessionRuntime:
             "repro_runtime_overhead_seconds",
             "Per-launch optimizer overhead time",
         ).labelled(session=session_id)
-        self._m_lock = registry.lock
         self._m_throttles: Any = None
         self._m_fail_safe: Dict[str, Any] = {}
 
@@ -629,6 +631,7 @@ class SessionRuntime:
                 f"host runs {self.policy.name!r}"
             )
         self.session_id = payload["session_id"]
+        self._bind_series()
         self.app_name = payload["app_name"]
         self.charge_overhead = payload["charge_overhead"]
         self.policy.restore(payload["policy"]["state"])

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.hardware.config import HardwareConfig
 from repro.hardware.perf import TimingModel
+from repro.hardware.table import ConfigTable
 from repro.workloads.kernel import KernelSpec
 
 __all__ = ["COUNTER_NAMES", "CounterVector", "CounterSynthesizer"]
@@ -41,8 +42,11 @@ COUNTER_NAMES: Tuple[str, ...] = (
     "FetchSize",
 )
 
-#: Reference configuration the profiler captures counters at.
-_REFERENCE_CONFIG = HardwareConfig(cpu="P1", nb="NB0", gpu="DPM4", cu=8)
+#: Reference configuration the profiler captures counters at, as the
+#: one-row table the timing model reads.
+_REFERENCE_TABLE = ConfigTable.from_configs(
+    [HardwareConfig(cpu="P1", nb="NB0", gpu="DPM4", cu=8)]
+)
 
 #: Instructions one work-item executes, used to derive the work size.
 _INSTS_PER_WORK_ITEM = 200.0
@@ -171,14 +175,17 @@ class CounterSynthesizer:
 
     def nominal(self, spec: KernelSpec) -> CounterVector:
         """Noise-free counters for a kernel at the reference config."""
-        timing = self.timing.kernel_timing(spec, _REFERENCE_CONFIG)
+        timing = self.timing.kernel_timing_matrix(spec, _REFERENCE_TABLE)
+        compute_time = float(timing.compute_time_s[0])
+        memory_time = float(timing.memory_time_s[0])
+        total_time = float(timing.total_time_s[0])
 
         work_items = max(64.0, spec.instructions / _INSTS_PER_WORK_ITEM)
 
-        busy = timing.compute_time_s + timing.memory_time_s
-        mem_share = timing.memory_time_s / busy if busy > 0 else 0.0
+        busy = compute_time + memory_time
+        mem_share = memory_time / busy if busy > 0 else 0.0
         serial_share = (
-            timing.serial_time_s / timing.total_time_s if timing.total_time_s > 0 else 0.0
+            timing.serial_time_s / total_time if total_time > 0 else 0.0
         )
         mem_unit_stalled = 100.0 * mem_share * (1.0 - 0.4 * serial_share)
 

@@ -7,7 +7,9 @@ per-search memo in between.  This module writes the same greedy search
 the plain way — :class:`~repro.hardware.config.HardwareConfig` values,
 :meth:`ConfigSpace.step <repro.hardware.config.ConfigSpace.step>` moves,
 and one ground-truth ``apu.execute`` per candidate configuration — and
-shares no fetch, memo, table-index, or matrix code with it.  Replaying a
+shares no fetch, memo, table-index, or matrix code with it beyond the
+ground-truth model both read (which
+:mod:`.test_ground_truth_reference` pins on its own).  Replaying a
 trace stamped by the shipping core under this reference, with checking
 on, therefore tests the columnar machinery against an independent
 implementation of the paper's algorithm.

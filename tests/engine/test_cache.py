@@ -104,17 +104,6 @@ class TestDisabled:
         assert disabled.stats.misses == 1
 
 
-class TestClear:
-    def test_clear_removes_entries(self, cache):
-        cache.store(KEY, PAYLOAD)
-        cache.store("b" * 64, PAYLOAD)
-        assert cache.clear() == 2
-        assert cache.load(KEY) is None
-
-    def test_clear_empty_dir(self, cache):
-        assert cache.clear() == 0
-
-
 class TestStatsFormat:
     def test_format_mentions_counts(self, cache):
         cache.store(KEY, PAYLOAD)

@@ -7,8 +7,10 @@ import pytest
 from repro.core.policies import FixedConfigPolicy, PlannedPolicy, PPKPolicy
 from repro.hardware.config import FAILSAFE_CONFIG
 from repro.ml.predictors import OraclePredictor
+from repro.obs import make_instrumentation
 from repro.runtime.events import launch_events
 from repro.runtime.lifecycle import PolicyState
+from repro.runtime.session import SessionRuntime
 from repro.sim.policy import PowerPolicy
 from repro.sim.simulator import Simulator
 from repro.sim.turbocore import TurboCorePolicy
@@ -166,3 +168,45 @@ class TestSessionEnvelope:
         clone.restore(payload)
         assert clone.stats == session.stats
         assert clone.session_id == "s"
+
+    def test_restored_session_counts_under_its_own_id(self, sim):
+        # A host built as "a" that takes over session "b" writes every
+        # series under "b": the four bound at construction, and the
+        # throttle and fail-safe series bound at first use.
+        unreachable = 10 * turbo_target(sim)
+
+        def host(session_id, obs=None):
+            return SessionRuntime(
+                PPKPolicy(unreachable, OraclePredictor(sim.apu, APP.unique_kernels)),
+                apu=sim.apu, session_id=session_id, obs=obs, power_budget_w=20.0,
+            )
+
+        events = list(launch_events(APP, "b"))
+        source = host("b")
+        for event in events[:3]:
+            source.process(event)
+        obs = make_instrumentation()
+        target = host("a", obs)
+        target.restore(_json_roundtrip(source.snapshot()))
+        for event in events[3:] + events:
+            target.process(event)
+
+        labelled = {
+            entry["name"]: {dict(key)["session"] for key, _ in entry["series"]}
+            for entry in obs.registry.snapshot()["metrics"]
+            if entry["name"].startswith("repro_runtime_")
+        }
+        assert labelled == {
+            name: {"b"}
+            for name in (
+                "repro_runtime_runs_total",
+                "repro_runtime_launches_total",
+                "repro_runtime_kernel_seconds",
+                "repro_runtime_overhead_seconds",
+                "repro_runtime_tdp_throttles_total",
+                "repro_runtime_fail_safe_total",
+            )
+        }
+        assert obs.registry.counter("repro_runtime_launches_total").total() == (
+            2 * len(events) - 3
+        )

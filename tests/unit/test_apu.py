@@ -2,15 +2,15 @@
 
 import dataclasses
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.engine.fingerprint import describe
 from repro.hardware import apu as apu_module
-from repro.hardware.apu import APUModel, Measurement
-from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
-from repro.hardware.dvfs import GPU_DPM_STATES
+from repro.hardware.apu import PART_TABLE, APUModel, Measurement
+from repro.hardware.config import FAILSAFE_CONFIG, HardwareConfig
 from repro.hardware.power import PowerModel, PowerModelParams
 from repro.ml.dataset import build_dataset
 from repro.workloads.generator import KernelPopulationGenerator
@@ -93,12 +93,24 @@ class TestConstruction:
         assert not tiny.within_tdp(KERNEL, BASE)
 
 
+#: Whole-table evaluations by model and spec, each computed once.
+_TABLES = weakref.WeakKeyDictionary()
+
+
 def _direct(apu, spec, config):
-    """One unmemoized timing-plus-power evaluation: (measurement, power)."""
-    timing = apu.timing.kernel_timing(spec, config)
-    breakdown = apu.power.kernel_power(config, timing, spec.activity_factor)
+    """(measurement, power) of ``config``'s row in an unmemoized whole-table evaluation."""
+    per_spec = _TABLES.setdefault(apu, {})
+    if spec not in per_spec:
+        timing = apu.timing.kernel_timing_matrix(spec, PART_TABLE)
+        per_spec[spec] = (
+            timing.total_time_s,
+            apu.power.kernel_power_matrix(PART_TABLE, timing, spec.activity_factor),
+        )
+    times, power = per_spec[spec]
+    row = PART_TABLE.configs.index(config)
+    breakdown = power.breakdown(row)
     measurement = Measurement(
-        time_s=timing.total_time_s,
+        time_s=float(times[row]),
         gpu_power_w=breakdown.gpu_w,
         cpu_power_w=breakdown.cpu_w,
         temperature_c=breakdown.temperature_c,
@@ -118,7 +130,7 @@ def _direct_manager(apu, time_s, config):
 
 def _throttle_space_configs():
     """The 560 configurations the TDP throttle can step through."""
-    return ConfigSpace(gpu_states=tuple(GPU_DPM_STATES)).all_configs()
+    return list(PART_TABLE.configs)
 
 
 class TestGroundTruthMemo:
@@ -220,9 +232,10 @@ class TestGroundTruthMemo:
             assert len(apu_module._MANAGER_POWER[apu]) <= 16
 
     def test_characterizing_a_population_passes_through(self):
-        # Training runs every (kernel, configuration) pair once.
+        # Training reads every (kernel, configuration) pair once, from
+        # whole-table evaluations: it adds no launch entry.
         apu = APUModel()
         kernels = KernelPopulationGenerator(seed=5).population(14)
         dataset = build_dataset(kernels, apu=apu)
         assert len(dataset.log_time) > apu_module._MEMO_BOUND
-        assert len(apu_module._LAUNCHES[apu]) <= apu_module._MEMO_BOUND
+        assert not apu_module._LAUNCHES.get(apu)

@@ -5,12 +5,12 @@ import weakref
 
 import pytest
 
-from repro.core.optimizer import GreedyHillClimbOptimizer, MoveTable, move_table
+from repro.core.optimizer import GreedyHillClimbOptimizer
 from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
 from repro.hardware.apu import APUModel
 from repro.hardware.config import KNOBS, ConfigSpace
-from repro.hardware.table import ConfigTable
+from repro.hardware.table import ConfigTable, MoveTable
 from repro.ml.predictors import OraclePredictor, PerfPowerPredictor, train_predictor
 from repro.ml.tree import DecisionTreeRegressor
 from repro.workloads.counters import CounterSynthesizer
@@ -313,36 +313,47 @@ class TestMoveTable:
         "space", [ConfigSpace(), SINGLE_NB_SPACE], ids=["table-i", "single-nb"]
     )
     def test_every_row_equals_config_table_arithmetic(self, space):
+        # ConfigTable.moves() is the table's only knob arithmetic: each
+        # entry must name the rows ConfigSpace.step, the axis ends and a
+        # brute-force one-knob-move scan reach.
         table = ConfigTable(space)
-        moves = move_table(table.axis_lengths)
+        moves = table.moves()
+        rows = {config: i for i, config in enumerate(table.configs)}
+        knobs = [tuple(config.knob(knob) for knob in KNOBS) for config in table.configs]
         # A single-value axis is never probed, so never climbed.
-        probed = [knob for knob in KNOBS if table.axis_length(knob) >= 2]
+        probed = [knob for knob in KNOBS if len(space.axis(knob)) >= 2]
         assert [knob for knob, _, _ in moves.probe_knobs] == probed
         assert [
             (KNOBS[position], span) for _, position, span in moves.probe_knobs
-        ] == [(knob, table.axis_length(knob) - 1) for knob in probed]
+        ] == [(knob, len(space.axis(knob)) - 1) for knob in probed]
         assert len(moves.cross) == len(table)
-        for index in range(len(table)):
-            assert list(moves.cross[index]) == table.cross(index).tolist()
+        for index, config in enumerate(table.configs):
+            assert list(moves.cross[index]) == [
+                row for row, other in enumerate(knobs)
+                if sum(a != b for a, b in zip(other, knobs[index])) <= 1
+            ]
             for position, knob in enumerate(KNOBS):
+                stepped = [space.step(config, knob, direction) for direction in (-1, +1)]
                 down, up = moves.steps[index][position]
-                assert down == table.step_index(index, knob, -1)
-                assert up == table.step_index(index, knob, +1)
+                assert (down, up) == tuple(
+                    None if neighbour is None else rows[neighbour] for neighbour in stepped
+                )
                 assert moves.neighbours[index][position] == tuple(
                     (side, row) for side, row in enumerate((down, up))
                     if row is not None
                 )
             assert moves.probes[index] == tuple(
-                table.set_knob(index, knob, end)
+                rows[config.replace(**{knob: end})]
                 for knob in probed
-                for end in (0, table.axis_length(knob) - 1)
+                for end in (space.axis(knob)[0], space.axis(knob)[-1])
             )
 
     def test_optimizers_on_one_lattice_share_one_table(self, apu, space):
         a = _optimizer(apu, space, [COMPUTE])
         b = GreedyHillClimbOptimizer(ConfigSpace(), OraclePredictor(apu, [MEMORY]))
-        assert a.move_table is b.move_table
-        assert a.move_table is not _optimizer(apu, SINGLE_NB_SPACE, [COMPUTE]).move_table
+        assert a.table.moves() is b.table.moves()
+        single_nb = _optimizer(apu, SINGLE_NB_SPACE, [COMPUTE])
+        assert a.table.moves() is not single_nb.table.moves()
         # Held by the module memo, never by the optimizer itself.
         a.optimize_kernel(_record(COMPUTE), PerformanceTracker(_targets(apu, space)["easy"]))
         assert not any(isinstance(value, MoveTable) for value in vars(a).values())

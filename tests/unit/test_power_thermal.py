@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.hardware.apu import APUModel
 from repro.hardware.config import HardwareConfig
-from repro.hardware.perf import TimingModel
 from repro.hardware.power import PowerModel, PowerModelParams
 from repro.hardware.thermal import ThermalModel
 from repro.workloads.kernel import KernelSpec, ScalingClass
@@ -17,38 +17,51 @@ def power():
 
 
 def _breakdown(power, config):
-    timing = TimingModel().kernel_timing(KERNEL, config)
-    return power.kernel_power(config, timing)
+    return APUModel(power=power).kernel_power(KERNEL, config)
+
+
+def _settled(thermal, power_w):
+    """(temperature, leakage factor) with ``power_w`` and no leakage."""
+    temp, factor = thermal.solve_many(power_w, 0.0)
+    return float(temp), float(factor)
+
+
+def _power_at(thermal, temperature_c):
+    """The leakage-free chip power that settles at ``temperature_c``."""
+    return (temperature_c - thermal.ambient_c) / thermal.theta_c_per_w
 
 
 class TestThermalModel:
     def test_temperature_linear_in_power(self):
         thermal = ThermalModel()
-        assert thermal.temperature(0.0) == thermal.ambient_c
-        assert thermal.temperature(100.0) == pytest.approx(
+        assert _settled(thermal, 0.0)[0] == thermal.ambient_c
+        assert _settled(thermal, 100.0)[0] == pytest.approx(
             thermal.ambient_c + 100.0 * thermal.theta_c_per_w
         )
 
-    def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            ThermalModel().temperature(-1.0)
-
     def test_leakage_factor_reference(self):
         thermal = ThermalModel()
-        assert thermal.leakage_factor(thermal.reference_c) == pytest.approx(1.0)
+        reference = _power_at(thermal, thermal.reference_c)
+        assert _settled(thermal, reference)[1] == pytest.approx(1.0)
 
     def test_leakage_grows_with_temperature(self):
         thermal = ThermalModel()
-        assert thermal.leakage_factor(90.0) > thermal.leakage_factor(50.0)
+        hot = _settled(thermal, _power_at(thermal, 90.0))[1]
+        cool = _settled(thermal, _power_at(thermal, 50.0))[1]
+        assert hot > cool
 
     def test_leakage_factor_floor(self):
-        assert ThermalModel().leakage_factor(-1000.0) == pytest.approx(0.5)
+        assert _settled(ThermalModel(ambient_c=-1000.0), 0.0)[1] == pytest.approx(0.5)
 
     def test_fixed_point_consistency(self):
         thermal = ThermalModel()
-        temp, factor = thermal.solve(40.0, 8.0, iterations=10)
-        assert temp == pytest.approx(thermal.temperature(40.0 + 8.0 * factor), abs=0.05)
-        assert factor == pytest.approx(thermal.leakage_factor(temp), abs=0.01)
+        temp, factor = thermal.solve_many(40.0, 8.0, iterations=10)
+        assert temp == pytest.approx(
+            thermal.ambient_c + thermal.theta_c_per_w * (40.0 + 8.0 * factor), abs=0.05
+        )
+        assert factor == pytest.approx(
+            1.0 + thermal.leakage_tc_per_c * (temp - thermal.reference_c), abs=0.01
+        )
 
 
 class TestCpuPower:
@@ -79,15 +92,15 @@ class TestGpuPower:
         assert fast.gpu_w > 2.0 * slow.gpu_w
 
     def test_gated_cus_save_leakage(self, power):
-        leak2 = power.gpu_leakage_power(HardwareConfig(cpu="P5", nb="NB3", gpu="DPM0", cu=2))
-        leak8 = power.gpu_leakage_power(HardwareConfig(cpu="P5", nb="NB3", gpu="DPM0", cu=8))
-        assert leak8 > leak2
+        leak2 = _breakdown(power, HardwareConfig(cpu="P5", nb="NB3", gpu="DPM0", cu=2))
+        leak8 = _breakdown(power, HardwareConfig(cpu="P5", nb="NB3", gpu="DPM0", cu=8))
+        assert leak8.gpu_leakage_w > leak2.gpu_leakage_w
 
     def test_shared_rail_blocks_gpu_power_savings(self, power):
         # At NB0 the rail stays at the NB voltage even at DPM0.
-        nb0 = power.gpu_leakage_power(HardwareConfig(cpu="P5", nb="NB0", gpu="DPM0", cu=8))
-        nb3 = power.gpu_leakage_power(HardwareConfig(cpu="P5", nb="NB3", gpu="DPM0", cu=8))
-        assert nb0 > nb3
+        nb0 = _breakdown(power, HardwareConfig(cpu="P5", nb="NB0", gpu="DPM0", cu=8))
+        nb3 = _breakdown(power, HardwareConfig(cpu="P5", nb="NB3", gpu="DPM0", cu=8))
+        assert nb0.gpu_leakage_w > nb3.gpu_leakage_w
 
     def test_breakdown_totals(self, power):
         config = HardwareConfig(cpu="P3", nb="NB1", gpu="DPM2", cu=6)
@@ -106,7 +119,7 @@ class TestManagerPower:
 
     def test_within_tdp(self, power):
         config = HardwareConfig(cpu="P1", nb="NB0", gpu="DPM4", cu=8)
-        assert power.within_tdp(_breakdown(power, config))
+        assert _breakdown(power, config).total_w <= power.params.tdp_w
 
 
 class TestCalibration:

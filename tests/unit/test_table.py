@@ -44,28 +44,6 @@ class TestColumns:
         assert not np.array_equal(a, c)
 
 
-class TestLatticeArithmetic:
-    def test_set_knob_rejects_off_axis_positions(self, table):
-        with pytest.raises(ValueError):
-            table.set_knob(0, "cpu", table.axis_length("cpu"))
-        with pytest.raises(ValueError):
-            table.set_knob(0, "cpu", -1)
-
-    def test_step_index_requires_unit_direction(self, table):
-        with pytest.raises(ValueError):
-            table.step_index(0, "cpu", 2)
-
-    def test_step_index_returns_none_off_axis_ends(self, table):
-        first = table.set_knob(0, "gpu", 0)
-        last = table.set_knob(0, "gpu", table.axis_length("gpu") - 1)
-        assert table.step_index(first, "gpu", -1) is None
-        assert table.step_index(last, "gpu", +1) is None
-
-    def test_axis_position_tracks_set_knob(self, table):
-        moved = table.set_knob(5, "nb", 2)
-        assert table.axis_position(moved, "nb") == 2
-
-
 class TestAdHocTables:
     def test_from_configs_preserves_order(self):
         configs = SPACE.all_configs()[10:14]
@@ -83,7 +61,7 @@ class TestAdHocTables:
         with pytest.raises(ValueError):
             sub.index_of_config(sub.config_at(0))
         with pytest.raises(ValueError):
-            sub.step_index(0, "cpu", +1)
+            sub.moves()
 
     def test_index_of_config_rejects_off_lattice(self):
         narrow = ConfigTable(
