@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="adaptive-horizon performance bound")
     run.add_argument("--full-horizon", action="store_true",
                      help="disable the adaptive horizon")
-    run.add_argument("--stream", action="store_true",
-                     help="host each policy in a fault-isolated streaming "
-                     "session and report per-session statistics")
     run.add_argument("--cache-dir", default=".cache",
                      help="Random Forest cache directory")
     _add_obs_flags(run)
@@ -394,26 +391,6 @@ def _cmd_list() -> int:
     return 0
 
 
-def _stream_run(sim: Simulator, app, policy, *, invocations: int = 1,
-                charge_overhead: bool = True, obs=None):
-    """Host a policy in a fault-isolated streaming session.
-
-    Replays ``invocations`` back-to-back event streams of ``app``
-    through one session (index-0 events open new runs automatically)
-    and returns ``(last_run_result, session)``.
-    """
-    from repro.runtime.events import launch_events
-
-    session = sim.session(
-        policy, isolate_faults=True, session_id=app.name,
-        app_name=app.name, charge_overhead=charge_overhead, obs=obs,
-    )
-    for _ in range(invocations):
-        for _outcome in session.run_stream(launch_events(app, app.name)):
-            pass
-    return session.result, session
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     obs = _obs_from_args(args)
     sim = Simulator()
@@ -430,55 +407,32 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if "ppk" in wanted or "mpc" in wanted:
         predictor = train_predictor(apu=sim.apu, cache_dir=args.cache_dir)
 
-    sessions = {}
     print(f"\n{'policy':8s} {'energy savings':>15s} {'speedup':>9s}")
     for kind in wanted:
         if kind == "turbo":
             run = turbo
         elif kind == "ppk":
-            policy = PPKPolicy(target, predictor)
-            if args.stream:
-                run, sessions[kind] = _stream_run(sim, app, policy, obs=obs)
-            else:
-                run = sim.run(app, policy, obs=obs)
+            run = sim.run(app, PPKPolicy(target, predictor), obs=obs)
         elif kind == "mpc":
             manager = MPCPowerManager(
                 target, predictor, alpha=args.alpha,
                 adaptive_horizon=not args.full_horizon,
                 overhead_model=sim.overhead, obs=obs,
             )
-            if args.stream:
-                run, sessions[kind] = _stream_run(
-                    sim, app, manager, invocations=2, obs=obs
-                )
-            else:
-                from repro.runtime.session import invocation_pair
+            from repro.runtime.session import invocation_pair
 
-                _, run = invocation_pair(sim.session(manager, obs=obs), app)
+            _, run = invocation_pair(sim.session(manager, obs=obs), app)
         elif kind == "to":
             plan = solve_theoretically_optimal(app, sim.apu, target)
             policy = PlannedPolicy(plan.configs, name="TO")
-            if args.stream:
-                run, sessions[kind] = _stream_run(
-                    sim, app, policy, charge_overhead=False, obs=obs
-                )
-            else:
-                run = sim.run(app, policy, charge_overhead=False, obs=obs)
+            run = sim.run(app, policy, charge_overhead=False, obs=obs)
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(kind)
         print(
             f"{kind:8s} {energy_savings_pct(run, turbo):14.1f}% "
             f"{speedup(run, turbo):9.3f}"
         )
-    if sessions:
-        print("\nsession stats:")
-        for kind, session in sessions.items():
-            print(f"  {kind:8s} {session.stats.format()}")
     if obs.enabled:
-        from repro.obs import publish_session_stats
-
-        for kind, session in sessions.items():
-            publish_session_stats(obs.registry, session.stats, session=kind)
         _export_obs(obs, args)
     return 0
 

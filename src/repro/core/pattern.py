@@ -35,6 +35,10 @@ __all__ = ["KernelRecord", "KernelPatternExtractor", "detect_period"]
 #: double-precision values (the paper's storage-cost accounting).
 BYTES_PER_RECORD = 80
 
+#: Weight of a fresh observation in the EMA that updates a kernel's
+#: stored counters and instruction count.
+FEEDBACK_WEIGHT = 0.5
+
 
 def detect_period(sequence: Sequence, min_repeats: int = 2) -> Optional[int]:
     """Smallest period of a trailing repetitive pattern, if any.
@@ -88,15 +92,12 @@ class KernelRecord:
 class KernelPatternExtractor:
     """Signature store + execution-order recorder + future predictor.
 
-    Args:
-        feedback_weight: Weight of a fresh observation in the stored
-            counter/instruction EMA update.
+    A repeat observation updates the stored counters and instruction
+    count by an EMA that gives the fresh observation
+    :data:`FEEDBACK_WEIGHT`.
     """
 
-    def __init__(self, feedback_weight: float = 0.5) -> None:
-        if not 0.0 < feedback_weight <= 1.0:
-            raise ValueError("feedback_weight must be in (0, 1]")
-        self.feedback_weight = feedback_weight
+    def __init__(self) -> None:
         self._records: Dict[Tuple[int, ...], KernelRecord] = {}
         self._current_run: List[Tuple[int, ...]] = []
         self._recorded_order: Optional[List[Tuple[int, ...]]] = None
@@ -120,7 +121,7 @@ class KernelPatternExtractor:
             )
             self._records[signature] = record
         else:
-            w = self.feedback_weight
+            w = FEEDBACK_WEIGHT
             record.counters = record.counters.blended_with(counters, w)
             record.instructions = (1 - w) * record.instructions + w * instructions
         record.last_time_s = time_s
@@ -228,12 +229,7 @@ class KernelPatternExtractor:
         }
 
     def restore(self, payload: dict) -> None:
-        """Rebuild the store from :meth:`snapshot` output.
-
-        ``feedback_weight`` is a constructor argument and is not part
-        of the snapshot; restore onto an extractor built with the same
-        arguments.
-        """
+        """Rebuild the store from :meth:`snapshot` output."""
         self._records = {}
         for entry in payload["records"]:
             signature = tuple(int(b) for b in entry["signature"])

@@ -345,6 +345,7 @@ class ExperimentEngine:
         max_workers = min(self.jobs, len(todo), os.cpu_count() or self.jobs)
         spec_bytes = pickle.dumps(
             {
+                "context": type(ctx),
                 "simulator": ctx.sim,
                 "predictor": ctx._predictor,
                 "cache_dir": ctx._cache_dir,
@@ -425,12 +426,14 @@ _WORKER_OBS = False
 
 
 def _worker_init(spec_bytes: bytes) -> None:
-    """Build this worker's private ExperimentContext from the spec."""
-    global _WORKER_CTX, _WORKER_OBS
-    from repro.experiments.common import ExperimentContext
+    """Build this worker's private experiment context from the spec.
 
+    The spec carries the parent context's class (pickled by reference),
+    so the engine itself never imports the experiments package.
+    """
+    global _WORKER_CTX, _WORKER_OBS
     spec = pickle.loads(spec_bytes)
-    _WORKER_CTX = ExperimentContext(
+    _WORKER_CTX = spec["context"](
         simulator=spec["simulator"],
         predictor=spec["predictor"],
         cache_dir=spec["cache_dir"],

@@ -1,4 +1,4 @@
-"""Exact JSON serialization of run traces and experiment tables.
+"""Exact JSON serialization of run traces.
 
 Round-trips must be *lossless*: the acceptance bar for the engine is
 that a result loaded from cache (or shipped back from a worker process)
@@ -9,18 +9,12 @@ exactly, so numeric equality is preserved bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.experiments.common import ExperimentTable
 from repro.hardware.config import HardwareConfig
 from repro.sim.trace import LaunchRecord, RunResult
 
-__all__ = [
-    "run_result_to_dict",
-    "run_result_from_dict",
-    "table_to_dict",
-    "table_from_dict",
-]
+__all__ = ["run_result_to_dict", "run_result_from_dict"]
 
 #: Bump when the on-disk record layout changes.
 SCHEMA_VERSION = 1
@@ -79,36 +73,3 @@ def run_result_from_dict(payload: Dict[str, Any]) -> RunResult:
             LaunchRecord(config=config, **{k: entry[k] for k in _RECORD_FIELDS})
         )
     return result
-
-
-def _check_cell(cell: Any) -> Any:
-    if cell is None or isinstance(cell, (bool, int, float, str)):
-        return cell
-    raise TypeError(
-        f"table cell {cell!r} of type {type(cell).__name__} does not "
-        "round-trip through JSON exactly"
-    )
-
-
-def table_to_dict(table: ExperimentTable) -> Dict[str, Any]:
-    """Serialize an :class:`ExperimentTable` to a JSON-able dict."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "experiment_id": table.experiment_id,
-        "title": table.title,
-        "headers": list(table.headers),
-        "rows": [[_check_cell(c) for c in row] for row in table.rows],
-    }
-
-
-def table_from_dict(payload: Dict[str, Any]) -> ExperimentTable:
-    """Rebuild an :class:`ExperimentTable`; raises on unknown schema."""
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported table schema: {payload.get('schema')!r}")
-    rows: List[List[Any]] = [list(row) for row in payload["rows"]]
-    return ExperimentTable(
-        experiment_id=payload["experiment_id"],
-        title=payload["title"],
-        headers=list(payload["headers"]),
-        rows=rows,
-    )

@@ -32,6 +32,7 @@ from repro.engine.variants import RunKey, RunRequest, VARIANTS, produced_keys
 from repro.hardware.apu import APUModel
 from repro.hardware.config import ConfigSpace
 from repro.ml.predictors import (
+    FOREST_RECIPE,
     OraclePredictor,
     PerfPowerPredictor,
     RandomForestPredictor,
@@ -49,17 +50,6 @@ __all__ = ["ExperimentTable", "ExperimentContext"]
 #: Default on-disk cache for the trained Random Forest.
 DEFAULT_CACHE_DIR = ".cache"
 
-#: Mirrors the defaults of :func:`repro.ml.predictors.train_predictor`;
-#: part of the cache identity of the lazily trained default predictor.
-_DEFAULT_RF_PARAMS = (
-    ("population", 192),
-    ("n_estimators", 16),
-    ("max_depth", 16),
-    ("max_features", 0.6),
-    ("seed", 5),
-    ("revision", "v6"),
-)
-
 _DEFAULT_POPULATION_KEYS: Optional[List[str]] = None
 
 
@@ -68,7 +58,8 @@ def _default_population_keys() -> List[str]:
     global _DEFAULT_POPULATION_KEYS
     if _DEFAULT_POPULATION_KEYS is None:
         _DEFAULT_POPULATION_KEYS = sorted(
-            spec.key for spec in training_population(192)
+            spec.key
+            for spec in training_population(FOREST_RECIPE["population"])
         )
     return _DEFAULT_POPULATION_KEYS
 
@@ -208,7 +199,7 @@ class ExperimentContext:
         if self._default_predictor:
             return [
                 "default-rf",
-                dict(_DEFAULT_RF_PARAMS),
+                dict(FOREST_RECIPE),
                 _default_population_keys(),
                 len(self.space),
                 self.apu,

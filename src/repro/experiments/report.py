@@ -188,7 +188,7 @@ def generate_report(ctx: Optional[ExperimentContext] = None) -> str:
     """Run every experiment and render the markdown report."""
     ctx = ctx if ctx is not None else ExperimentContext()
     if ctx.engine is not None:
-        from repro.engine.matrix import requests_for
+        from repro.experiments.matrix import requests_for
 
         ctx.engine.prefetch(ctx, requests_for(ALL_EXPERIMENTS, ctx))
 

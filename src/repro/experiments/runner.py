@@ -93,7 +93,7 @@ def run_all(
             f"unknown experiment {unknown[0]!r}; known: {', '.join(ALL_EXPERIMENTS)}"
         )
     if ctx.engine is not None:
-        from repro.engine.matrix import requests_for
+        from repro.experiments.matrix import requests_for
 
         requests = requests_for(keys, ctx)
         logger.info(

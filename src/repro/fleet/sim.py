@@ -34,12 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.fleet.budget import (
-    DEFAULT_HEADROOM_FRAC,
-    DEFAULT_MIN_FLOOR_W,
-    BudgetAllocator,
-    NodeDemand,
-)
+from repro.fleet.budget import BudgetAllocator, NodeDemand
 from repro.fleet.shard import InlineShard, ProcessShard
 from repro.obs import Instrumentation, make_instrumentation
 from repro.runtime.session import SessionStats
@@ -127,8 +122,11 @@ class FleetSimulator:
             least-loaded node at each epoch boundary when they differ
             by two or more (snapshot/restore migration; decisions are
             placement-invariant, so rebalancing never changes them).
-        min_floor_w / headroom_frac: Allocator policy knobs.
         cache_dir: Random Forest cache directory.
+
+    A capped fleet apportions through a
+    :class:`~repro.fleet.budget.BudgetAllocator` with its default floor
+    and headroom.
     """
 
     def __init__(
@@ -142,8 +140,6 @@ class FleetSimulator:
         max_sessions_per_node: Optional[int] = None,
         max_queued: Optional[int] = None,
         rebalance: bool = False,
-        min_floor_w: float = DEFAULT_MIN_FLOOR_W,
-        headroom_frac: float = DEFAULT_HEADROOM_FRAC,
         cache_dir: str = ".cache",
     ) -> None:
         if nodes < 1:
@@ -167,13 +163,7 @@ class FleetSimulator:
         self.max_queued = max_queued
         self.rebalance = rebalance
         self.cache_dir = cache_dir
-        self.allocator = (
-            BudgetAllocator(
-                cap_w, min_floor_w=min_floor_w, headroom_frac=headroom_frac
-            )
-            if cap_w is not None
-            else None
-        )
+        self.allocator = BudgetAllocator(cap_w) if cap_w is not None else None
         self.obs: Instrumentation = make_instrumentation()
 
     # ----- shard construction ---------------------------------------------------

@@ -24,9 +24,8 @@ import numpy as np
 from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.hardware.dvfs import GPU_DPM_STATES
 from repro.hardware.perf import TimingModel
-from repro.hardware.power import PowerBreakdown, PowerModel, PowerModelParams
+from repro.hardware.power import PowerBreakdown, PowerModel
 from repro.hardware.table import ConfigTable
-from repro.hardware.thermal import ThermalModel
 
 if TYPE_CHECKING:  # imported lazily to avoid a hardware <-> workloads cycle
     from repro.workloads.kernel import KernelSpec
@@ -122,7 +121,7 @@ _MEMO_BOUND = 4096
 #: :class:`~repro.hardware.power.PowerBreakdown`, which
 #: :meth:`APUModel.execute` and :meth:`APUModel.kernel_power` return.
 #: Module-level and weak-keyed, like
-#: ``repro.workloads.counters._NOMINAL``: a model pickles and
+#: ``repro.workloads.counters._OBSERVED``: a model pickles and
 #: fingerprints the same whether it has run launches or not
 #: (``describe(sim)`` feeds every engine cache key).  A model's timing
 #: and power models are set once, at construction, and a spec and a
@@ -143,23 +142,17 @@ _MANAGER_POWER: "weakref.WeakKeyDictionary[APUModel, Dict[HardwareConfig, PowerB
 class APUModel:
     """Ground-truth model of the heterogeneous processor.
 
+    Kernel timing comes from the calibrated
+    :class:`~repro.hardware.perf.TimingModel`.
+
     Args:
-        timing: Kernel timing model; defaults to the calibrated
-            :class:`~repro.hardware.perf.TimingModel`.
         power: Chip power model; defaults to the calibrated
             :class:`~repro.hardware.power.PowerModel`.
     """
 
-    def __init__(self, timing: Optional[TimingModel] = None,
-                 power: Optional[PowerModel] = None) -> None:
-        self.timing = timing if timing is not None else TimingModel()
+    def __init__(self, power: Optional[PowerModel] = None) -> None:
+        self.timing = TimingModel()
         self.power = power if power is not None else PowerModel()
-
-    @classmethod
-    def with_params(cls, params: PowerModelParams,
-                    thermal: Optional[ThermalModel] = None) -> "APUModel":
-        """Build an APU model with custom power calibration constants."""
-        return cls(power=PowerModel(params, thermal or ThermalModel()))
 
     @property
     def tdp_w(self) -> float:
@@ -257,7 +250,3 @@ class APUModel:
             cpu_power_w=breakdown.cpu_w,
             temperature_c=breakdown.temperature_c,
         )
-
-    def within_tdp(self, spec: KernelSpec, config: HardwareConfig) -> bool:
-        """Whether running ``spec`` at ``config`` respects the TDP."""
-        return self.kernel_power(spec, config).total_w <= self.tdp_w

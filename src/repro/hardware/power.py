@@ -144,12 +144,18 @@ class PowerModelParams:
 
 
 class PowerModel:
-    """Computes component powers for kernels and manager phases."""
+    """Computes component powers for kernels and manager phases.
 
-    def __init__(self, params: PowerModelParams = PowerModelParams(),
-                 thermal: ThermalModel = ThermalModel()) -> None:
+    Leakage and die temperature settle through the default
+    :class:`~repro.hardware.thermal.ThermalModel`.
+
+    Args:
+        params: Calibration constants.
+    """
+
+    def __init__(self, params: PowerModelParams = PowerModelParams()) -> None:
         self.params = params
-        self.thermal = thermal
+        self.thermal = ThermalModel()
 
     # ----- component building blocks -------------------------------------
 

@@ -97,7 +97,6 @@ def build_dataset(
     kernels: Sequence[KernelSpec],
     apu: Optional[APUModel] = None,
     space: Optional[ConfigSpace] = None,
-    synthesizer: Optional[CounterSynthesizer] = None,
     time_noise: float = 0.03,
     power_noise: float = 0.08,
     seed: int = 99,
@@ -110,8 +109,6 @@ def build_dataset(
         apu: Ground-truth hardware model.
         space: Configurations to sweep; defaults to the full 336-point
             space the paper characterizes.
-        synthesizer: Counter synthesizer; counters are sampled once per
-            kernel, as a profiler would.
         time_noise: Relative standard deviation of multiplicative noise
             on measured kernel time.
         power_noise: Relative standard deviation of multiplicative noise
@@ -125,7 +122,9 @@ def build_dataset(
         raise ValueError("need at least one kernel")
     apu = apu if apu is not None else APUModel()
     space = space if space is not None else ConfigSpace()
-    synthesizer = synthesizer if synthesizer is not None else CounterSynthesizer()
+    # Counters are sampled once per kernel, as a profiler would, by the
+    # default (noisy) synthesizer.
+    synthesizer = CounterSynthesizer()
     # Independent noise streams: changing the power-noise level must not
     # perturb the time measurements, and vice versa.
     time_rng = np.random.default_rng(seed)

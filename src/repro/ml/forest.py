@@ -375,10 +375,6 @@ class RandomForestRegressor:
         """
         return predict_forests(self, (self,), X)[0]
 
-    def predict_one(self, x: np.ndarray) -> float:
-        """Prediction for a single sample vector."""
-        return float(self.predict(x.reshape(1, -1))[0])
-
 
 def mean_absolute_percentage_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """MAPE in percent, the accuracy metric the paper reports.

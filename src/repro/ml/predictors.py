@@ -24,7 +24,8 @@ import pickle
 import sys
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "PerfPowerPredictor",
     "RandomForestPredictor",
     "OraclePredictor",
+    "FOREST_RECIPE",
     "train_predictor",
     "evaluate_predictor",
 ]
@@ -344,16 +346,13 @@ class OraclePredictor(PerfPowerPredictor):
         apu: Ground-truth hardware model.
         kernels: The kernels that may be queried (e.g. an application's
             unique kernels).
-        synthesizer: Counter synthesizer used for the nominal
-            (noise-free) reference counters.
     """
 
-    def __init__(self, apu: APUModel, kernels: Sequence[KernelSpec],
-                 synthesizer: Optional[CounterSynthesizer] = None) -> None:
+    def __init__(self, apu: APUModel, kernels: Sequence[KernelSpec]) -> None:
         if not kernels:
             raise ValueError("oracle needs a kernel population")
         self.apu = apu
-        synthesizer = synthesizer if synthesizer is not None else CounterSynthesizer(noise=0.0)
+        synthesizer = CounterSynthesizer(noise=0.0)
         self._specs: List[KernelSpec] = list(kernels)
         self._nominal = np.vstack(
             [synthesizer.nominal(spec).as_array() for spec in self._specs]
@@ -416,6 +415,22 @@ class OraclePredictor(PerfPowerPredictor):
 # ----- training -------------------------------------------------------------
 
 
+#: The shipping forest's training recipe: the size of the synthetic
+#: training population, :func:`train_predictor`'s defaults, and a
+#: revision bumped when training changes in a way the other values do
+#: not show.  It also feeds the forest's cache digest and every
+#: default-forest engine key (``ExperimentContext.predictor_fingerprint``),
+#: so changing a default changes both.
+FOREST_RECIPE: Mapping[str, Any] = MappingProxyType({
+    "population": 192,
+    "n_estimators": 16,
+    "max_depth": 16,
+    "max_features": 0.6,
+    "seed": 5,
+    "revision": "v6",
+})
+
+
 def _cache_path(cache_dir: str, key: str) -> str:
     return os.path.join(cache_dir, f"rf_predictor_{key}.pkl")
 
@@ -424,18 +439,21 @@ def train_predictor(
     apu: Optional[APUModel] = None,
     kernels: Optional[Sequence[KernelSpec]] = None,
     space: Optional[ConfigSpace] = None,
-    n_estimators: int = 16,
-    max_depth: int = 16,
-    max_features: Union[int, float, str] = 0.6,
-    seed: int = 5,
+    n_estimators: int = FOREST_RECIPE["n_estimators"],
+    max_depth: int = FOREST_RECIPE["max_depth"],
+    max_features: Union[int, float, str] = FOREST_RECIPE["max_features"],
+    seed: int = FOREST_RECIPE["seed"],
     cache_dir: Optional[str] = None,
 ) -> RandomForestPredictor:
     """Offline-train the Random Forest performance/power predictor.
 
+    The defaults are :data:`FOREST_RECIPE`'s.
+
     Args:
         apu: Ground-truth hardware model to characterize on.
         kernels: Training kernel population; defaults to the synthetic
-            population (the evaluation benchmarks stay out-of-sample).
+            population of :data:`FOREST_RECIPE` size (the evaluation
+            benchmarks stay out-of-sample).
         space: Configurations to characterize; defaults to all 336.
         n_estimators: Trees per forest.
         max_depth: Depth limit per tree.
@@ -450,7 +468,10 @@ def train_predictor(
         The trained predictor.
     """
     apu = apu if apu is not None else APUModel()
-    kernels = list(kernels) if kernels is not None else training_population(192)
+    kernels = (
+        list(kernels) if kernels is not None
+        else training_population(FOREST_RECIPE["population"])
+    )
     space = space if space is not None else ConfigSpace()
 
     cache_file = None
@@ -464,7 +485,7 @@ def train_predictor(
                     max_depth,
                     max_features,
                     seed,
-                    "v6",
+                    FOREST_RECIPE["revision"],
                 )
             ).encode()
         ).hexdigest()[:16]

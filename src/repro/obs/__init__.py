@@ -20,7 +20,7 @@ bit-identical with the layer present.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs.health import (
     HealthMonitor,
@@ -61,7 +61,6 @@ __all__ = [
     "format_health_report",
     "make_instrumentation",
     "publish_cache_stats",
-    "publish_session_stats",
 ]
 
 
@@ -102,7 +101,6 @@ def or_noop(obs: Optional[Instrumentation]) -> Instrumentation:
 
 def make_instrumentation(
     clock: Optional[Callable[[], float]] = None,
-    sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     keep_spans: bool = True,
     health: bool = False,
 ) -> Instrumentation:
@@ -111,9 +109,9 @@ def make_instrumentation(
     Args:
         clock: Injected tracer time source (defaults to a frozen zero
             clock; the session runtime stamps simulated time onto its
-            spans explicitly, so most callers never need one).
-        sink: Optional per-span streaming sink (e.g.
-            :class:`~repro.obs.exporters.JsonlTraceSink`).
+            spans explicitly, so most callers never need one).  The
+            opt-in profiling hook: only an explicitly injected clock
+            may read the wall clock.
         keep_spans: Whether the tracer buffers finished spans in memory
             for post-run export.
         health: Install a :class:`~repro.obs.health.HealthMonitor`
@@ -121,18 +119,18 @@ def make_instrumentation(
             feeds the model-health ledgers and drift detectors.
     """
     registry = MetricsRegistry()
-    tracer = Tracer(clock=clock, sink=sink, keep=keep_spans)
+    tracer = Tracer(clock=clock, keep=keep_spans)
     monitor = HealthMonitor(registry, tracer) if health else None
     return Instrumentation(registry, tracer, monitor)
 
 
 # ----- stats bridges ---------------------------------------------------------
 #
-# CacheStats / SessionStats / EngineStats predate the registry; these
-# bridges publish their point-in-time values as gauges so engine runs
-# can report per-worker and aggregate stats through one exporter.
-# Gauges (not counters) because the stats objects are themselves
-# accumulators: re-publishing overwrites instead of double-counting.
+# CacheStats predates the registry; this bridge publishes its
+# point-in-time values as gauges so engine runs can report per-worker
+# and aggregate stats through one exporter.  Gauges (not counters)
+# because the stats object is itself an accumulator: re-publishing
+# overwrites instead of double-counting.
 
 
 def publish_cache_stats(registry: Any, stats: Any, **labels: Any) -> None:
@@ -148,24 +146,3 @@ def publish_cache_stats(registry: Any, stats: Any, **labels: Any) -> None:
     registry.gauge(
         "repro_cache_store_seconds", "Result-cache time spent writing entries"
     ).set(stats.store_s, **labels)
-
-
-def publish_session_stats(registry: Any, stats: Any, **labels: Any) -> None:
-    """Publish a :class:`~repro.runtime.session.SessionStats` as gauges."""
-    for name in (
-        "runs", "launches", "model_evaluations", "fail_safe_decisions",
-        "fail_safe_fallbacks", "observe_failures", "sources",
-    ):
-        registry.gauge(
-            f"repro_session_{name}",
-            f"Session {name} (point-in-time of the stats object)",
-        ).set(getattr(stats, name), **labels)
-    registry.gauge(
-        "repro_session_kernel_seconds", "Session total kernel time"
-    ).set(stats.kernel_time_s, **labels)
-    registry.gauge(
-        "repro_session_overhead_seconds", "Session total optimizer overhead"
-    ).set(stats.overhead_time_s, **labels)
-    registry.gauge(
-        "repro_session_energy_joules", "Session total chip energy"
-    ).set(stats.energy_j, **labels)

@@ -2,9 +2,9 @@
 
 Three consumption styles for the same observability data:
 
-* **JSONL trace sink** — one span per line, keys sorted, so traces are
-  byte-comparable across runs and machines (:class:`JsonlTraceSink`,
-  :func:`write_jsonl`, :func:`read_jsonl`).
+* **JSONL traces** — one span per line, keys sorted, so traces are
+  byte-comparable across runs and machines (:func:`write_jsonl`,
+  :func:`read_jsonl`).
 * **Prometheus text exposition** — the registry rendered in the
   ``# TYPE`` / ``name{label="v"} value`` format scrapers and
   ``promtool`` understand (:func:`prometheus_text`).
@@ -20,10 +20,9 @@ the JSONL contract honest.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
 __all__ = [
-    "JsonlTraceSink",
     "write_jsonl",
     "read_jsonl",
     "prometheus_text",
@@ -40,37 +39,6 @@ def _span_dict(span: Any) -> Dict[str, Any]:
 
 
 # ----- JSONL traces ----------------------------------------------------------
-
-
-class JsonlTraceSink:
-    """Streams finished spans to a JSONL file as they end.
-
-    Usable directly as a :class:`~repro.obs.tracing.Tracer` ``sink``.
-    Lines are written with sorted keys and no wall-clock metadata, so
-    identical runs produce identical files.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-
-    def __call__(self, payload: Dict[str, Any]) -> None:
-        if self._handle is None:
-            raise ValueError(f"trace sink {self.path!r} already closed")
-        json.dump(payload, self._handle, sort_keys=True)
-        self._handle.write("\n")
-
-    def close(self) -> None:
-        """Flush and close the underlying file (idempotent)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlTraceSink":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
 def write_jsonl(spans: Iterable[Any], path: str) -> int:

@@ -21,7 +21,7 @@ either a real or a null object.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = [
     "BoundCounter",
@@ -496,8 +496,3 @@ class NullMetricsRegistry:
 
 #: Shared no-op registry; the default everywhere instrumentation is optional.
 NULL_REGISTRY = NullMetricsRegistry()
-
-
-def registry_or_null(registry: Optional[Any]) -> Any:
-    """``registry`` if given, else the shared no-op registry."""
-    return registry if registry is not None else NULL_REGISTRY

@@ -21,9 +21,7 @@ calling code.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterator, List, Optional
-
-from contextlib import contextmanager
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "SPAN_SCHEMA"]
 
@@ -51,7 +49,7 @@ class Span:
         self.attributes[key] = self.attributes.get(key, 0.0) + value
 
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-able form, as written to trace sinks.
+        """JSON-able form, as buffered and exported.
 
         The returned dict shares this span's attribute mapping: spans
         are single-shot, so by the time ``as_dict`` runs (at
@@ -98,10 +96,8 @@ class Tracer:
             zero clock — deliberately **not** the wall clock; callers
             with a meaningful notion of time (simulated or otherwise)
             must inject one or pass ``at`` explicitly.
-        sink: Optional callable invoked with each finished span's
-            :meth:`~Span.as_dict` (e.g. a streaming JSONL writer).
         keep: Whether finished spans are retained on :attr:`spans`
-            (disable for unbounded streams feeding only a sink).
+            (disable for long runs whose spans are never exported).
     """
 
     enabled = True
@@ -109,11 +105,9 @@ class Tracer:
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
-        sink: Optional[Callable[[Dict[str, Any]], None]] = None,
         keep: bool = True,
     ) -> None:
         self.clock = clock if clock is not None else (lambda: 0.0)
-        self.sink = sink
         self.keep = keep
         self.spans: List[Dict[str, Any]] = []
         self._local = threading.local()
@@ -137,7 +131,7 @@ class Tracer:
         return span
 
     def end_span(self, span: Span, at: Optional[float] = None) -> Dict[str, Any]:
-        """Close a span, pop it, and deliver it to the sink/buffer."""
+        """Close a span, pop it, and deliver it to the buffer."""
         span.end_s = self.clock() if at is None else at
         stack = self._stack()
         # LIFO fast path: the span being ended is almost always the
@@ -155,18 +149,6 @@ class Tracer:
         """Deliver an already-serialized span (e.g. from a worker)."""
         if self.keep:
             self.spans.append(payload)
-        if self.sink is not None:
-            self.sink(payload)
-
-    @contextmanager
-    def span(self, name: str, at: Optional[float] = None,
-             **attributes: Any) -> Iterator[Span]:
-        """Context-manager form of start/end."""
-        span = self.start_span(name, at=at, **attributes)
-        try:
-            yield span
-        finally:
-            self.end_span(span, at=at if at is not None else None)
 
     # ----- annotation of the current span ----------------------------------------
 
@@ -180,12 +162,6 @@ class Tracer:
         span = self.current()
         if span is not None:
             span.annotate(key, value)
-
-    def inc(self, key: str, value: float = 1.0) -> None:
-        """Accumulate a numeric attribute on the current span."""
-        span = self.current()
-        if span is not None:
-            span.inc(key, value)
 
     def drain(self) -> List[Dict[str, Any]]:
         """Return and clear the buffered finished spans."""
@@ -209,18 +185,10 @@ class NullTracer:
     def emit(self, payload: Dict[str, Any]) -> None:
         pass
 
-    @contextmanager
-    def span(self, name: str, at: Optional[float] = None,
-             **attributes: Any) -> Iterator[Any]:
-        yield _NULL_SPAN
-
     def current(self) -> Optional[Any]:
         return None
 
     def annotate(self, key: str, value: Any) -> None:
-        pass
-
-    def inc(self, key: str, value: float = 1.0) -> None:
         pass
 
     def drain(self) -> List[Dict[str, Any]]:

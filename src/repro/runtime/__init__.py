@@ -2,8 +2,8 @@
 
 ``repro.runtime`` sits between the policy layer (:mod:`repro.core`,
 :mod:`repro.sim.policy`) and the drivers that feed it work (the offline
-:class:`~repro.sim.simulator.Simulator`, the CLI's streaming mode, the
-experiment engine).  It owns the online control loop the paper's
+:class:`~repro.sim.simulator.Simulator`, the trace replayer, the fleet
+nodes, the experiment engine).  It owns the online control loop the paper's
 framework runs at every kernel-launch boundary:
 
 * :mod:`~repro.runtime.events` — the typed event protocol: a session
@@ -21,8 +21,9 @@ framework runs at every kernel-launch boundary:
 
 The layer is driver-agnostic by construction: the same policy object
 produces identical decisions whether it is driven by offline replay
-(``Simulator.run``), a streaming iterator (``SessionRuntime.run_stream``),
-or interleaved with other applications (``SessionManager.run_stream``).
+(``Simulator.run``), one launch at a time (``SessionRuntime.process``),
+or interleaved with other applications (``SessionManager.dispatch`` and
+``SessionManager.step_batch``).
 """
 
 from repro.runtime.events import KernelLaunch, LaunchOutcome, launch_events

@@ -74,14 +74,5 @@ class PolicyLifecycle:
             )
         self._state = target
 
-    def expect(self, *states: PolicyState) -> None:
-        """Assert the machine is in one of ``states``."""
-        if self._state not in states:
-            wanted = ", ".join(s.value for s in states)
-            raise LifecycleError(
-                f"operation requires lifecycle state in ({wanted}); "
-                f"currently {self._state.value!r}"
-            )
-
     def __repr__(self) -> str:
         return f"PolicyLifecycle({self._state.value!r})"

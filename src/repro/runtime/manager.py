@@ -13,15 +13,14 @@ multiplexed with others (asserted by the runtime test suite).
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.apu import APUModel
-from repro.hardware.config import HardwareConfig
 from repro.obs import Instrumentation, or_noop
 from repro.runtime.events import KernelLaunch, LaunchOutcome
 from repro.runtime.session import SessionRuntime, SessionStats
 from repro.sim.policy import PowerPolicy
-from repro.sim.simulator import MANAGER_CONFIG, OverheadModel
+from repro.sim.simulator import OverheadModel
 from repro.workloads.counters import CounterSynthesizer, CounterVector
 
 __all__ = ["SessionManager", "chunk_distinct_sessions"]
@@ -48,8 +47,8 @@ def chunk_distinct_sessions(items: Sequence[Any], key: Any) -> List[List[Any]]:
 
     A chunk closes as soon as a session repeats, so each chunk is a
     legal :meth:`SessionManager.step_batch` input and per-session item
-    order is preserved across chunks.  Shared by the trace replayer's
-    batched mode and the fleet nodes.
+    order is preserved across chunks.  The fleet nodes step their
+    epoch slices in these chunks.
 
     Args:
         items: The ordered items to chunk.
@@ -75,14 +74,14 @@ class SessionManager:
 
     All sessions execute on the same APU/counter/overhead models (the
     machine being managed); each session hosts its own policy and keeps
-    its own trace and statistics.
+    its own trace and statistics.  The optimizer runs at
+    ``MANAGER_CONFIG`` with no CPU phase to hide it, the
+    :class:`~repro.runtime.session.SessionRuntime` defaults.
 
     Args:
         apu: Shared ground-truth hardware model.
         counters: Shared counter synthesizer.
         overhead: Shared decision-overhead model.
-        manager_config: Configuration the optimizer runs at.
-        cpu_phase_s: Per-launch CPU phase that hides optimizer time.
         enforce_tdp: Throttle over-TDP configurations before executing.
         isolate_faults: Fault-isolate hosted policies (the default for
             long-lived streaming service use).
@@ -95,8 +94,6 @@ class SessionManager:
         apu: Optional[APUModel] = None,
         counters: Optional[CounterSynthesizer] = None,
         overhead: Optional[OverheadModel] = None,
-        manager_config: HardwareConfig = MANAGER_CONFIG,
-        cpu_phase_s: float = 0.0,
         enforce_tdp: bool = False,
         isolate_faults: bool = True,
         obs: Optional[Instrumentation] = None,
@@ -104,8 +101,6 @@ class SessionManager:
         self.apu = apu if apu is not None else APUModel()
         self.counters = counters if counters is not None else CounterSynthesizer()
         self.overhead = overhead if overhead is not None else OverheadModel()
-        self.manager_config = manager_config
-        self.cpu_phase_s = cpu_phase_s
         self.enforce_tdp = enforce_tdp
         # Set only by set_power_budget; add_session hands it to later
         # arrivals.
@@ -138,8 +133,6 @@ class SessionManager:
             apu=self.apu,
             counters=self.counters,
             overhead=self.overhead,
-            manager_config=self.manager_config,
-            cpu_phase_s=self.cpu_phase_s,
             enforce_tdp=self.enforce_tdp,
             isolate_faults=self.isolate_faults,
             session_id=session_id,
@@ -182,11 +175,6 @@ class SessionManager:
     def dispatch(self, event: KernelLaunch) -> LaunchOutcome:
         """Route one event to its session and process it."""
         return self.session(event.session_id).process(event)
-
-    def run_stream(self, events: Iterable[KernelLaunch]) -> Iterator[LaunchOutcome]:
-        """Consume an interleaved multi-session event stream."""
-        for event in events:
-            yield self.dispatch(event)
 
     def step_batch(self, events: Sequence[KernelLaunch]) -> List[LaunchOutcome]:
         """Process one launch per session with their sweeps started stacked.

@@ -16,9 +16,10 @@ to be hard-wired inside ``Simulator.run``:
 
 The loop is driver-agnostic: :meth:`run` replays an application offline
 (what :class:`~repro.sim.simulator.Simulator` now delegates to),
-:meth:`run_stream` consumes a :class:`~repro.runtime.events.KernelLaunch`
-iterator, and :class:`~repro.runtime.manager.SessionManager` interleaves
-many sessions.  All three produce numerically identical traces.
+:meth:`process` takes one :class:`~repro.runtime.events.KernelLaunch`
+at a time, and :class:`~repro.runtime.manager.SessionManager`
+interleaves many sessions.  All three produce numerically identical
+traces.
 
 Sessions are migratable: :meth:`snapshot` captures the policy's mutable
 state (and the session's position) as a JSON-able dict, and
@@ -29,7 +30,7 @@ session can move across engine workers or fleet nodes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hardware.apu import PART_TABLE, APUModel
 from repro.hardware.config import FAILSAFE_CONFIG, HardwareConfig, Knob
@@ -173,7 +174,7 @@ class SessionStats:
         return cls(**payload)
 
     def format(self) -> str:
-        """One-line summary for reports and the CLI's streaming mode."""
+        """One-line summary for reports (``repro trace replay``)."""
         line = (
             f"{self.runs} run(s), {self.launches} launches, "
             f"{self.model_evaluations} model evals; "
@@ -582,12 +583,6 @@ class SessionRuntime:
             self.process(event, charge_overhead=charge_overhead)
         assert self._result is not None
         return self._result
-
-    def run_stream(self, events: Iterable[KernelLaunch], *,
-                   charge_overhead: Optional[bool] = None) -> Iterator[LaunchOutcome]:
-        """Consume a launch-event stream, yielding outcomes as they happen."""
-        for event in events:
-            yield self.process(event, charge_overhead=charge_overhead)
 
     # ----- migration -------------------------------------------------------------
 

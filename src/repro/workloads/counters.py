@@ -19,7 +19,7 @@ import hashlib
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -126,29 +126,28 @@ class CounterVector:
         )
 
 
-#: Each synthesizer's noise-free counters per kernel spec: the read-only
-#: float64 vector :meth:`CounterSynthesizer.observe` jitters, and the
-#: same floats as a list.  Module-level and weak-keyed, like the
-#: predictor memos of ``repro.ml.predictors``: a synthesizer pickles and
-#: fingerprints the same whether it has observed launches or not
-#: (``describe(sim)`` feeds every engine cache key).  A synthesizer's
-#: timing model is set once, at construction, and a spec is immutable,
-#: so an entry never goes stale.
-_NOMINAL: "weakref.WeakKeyDictionary[CounterSynthesizer, Dict[KernelSpec, Tuple[np.ndarray, List[float]]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-#: Most jittered observations :data:`_OBSERVED` keeps per synthesizer;
-#: a full memo is cleared.  One pass of a shipping workload observes at
-#: most a few hundred distinct (kernel, sequence) pairs.
+#: Most entries :data:`_NOMINAL` keeps, and :data:`_OBSERVED` per
+#: synthesizer; a full memo is cleared.  One pass of a shipping workload
+#: observes at most a few hundred distinct kernel specs and (kernel,
+#: sequence) pairs.
 _OBSERVED_BOUND = 4096
+
+#: Noise-free counters per kernel spec: the read-only float64 vector
+#: :meth:`CounterSynthesizer.observe` jitters, and the same floats as a
+#: list.  Every synthesizer measures at the same reference configuration
+#: with the default timing model, so an entry depends on the spec alone
+#: and serves every synthesizer.
+_NOMINAL: Dict[KernelSpec, Tuple[np.ndarray, List[float]]] = {}
 
 #: Each noisy synthesizer's jittered counters per (kernel spec, launch
 #: sequence), as a list of floats.  The jitter is drawn from the
 #: synthesizer's seed and noise level (both set once, at construction),
 #: the spec's key and the sequence, and it scales the whole spec's
 #: nominal counters, so a hit holds exactly the floats a miss computes.
-#: Outside the instance for the same reasons as :data:`_NOMINAL`.
+#: Module-level and weak-keyed, like the predictor memos of
+#: ``repro.ml.predictors``: a synthesizer pickles and fingerprints the
+#: same whether it has observed launches or not (``describe(sim)``
+#: feeds every engine cache key).
 _OBSERVED: "weakref.WeakKeyDictionary[CounterSynthesizer, Dict[Tuple[KernelSpec, int], List[float]]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -157,24 +156,29 @@ _OBSERVED: "weakref.WeakKeyDictionary[CounterSynthesizer, Dict[Tuple[KernelSpec,
 class CounterSynthesizer:
     """Derives Table-III counters from ground-truth kernel specs.
 
+    Stall fractions come from the default
+    :class:`~repro.hardware.perf.TimingModel` at the reference
+    configuration.
+
     Args:
-        timing: Timing model used to compute stall fractions at the
-            reference configuration.
         noise: Relative standard deviation of multiplicative measurement
             noise applied per observation (0 disables noise).
         seed: Seed for the measurement-noise stream.
     """
 
-    def __init__(self, timing: Optional[TimingModel] = None,
-                 noise: float = 0.02, seed: int = 1234) -> None:
+    def __init__(self, noise: float = 0.02, seed: int = 1234) -> None:
         if noise < 0:
             raise ValueError("noise must be non-negative")
-        self.timing = timing if timing is not None else TimingModel()
+        self.timing = TimingModel()
         self.noise = noise
         self.seed = seed
 
     def nominal(self, spec: KernelSpec) -> CounterVector:
-        """Noise-free counters for a kernel at the reference config."""
+        """Noise-free counters for a kernel at the reference config.
+
+        Computed on every call; :meth:`observe` reads them through
+        :data:`_NOMINAL`.
+        """
         timing = self.timing.kernel_timing_matrix(spec, _REFERENCE_TABLE)
         compute_time = float(timing.compute_time_s[0])
         memory_time = float(timing.memory_time_s[0])
@@ -255,12 +259,11 @@ class CounterSynthesizer:
 
     def _nominal_entry(self, spec: KernelSpec) -> Tuple[np.ndarray, List[float]]:
         """The :data:`_NOMINAL` entry of ``spec``, computed on first use."""
-        memo = _NOMINAL.get(self)
-        if memo is None:
-            memo = _NOMINAL[self] = {}
-        entry = memo.get(spec)
+        entry = _NOMINAL.get(spec)
         if entry is None:
             array = self.nominal(spec).as_array()
             array.flags.writeable = False
-            entry = memo[spec] = (array, array.tolist())
+            if len(_NOMINAL) >= _OBSERVED_BOUND:
+                _NOMINAL.clear()
+            entry = _NOMINAL[spec] = (array, array.tolist())
         return entry

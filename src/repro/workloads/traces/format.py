@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hardware.config import HardwareConfig
 from repro.runtime.events import KernelLaunch
@@ -418,11 +418,6 @@ class Trace:
     def events_for(self, session_id: str) -> List[TraceEvent]:
         """This session's events, in trace order."""
         return [e for e in self.events if e.session == session_id]
-
-    def launch_events(self) -> Iterator[KernelLaunch]:
-        """The trace as a runtime event stream, in trace order."""
-        for event in self.events:
-            yield event.as_launch()
 
     def unique_kernels(self, session_id: str) -> List[KernelSpec]:
         """Distinct (kernel, input) identities one session launches."""

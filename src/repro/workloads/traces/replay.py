@@ -20,7 +20,7 @@ harness in ``tests/differential/``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.manager import MPCPowerManager
 from repro.core.policies import FixedConfigPolicy, PPKPolicy
@@ -28,7 +28,7 @@ from repro.hardware.apu import APUModel
 from repro.ml.predictors import OraclePredictor, PerfPowerPredictor
 from repro.obs import Instrumentation, make_instrumentation
 from repro.runtime.events import LaunchOutcome
-from repro.runtime.manager import SessionManager, chunk_distinct_sessions
+from repro.runtime.manager import SessionManager
 from repro.runtime.session import SessionStats
 from repro.sim.policy import PowerPolicy
 from repro.sim.simulator import OverheadModel, Simulator
@@ -239,15 +239,11 @@ def outcome_decision(outcome: LaunchOutcome) -> RecordedDecision:
 class TraceReplayer:
     """Feeds a trace through the runtime event protocol and checks it.
 
+    The replay runs on the standard machine: the default APU, counter
+    synthesizer and decision-overhead models.
+
     Args:
         trace: The trace to replay (validated before replaying).
-        apu: Ground-truth hardware model; defaults to the standard APU.
-        counters: Counter synthesizer; defaults to the standard seed.
-        overhead: Decision-overhead model; defaults to the standard one.
-        batched: Feed events through ``SessionManager.step_batch`` in
-            maximal distinct-session chunks instead of one at a time.
-            Decisions and stats are identical to streaming (asserted by
-            ``tests/differential/test_step_batch.py``).
         check: Compare outcomes against recorded decisions, when the
             trace carries them.
         cache_dir: Random Forest cache directory for ``forest``
@@ -258,33 +254,24 @@ class TraceReplayer:
         self,
         trace: Trace,
         *,
-        apu: Optional[APUModel] = None,
-        counters: Optional[CounterSynthesizer] = None,
-        overhead: Optional[OverheadModel] = None,
-        batched: bool = False,
         check: bool = True,
         cache_dir: str = ".cache",
     ) -> None:
         self.trace = trace.ensure_valid()
-        self.apu = apu if apu is not None else APUModel()
-        self.counters = counters if counters is not None else CounterSynthesizer()
-        self.overhead = overhead if overhead is not None else OverheadModel()
-        self.batched = batched
+        self.apu = APUModel()
+        self.counters = CounterSynthesizer()
+        self.overhead = OverheadModel()
         self.check = check
         self.cache_dir = cache_dir
-        # Replays always run instrumented: coverage assertions read the
-        # registry (and the model-health monitor, for the health_*
-        # metrics), and instrumentation never affects numerics.
-        self.obs = make_instrumentation(health=True)
 
-    def _build_manager(self) -> SessionManager:
+    def _build_manager(self, obs: Instrumentation) -> SessionManager:
         manager = SessionManager(
             apu=self.apu,
             counters=self.counters,
             overhead=self.overhead,
             enforce_tdp=self.trace.header.enforce_tdp,
             isolate_faults=True,
-            obs=self.obs,
+            obs=obs,
         )
         for spec in self.trace.header.sessions:
             policy = build_policy(
@@ -292,7 +279,7 @@ class TraceReplayer:
                 self.trace.unique_kernels(spec.session_id),
                 apu=self.apu,
                 overhead=self.overhead,
-                obs=self.obs,
+                obs=obs,
                 cache_dir=self.cache_dir,
             )
             manager.add_session(
@@ -329,44 +316,26 @@ class TraceReplayer:
             )
         return drift
 
-    def _event_chunks(self) -> List[List[Tuple[int, TraceEvent]]]:
-        """Maximal distinct-session runs of the event stream, in order.
-
-        A chunk closes as soon as a session repeats, so each chunk is a
-        legal ``step_batch`` input and per-session event order is
-        preserved across chunks.
-        """
-        return chunk_distinct_sessions(
-            list(enumerate(self.trace.events)),
-            key=lambda pair: pair[1].session,
-        )
-
     def replay(self) -> ReplayReport:
-        """Run the whole trace; returns the full report."""
-        manager = self._build_manager()
+        """Run the whole trace; returns the full report.
+
+        Each replay runs under its own live instrumentation (with a
+        model-health monitor, for the ``health_*`` metrics), so
+        replaying twice reports the same numbers twice.
+        """
+        obs = make_instrumentation(health=True)
+        manager = self._build_manager(obs)
         report = ReplayReport(
             trace=self.trace,
-            registry=self.obs.registry,
-            health=self.obs.health,
+            registry=obs.registry,
+            health=obs.health,
         )
-
-        def consume(position: int, event: TraceEvent,
-                    outcome: LaunchOutcome) -> None:
+        for position, event in enumerate(self.trace.events):
+            outcome = manager.dispatch(event.as_launch())
             report.outcomes.append(outcome)
             if self.check and event.decision is not None:
                 report.checked += 1
                 report.mismatches.extend(self._compare(position, event, outcome))
-
-        if self.batched:
-            for chunk in self._event_chunks():
-                outcomes = manager.step_batch(
-                    [event.as_launch() for _, event in chunk]
-                )
-                for (position, event), outcome in zip(chunk, outcomes):
-                    consume(position, event, outcome)
-        else:
-            for position, event in enumerate(self.trace.events):
-                consume(position, event, manager.dispatch(event.as_launch()))
         report.stats = {
             sid: manager.session(sid).stats for sid in manager.session_ids()
         }
@@ -384,7 +353,7 @@ class TraceReplayer:
         sim_time = sum(
             manager.session(sid).sim_time_s for sid in manager.session_ids()
         )
-        span = self.obs.tracer.start_span(
+        span = obs.tracer.start_span(
             "replay",
             at=0.0,
             trace=self.trace.header.name,
@@ -397,8 +366,8 @@ class TraceReplayer:
                 1 for r in report.assertion_results if not r.passed
             ),
         )
-        self.obs.tracer.end_span(span, at=sim_time)
-        report.spans = self.obs.tracer.drain()
+        obs.tracer.end_span(span, at=sim_time)
+        report.spans = obs.tracer.drain()
         return report
 
 

@@ -9,8 +9,8 @@ one-at-a-time streaming produces — the preloaded rows are the same
 floats each session's own lazy sweep would have computed.
 
 Checked here on every adversarial scenario family and on the stamped
-golden traces (which replay through the batched driver against their
-recorded decision sequences).
+golden traces (which step through ``step_batch`` against their
+recorded decision sequences and coverage assertions).
 """
 
 import os
@@ -18,6 +18,7 @@ import os
 import pytest
 
 from repro.workloads.traces import FAMILIES, Trace, TraceReplayer, outcome_decision
+from tests.batched_replay import replay_batched
 
 from .golden.generate import GOLDEN_DIR, GOLDEN_FAMILIES
 
@@ -44,7 +45,7 @@ def _metric_lines(registry):
 def test_batched_replay_matches_streaming(corpus, family):
     trace = corpus[family]
     streaming = TraceReplayer(trace, check=False).replay()
-    batched = TraceReplayer(trace, check=False, batched=True).replay()
+    batched = replay_batched(trace)
 
     assert len(batched.outcomes) == len(streaming.outcomes)
     for ours, theirs in zip(batched.outcomes, streaming.outcomes):
@@ -66,14 +67,18 @@ def test_batched_replay_telemetry_matches_streaming(corpus, family):
     # batches/rows — and every other counter — exactly as the lazy path.
     trace = corpus[family]
     streaming = TraceReplayer(trace, check=False).replay()
-    batched = TraceReplayer(trace, check=False, batched=True).replay()
+    batched = replay_batched(trace)
     assert _metric_lines(batched.registry) == _metric_lines(streaming.registry)
 
 
 @pytest.mark.parametrize("family", GOLDEN_FAMILIES)
 def test_golden_traces_replay_batched_float_exactly(family):
     trace = Trace.load(os.path.join(GOLDEN_DIR, f"{family}.jsonl"))
-    report = TraceReplayer(trace, batched=True).replay()
-    assert report.checked == len(trace.events)
-    assert report.mismatches == []
-    assert report.passed
+    report = replay_batched(trace)
+    assert [outcome_decision(o) for o in report.outcomes] == [
+        event.decision for event in trace.events
+    ]
+    for assertion in trace.header.assertions:
+        assert assertion.check(
+            report.metric(assertion.metric, assertion.session)
+        ), assertion

@@ -7,7 +7,7 @@ i.e. the matrix predicted every policy run the module pulls.
 
 import pytest
 
-from repro.engine.matrix import requests_for
+from repro.experiments.matrix import requests_for
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 
 from .conftest import small_context

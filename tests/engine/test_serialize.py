@@ -12,13 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.serialize import (
-    run_result_from_dict,
-    run_result_to_dict,
-    table_from_dict,
-    table_to_dict,
-)
-from repro.experiments.common import ExperimentTable
+from repro.engine.serialize import run_result_from_dict, run_result_to_dict
 from repro.hardware.config import ConfigSpace, HardwareConfig
 from repro.sim.trace import LaunchRecord, RunResult
 
@@ -103,46 +97,3 @@ class TestRunResultRoundTrip:
         payload["schema"] = 999
         with pytest.raises(ValueError):
             run_result_from_dict(payload)
-
-
-cell_st = st.none() | st.booleans() | st.integers() | finite | st.text(max_size=20)
-
-
-class TestTableRoundTrip:
-    @given(
-        st.integers(1, 5).flatmap(
-            lambda width: st.tuples(
-                st.lists(st.text(min_size=1, max_size=10),
-                         min_size=width, max_size=width),
-                st.lists(st.lists(cell_st, min_size=width, max_size=width),
-                         max_size=6),
-            )
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_exact(self, headers_rows):
-        headers, rows = headers_rows
-        table = ExperimentTable(
-            experiment_id="X", title="t", headers=list(headers)
-        )
-        for row in rows:
-            table.add_row(*row)
-        restored = table_from_dict(roundtrip(table_to_dict(table)))
-        assert restored.experiment_id == table.experiment_id
-        assert restored.title == table.title
-        assert restored.headers == table.headers
-        assert restored.rows == table.rows
-
-    def test_non_json_cell_rejected(self):
-        table = ExperimentTable(experiment_id="X", title="t", headers=["a"])
-        table.add_row(object())
-        with pytest.raises(TypeError):
-            table_to_dict(table)
-
-    def test_schema_mismatch_raises(self):
-        payload = table_to_dict(
-            ExperimentTable(experiment_id="X", title="t", headers=["a"])
-        )
-        payload["schema"] = 0
-        with pytest.raises(ValueError):
-            table_from_dict(payload)

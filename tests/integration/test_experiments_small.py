@@ -8,7 +8,7 @@ full-suite shape checks live in ``benchmarks/``.
 import pytest
 
 from repro.engine import ExperimentEngine
-from repro.engine.matrix import requests_for
+from repro.experiments.matrix import requests_for
 from repro.experiments import fig4_limit_study, fig8_mpc_vs_turbo
 from repro.experiments import fig9_mpc_vs_ppk, fig10_gpu_energy
 from repro.experiments import fig11_amortization, fig12_theoretical_limit

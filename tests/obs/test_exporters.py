@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.exporters import (
-    JsonlTraceSink,
     format_summary,
     prometheus_text,
     read_jsonl,
@@ -66,15 +65,6 @@ class TestJsonlRoundTrip:
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ValueError, match="invalid trace line"):
             read_jsonl(str(path))
-
-    def test_streaming_sink(self, tmp_path):
-        path = str(tmp_path / "stream.jsonl")
-        with JsonlTraceSink(path) as sink:
-            tracer = Tracer(sink=sink, keep=False)
-            tracer.end_span(tracer.start_span("launch", at=0.0), at=1.0)
-        assert read_jsonl(path)[0]["name"] == "launch"
-        with pytest.raises(ValueError, match="already closed"):
-            sink({"name": "late"})
 
 
 class TestPrometheusText:

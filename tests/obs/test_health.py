@@ -29,6 +29,7 @@ from repro.obs.tracing import Tracer
 from repro.runtime.session import invocation_pair
 from repro.workloads.traces.replay import TraceReplayer
 from repro.workloads.traces.scenarios import ScenarioGenerator
+from tests.batched_replay import replay_batched
 
 from .conftest import APP, make_manager
 
@@ -367,7 +368,7 @@ class TestWorkerMerge:
         # contract extends to the health layer byte-for-byte.
         trace = ScenarioGenerator(seed=0).generate("mispredict-cascade")
         streaming = TraceReplayer(trace, check=False).replay()
-        batched = TraceReplayer(trace, check=False, batched=True).replay()
+        batched = replay_batched(trace)
         assert (
             batched.health.report() == streaming.health.report()
         )

@@ -9,11 +9,7 @@ import pytest
 
 from repro.core.policies import FixedConfigPolicy
 from repro.hardware.config import FAILSAFE_CONFIG
-from repro.obs import (
-    make_instrumentation,
-    publish_cache_stats,
-    publish_session_stats,
-)
+from repro.obs import make_instrumentation, publish_cache_stats
 from repro.runtime.session import (
     RECENT_ERRORS_LIMIT,
     SessionStats,
@@ -200,12 +196,7 @@ class TestStatsProvenance:
     def test_publish_bridges_export_gauges(self, obs):
         from repro.engine.cache import CacheStats
 
-        publish_session_stats(
-            obs.registry, SessionStats(runs=2, launches=8), session="s1"
-        )
         publish_cache_stats(obs.registry, CacheStats(hits=3), scope="engine")
-        assert obs.registry.gauge("repro_session_launches").value(session="s1") == 8
-        assert obs.registry.gauge("repro_session_sources").value(session="s1") == 1
         assert obs.registry.gauge("repro_cache_hits").value(scope="engine") == 3
 
 

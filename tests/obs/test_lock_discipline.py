@@ -33,7 +33,8 @@ from repro.fleet import FleetSimulator
 from repro.obs import metrics
 from repro.obs.health import HealthMonitor
 from repro.runtime.session import SessionRuntime
-from repro.workloads.traces import ScenarioGenerator, TraceReplayer
+from repro.workloads.traces import ScenarioGenerator
+from tests.batched_replay import replay_batched
 
 pytestmark = pytest.mark.obs
 
@@ -178,9 +179,7 @@ def test_registry_writes_hold_the_registry_lock(discipline):
     generator = ScenarioGenerator(seed=0)
     fail_safe = 0.0
     for family in FAMILIES:
-        report = TraceReplayer(
-            generator.generate(family), batched=True
-        ).replay()
+        report = replay_batched(generator.generate(family))
         fail_safe += report.registry.counter(
             "repro_runtime_fail_safe_total"
         ).total()

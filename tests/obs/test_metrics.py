@@ -15,7 +15,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
     _NULL_METRIC,
-    registry_or_null,
 )
 
 pytestmark = pytest.mark.obs
@@ -181,11 +180,6 @@ class TestNoOpZeroCost:
         NULL_REGISTRY.histogram("c").observe(1.0)
         assert NULL_REGISTRY.metrics() == []
         assert NULL_REGISTRY.snapshot()["metrics"] == []
-
-    def test_registry_or_null(self):
-        assert registry_or_null(None) is NULL_REGISTRY
-        registry = MetricsRegistry()
-        assert registry_or_null(registry) is registry
 
     def test_noop_instrumentation_is_shared_and_disabled(self):
         assert or_noop(None) is NOOP

@@ -1,4 +1,4 @@
-"""Tracer lifecycle: explicit clocks, current-span annotation, sinks."""
+"""Tracer lifecycle: explicit clocks, current-span annotation, buffering."""
 
 import threading
 
@@ -40,12 +40,6 @@ class TestSpanLifecycle:
         payload = tracer.end_span(span)
         assert (payload["start_s"], payload["end_s"]) == (10.0, 20.0)
 
-    def test_context_manager(self):
-        tracer = Tracer()
-        with tracer.span("launch", at=3.0) as span:
-            span.annotate("k", "v")
-        assert tracer.spans[0]["attributes"] == {"k": "v"}
-
 
 class TestCurrentSpan:
     def test_annotate_lands_on_innermost(self):
@@ -53,18 +47,16 @@ class TestCurrentSpan:
         outer = tracer.start_span("outer")
         inner = tracer.start_span("inner")
         tracer.annotate("key", "inner-value")
-        tracer.inc("n")
         tracer.end_span(inner)
         tracer.annotate("key", "outer-value")
         tracer.end_span(outer)
         by_name = {s["name"]: s["attributes"] for s in tracer.spans}
-        assert by_name["inner"] == {"key": "inner-value", "n": 1.0}
+        assert by_name["inner"] == {"key": "inner-value"}
         assert by_name["outer"] == {"key": "outer-value"}
 
     def test_annotate_without_open_span_is_noop(self):
         tracer = Tracer()
         tracer.annotate("key", "value")
-        tracer.inc("n")
         assert tracer.current() is None
         assert tracer.spans == []
 
@@ -83,13 +75,13 @@ class TestCurrentSpan:
 
 
 class TestSinkAndBuffer:
-    def test_sink_receives_each_span(self):
-        received = []
-        tracer = Tracer(sink=received.append, keep=False)
-        tracer.end_span(tracer.start_span("a"))
+    def test_unkept_spans_are_not_buffered(self):
+        tracer = Tracer(keep=False)
+        payload = tracer.end_span(tracer.start_span("a"))
         tracer.emit({"name": "b"})
-        assert [p["name"] for p in received] == ["a", "b"]
+        assert payload["name"] == "a"
         assert tracer.spans == []
+        assert tracer.drain() == []
 
     def test_drain_returns_and_clears(self):
         tracer = Tracer()
@@ -113,8 +105,3 @@ class TestNullTracer:
         assert NULL_TRACER.drain() == []
         assert NULL_TRACER.current() is None
         assert not NULL_TRACER.enabled
-
-    def test_context_manager_yields_noop(self):
-        with NULL_TRACER.span("launch") as span:
-            span.annotate("k", "v")
-        assert span.attributes == {}

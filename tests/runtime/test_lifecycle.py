@@ -35,12 +35,6 @@ class TestStateMachine:
             machine.transition(target)
         assert machine.state is start  # unchanged after the failed attempt
 
-    def test_expect_passes_and_raises(self):
-        machine = PolicyLifecycle(PolicyState.FROZEN)
-        machine.expect(PolicyState.FROZEN, PolicyState.MPC)
-        with pytest.raises(LifecycleError, match="requires lifecycle state"):
-            machine.expect(PolicyState.PROFILING)
-
     def test_repr_names_the_state(self):
         assert "frozen" in repr(PolicyLifecycle(PolicyState.FROZEN))
 

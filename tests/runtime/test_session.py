@@ -64,7 +64,7 @@ def test_streamed_equals_offline(kind, sim):
     session = sim.session(factory(), app_name=APP.name)
     streamed = []
     for _ in range(2):
-        outcomes = list(session.run_stream(launch_events(APP)))
+        outcomes = [session.process(event) for event in launch_events(APP)]
         assert len(outcomes) == len(APP)
         streamed.append(session.result)
     for a, b in zip(offline, streamed):
@@ -76,7 +76,8 @@ def test_tdp_enforcement_parity():
     sim = Simulator(enforce_tdp=True)
     offline = sim.run(APP, TurboCorePolicy(tdp_w=sim.apu.tdp_w))
     session = sim.session(TurboCorePolicy(tdp_w=sim.apu.tdp_w))
-    list(session.run_stream(launch_events(APP)))
+    for event in launch_events(APP):
+        session.process(event)
     assert session.result.launches == offline.launches
 
 
@@ -86,7 +87,8 @@ def test_tdp_enforcement_parity():
 def test_index_zero_opens_a_new_run(sim):
     session = sim.session(FixedConfigPolicy(FAILSAFE_CONFIG))
     for _ in range(3):
-        list(session.run_stream(launch_events(APP)))
+        for event in launch_events(APP):
+            session.process(event)
     assert session.stats.runs == 3
     assert session.stats.launches == 3 * len(APP)
     assert len(session.result) == len(APP)  # trace covers the last run
@@ -151,7 +153,7 @@ def test_fallback_outcomes_are_flagged(sim):
     manager = make_manager(sim)
     manager.optimizer.predictor = _RaisingPredictor()
     session = sim.session(manager, isolate_faults=True)
-    outcomes = list(session.run_stream(launch_events(APP)))
+    outcomes = [session.process(event) for event in launch_events(APP)]
     # Launch 0 is PPK's legitimate fail-safe (no counters yet), every
     # later decision faults in the optimizer and is degraded.
     assert not outcomes[0].fallback

@@ -80,9 +80,12 @@ class TestInterleaving:
 
         for sid, policy in policies().items():
             manager.add_session(sid, policy, app_name=APP.name)
-        outcomes = list(manager.run_stream(_interleave(
-            launch_events(APP, "turbo"), launch_events(APP, "ppk"),
-        )))
+        outcomes = [
+            manager.dispatch(event)
+            for event in _interleave(
+                launch_events(APP, "turbo"), launch_events(APP, "ppk"),
+            )
+        ]
         assert len(outcomes) == 2 * len(APP)
         for sid, expected in reference.items():
             assert manager.session(sid).result.launches == expected.launches
@@ -92,15 +95,16 @@ class TestInterleaving:
                             app_name=APP.name)
         manager.add_session("uni", FixedConfigPolicy(FAILSAFE_CONFIG),
                             app_name=UNIFORM.name)
-        list(manager.run_stream(_interleave(
+        for event in _interleave(
             launch_events(APP, "alt"), launch_events(UNIFORM, "uni"),
-        )))
+        ):
+            manager.dispatch(event)
         stats = manager.stats()
         assert stats["alt"].launches == len(APP)
         assert stats["uni"].launches == len(UNIFORM)
 
     def test_multi_invocation_stream_restarts_runs(self, manager):
         manager.add_session("a", FixedConfigPolicy(FAILSAFE_CONFIG))
-        events = list(launch_events(APP, "a")) * 2
-        list(manager.run_stream(events))
+        for event in list(launch_events(APP, "a")) * 2:
+            manager.dispatch(event)
         assert manager.stats()["a"].runs == 2

@@ -13,6 +13,7 @@ from repro.obs import NOOP, make_instrumentation
 from repro.sim.simulator import OverheadModel
 from repro.sim.turbocore import TurboCorePolicy
 from repro.workloads.traces import (
+    ASSERTION_METRICS,
     FAMILIES,
     CoverageAssertion,
     PolicySpec,
@@ -187,6 +188,20 @@ def test_replay_emits_summary_span(small_stamped):
     assert attrs["assertions_failed"] == 0
 
 
+def test_second_replay_reports_what_the_first_did():
+    """Each replay runs under its own instrumentation: a second replay
+    on the same replayer gives the same assertion results, metrics and
+    spans, and leaves the first report reading what it read."""
+    replayer = TraceReplayer(ScenarioGenerator(seed=0).generate("input-storm"))
+    first = replayer.replay()
+    measured = {name: first.metric(name) for name in ASSERTION_METRICS}
+    second = replayer.replay()
+    assert second.assertion_results == first.assertion_results
+    assert {name: second.metric(name) for name in ASSERTION_METRICS} == measured
+    assert {name: first.metric(name) for name in ASSERTION_METRICS} == measured
+    assert second.spans == first.spans
+
+
 def test_replay_span_validates_against_schema(small_stamped):
     import json
 
@@ -260,9 +275,7 @@ def test_recorded_benchmark_replays_exactly():
 def _dispatch_all(trace, obs):
     """Every event of ``trace`` through the replayer's sessions, built
     under ``obs``: decisions, then per-session stats and snapshots."""
-    replayer = TraceReplayer(trace, check=False)
-    replayer.obs = obs
-    manager = replayer._build_manager()
+    manager = TraceReplayer(trace, check=False)._build_manager(obs)
     decisions = [
         outcome_decision(manager.dispatch(event.as_launch()))
         for event in trace.events

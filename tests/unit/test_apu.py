@@ -84,13 +84,13 @@ class TestManagerMeasurement:
 class TestConstruction:
     def test_with_params(self):
         params = PowerModelParams(tdp_w=65.0)
-        apu = APUModel.with_params(params)
+        apu = APUModel(power=PowerModel(params))
         assert apu.tdp_w == 65.0
 
     def test_within_tdp(self, apu):
-        assert apu.within_tdp(KERNEL, BASE)
+        assert apu.kernel_power(KERNEL, BASE).total_w <= apu.tdp_w
         tiny = APUModel(power=PowerModel(PowerModelParams(tdp_w=10.0)))
-        assert not tiny.within_tdp(KERNEL, BASE)
+        assert tiny.kernel_power(KERNEL, BASE).total_w > tiny.tdp_w
 
 
 #: Whole-table evaluations by model and spec, each computed once.
@@ -177,7 +177,9 @@ class TestGroundTruthMemo:
 
     def test_models_with_other_params_share_no_entries(self):
         default = APUModel()
-        hotter = APUModel.with_params(PowerModelParams(gpu_dyn_w_per_cu_v2ghz=4.0))
+        hotter = APUModel(
+            power=PowerModel(PowerModelParams(gpu_dyn_w_per_cu_v2ghz=4.0))
+        )
         for model in (default, hotter, default, hotter):
             measurement, breakdown = _direct(model, KERNEL, BASE)
             assert model.execute(KERNEL, BASE) == measurement
@@ -186,7 +188,7 @@ class TestGroundTruthMemo:
                 model, 0.01, BASE
             )
         assert default.execute(KERNEL, BASE) != hotter.execute(KERNEL, BASE)
-        idler = APUModel.with_params(PowerModelParams(gpu_idle_leak_w=3.0))
+        idler = APUModel(power=PowerModel(PowerModelParams(gpu_idle_leak_w=3.0)))
         for model in (default, idler, default, idler):
             assert model.manager_measurement(0.01, BASE) == _direct_manager(
                 model, 0.01, BASE

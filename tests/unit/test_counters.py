@@ -214,3 +214,42 @@ class TestObservationMemo:
         for synth in (seeded, other, seeded, other):
             assert synth.observe(COMPUTE, 3) == _direct_observe(synth, COMPUTE, 3)
         assert seeded.observe(COMPUTE, 3) != other.observe(COMPUTE, 3)
+
+    def test_a_second_synthesizer_reuses_resolved_nominal_counters(
+        self, monkeypatch
+    ):
+        # Nominal counters depend on the spec alone: once one synthesizer
+        # resolved a spec, another evaluates no timing model for it.
+        from repro.hardware.perf import TimingModel
+
+        evaluated = []
+        evaluate = TimingModel.kernel_timing_matrix
+
+        def counted(self, spec, *args, **kwargs):
+            evaluated.append(spec)
+            return evaluate(self, spec, *args, **kwargs)
+
+        monkeypatch.setattr(TimingModel, "kernel_timing_matrix", counted)
+        CounterSynthesizer(noise=0.02, seed=1).observe(UNSCALABLE, 0)
+        evaluated.clear()
+        second = CounterSynthesizer(noise=0.02, seed=2)
+        observed = [second.observe(UNSCALABLE, sequence) for sequence in range(3)]
+        assert evaluated == []
+        assert observed == [
+            _direct_observe(second, UNSCALABLE, sequence) for sequence in range(3)
+        ]
+
+    def test_the_nominal_memo_is_bounded_and_stays_exact(self):
+        import dataclasses
+
+        from repro.workloads import counters
+
+        synth = CounterSynthesizer(noise=0.0)
+        bound = counters._OBSERVED_BOUND
+        for i in range(bound + 50):
+            spec = dataclasses.replace(COMPUTE, name=f"c{i}")
+            observed = synth.observe(spec)
+            if i % 97 == 0:
+                assert observed == _direct_observe(synth, spec, 0)
+            assert len(counters._NOMINAL) <= bound
+        assert synth.observe(COMPUTE) == _direct_observe(synth, COMPUTE, 0)

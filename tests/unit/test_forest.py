@@ -119,11 +119,6 @@ class TestFitting:
         a, b, c = (t.predict(X) for t in forest.trees)
         assert np.allclose(a, b) and np.allclose(b, c)
 
-    def test_predict_one(self):
-        X, y = _noisy_surface(100)
-        forest = RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)
-        assert forest.predict_one(X[0]) == pytest.approx(forest.predict(X[:1])[0])
-
 
 class TestMape:
     def test_perfect_prediction(self):

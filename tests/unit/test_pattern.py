@@ -63,14 +63,10 @@ class TestObservation:
         assert record.last_time_s == 0.02
 
     def test_counter_feedback_blends(self):
-        extractor = KernelPatternExtractor(feedback_weight=0.5)
+        extractor = KernelPatternExtractor()
         extractor.observe(_counters(10.0), 1.0, 0.01, 1.0)
         record = extractor.observe(_counters(12.0), 1.0, 0.01, 1.0)
         assert record.counters.as_array()[0] == pytest.approx(11.0)
-
-    def test_invalid_feedback_weight(self):
-        with pytest.raises(ValueError):
-            KernelPatternExtractor(feedback_weight=0.0)
 
     def test_storage_accounting(self):
         extractor = KernelPatternExtractor()

@@ -64,7 +64,10 @@ class TestTdpEnforcement:
         run = sim.run(APP, FixedConfigPolicy(fast))
         for record in run.launches:
             assert record.config != fast
-            assert sim.apu.within_tdp(KERNEL, record.config)
+            assert (
+                sim.apu.kernel_power(KERNEL, record.config).total_w
+                <= sim.apu.tdp_w
+            )
 
     def test_cpu_shed_before_gpu(self):
         sim = self._low_tdp_sim(55.0, enforce=True)
