@@ -25,14 +25,9 @@ import logging
 import sys
 from typing import List, Optional
 
-from repro.core.manager import MPCPowerManager
-from repro.core.oracle import solve_theoretically_optimal
-from repro.core.policies import PlannedPolicy, PPKPolicy
 from repro.ml.predictors import evaluate_predictor, train_predictor
 from repro.sim.metrics import energy_savings_pct, speedup
-from repro.sim.simulator import Simulator
-from repro.sim.turbocore import TurboCorePolicy
-from repro.workloads.suites import BENCHMARK_NAMES, all_benchmarks, benchmark
+from repro.workloads.suites import BENCHMARK_NAMES, all_benchmarks
 
 __all__ = ["main", "build_parser"]
 
@@ -353,18 +348,24 @@ def _obs_from_args(args: argparse.Namespace):
     return NOOP
 
 
+def _write_obs(args: argparse.Namespace, spans, registry) -> None:
+    """Write ``spans`` to ``--trace-out`` and ``registry`` to
+    ``--metrics-out``, each only when requested."""
+    from repro.obs.exporters import write_jsonl, write_prometheus
+
+    if args.trace_out:
+        count = write_jsonl(spans, args.trace_out)
+        print(f"wrote {count} spans to {args.trace_out}")
+    if args.metrics_out:
+        write_prometheus(registry, args.metrics_out)
+        print(f"wrote metrics to {args.metrics_out}")
+
+
 def _export_obs(obs, args: argparse.Namespace) -> None:
     """Write the requested trace/metrics artifacts of a finished command."""
     if not obs.enabled:
         return
-    from repro.obs.exporters import write_jsonl, write_prometheus
-
-    if args.trace_out:
-        count = write_jsonl(obs.tracer.drain(), args.trace_out)
-        print(f"wrote {count} spans to {args.trace_out}")
-    if args.metrics_out:
-        write_prometheus(obs.registry, args.metrics_out)
-        print(f"wrote metrics to {args.metrics_out}")
+    _write_obs(args, obs.tracer.drain(), obs.registry)
     if obs.health.enabled:
         from repro.obs import format_health_report
 
@@ -392,48 +393,36 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    obs = _obs_from_args(args)
-    sim = Simulator()
-    app = benchmark(args.benchmark)
-    turbo = sim.run(app, TurboCorePolicy(tdp_w=sim.apu.tdp_w), obs=obs)
-    target = turbo.instructions / turbo.kernel_time_s
+    from repro.experiments.common import ExperimentContext
+
+    # No engine: every run computes afresh, through the engine's variants.
+    ctx = ExperimentContext(
+        benchmark_names=[args.benchmark], cache_dir=args.cache_dir,
+        alpha=args.alpha, obs=_obs_from_args(args),
+    )
+    name = args.benchmark
+    app = ctx.app(name)
+    turbo = ctx.turbo(name)
     print(
         f"{app.name}: N={len(app)}, Turbo Core {turbo.kernel_time_s * 1e3:.1f} ms / "
         f"{turbo.energy_j:.2f} J"
     )
 
+    runs = {
+        "turbo": ctx.turbo,
+        "ppk": ctx.ppk,
+        "mpc": ctx.mpc_full_horizon if args.full_horizon else ctx.mpc,
+        "to": ctx.theoretically_optimal,
+    }
     wanted = _POLICIES[:-1] if args.policy == "all" else (args.policy,)
-    predictor = None
-    if "ppk" in wanted or "mpc" in wanted:
-        predictor = train_predictor(apu=sim.apu, cache_dir=args.cache_dir)
-
     print(f"\n{'policy':8s} {'energy savings':>15s} {'speedup':>9s}")
     for kind in wanted:
-        if kind == "turbo":
-            run = turbo
-        elif kind == "ppk":
-            run = sim.run(app, PPKPolicy(target, predictor), obs=obs)
-        elif kind == "mpc":
-            manager = MPCPowerManager(
-                target, predictor, alpha=args.alpha,
-                adaptive_horizon=not args.full_horizon,
-                overhead_model=sim.overhead, obs=obs,
-            )
-            from repro.runtime.session import invocation_pair
-
-            _, run = invocation_pair(sim.session(manager, obs=obs), app)
-        elif kind == "to":
-            plan = solve_theoretically_optimal(app, sim.apu, target)
-            policy = PlannedPolicy(plan.configs, name="TO")
-            run = sim.run(app, policy, charge_overhead=False, obs=obs)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(kind)
+        run = runs[kind](name)
         print(
             f"{kind:8s} {energy_savings_pct(run, turbo):14.1f}% "
             f"{speedup(run, turbo):9.3f}"
         )
-    if obs.enabled:
-        _export_obs(obs, args)
+    _export_obs(ctx.obs, args)
     return 0
 
 
@@ -449,7 +438,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.ml.predictors import OraclePredictor
+    from repro.experiments.common import ExperimentContext
     from repro.sim.analysis import (
         config_occupancy,
         energy_breakdown,
@@ -457,19 +446,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         throughput_phases,
     )
 
-    sim = Simulator()
-    app = benchmark(args.benchmark)
-    turbo = sim.run(app, TurboCorePolicy(tdp_w=sim.apu.tdp_w))
-    target = turbo.instructions / turbo.kernel_time_s
-    predictor = (
-        OraclePredictor(sim.apu, app.unique_kernels)
-        if args.oracle
-        else train_predictor(apu=sim.apu, cache_dir=args.cache_dir)
+    ctx = ExperimentContext(
+        benchmark_names=[args.benchmark], cache_dir=args.cache_dir
     )
-    from repro.runtime.session import invocation_pair
-
-    manager = MPCPowerManager(target, predictor, overhead_model=sim.overhead)
-    _, steady = invocation_pair(sim.session(manager), app)
+    name = args.benchmark
+    if args.oracle:
+        ctx.predictor = ctx.oracle(name)
+    app = ctx.app(name)
+    turbo = ctx.turbo(name)
+    steady = ctx.mpc(name)
 
     print(
         f"{app.name}: MPC {energy_savings_pct(steady, turbo):.1f}% energy "
@@ -679,15 +664,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         for node_id, watts in sorted(last.budgets.items()):
             print(f"    {node_id}: {watts:.1f} W")
     print(f"  aggregate: {report.aggregate_stats().format()}")
-    if args.trace_out or args.metrics_out:
-        from repro.obs.exporters import write_jsonl, write_prometheus
-
-        if args.trace_out:
-            count = write_jsonl(report.spans, args.trace_out)
-            print(f"wrote {count} spans to {args.trace_out}")
-        if args.metrics_out:
-            write_prometheus(report.registry, args.metrics_out)
-            print(f"wrote metrics to {args.metrics_out}")
+    _write_obs(args, report.spans, report.registry)
     return 0
 
 
@@ -749,15 +726,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"  {result}")
         for mismatch in report.mismatches:
             print(f"  MISMATCH {mismatch}")
-        if args.trace_out or args.metrics_out:
-            from repro.obs.exporters import write_jsonl, write_prometheus
-
-            if args.trace_out:
-                count = write_jsonl(report.spans, args.trace_out)
-                print(f"wrote {count} spans to {args.trace_out}")
-            if args.metrics_out:
-                write_prometheus(report.registry, args.metrics_out)
-                print(f"wrote metrics to {args.metrics_out}")
+        _write_obs(args, report.spans, report.registry)
         return 0 if report.passed else 1
 
     if args.trace_command == "validate":

@@ -10,11 +10,11 @@ modules and the simulator.  It does two things:
   version — and persisted as JSON under ``<cache_dir>/engine/``.  A key
   hit returns a run that is bit-identical to recomputing it.
 * **Parallel fan-out.**  :meth:`prefetch` partitions a request matrix
-  into cache hits and misses and computes the misses on a
-  ``ProcessPoolExecutor`` (``jobs=1`` keeps today's serial in-process
-  behaviour).  Workers receive the context's simulator and trained
-  predictor once (at pool start) and execute requests through the same
-  :mod:`~repro.engine.variants` registry as the serial path.
+  into cache hits and misses and computes each miss through one
+  function, in-process at ``jobs=1`` and on a ``ProcessPoolExecutor``
+  otherwise.  Workers receive the context's simulator and trained
+  predictor once (at pool start); one loop installs, stores and merges
+  every result in request order, whichever process computed it.
 
 Failure semantics: a worker exception is re-raised in the parent as
 :class:`EngineWorkerError` carrying the worker's original formatted
@@ -28,7 +28,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.cache import CacheStats, ResultCache
 from repro.engine.fingerprint import CODE_VERSION, Described, describe, fingerprint
@@ -106,18 +106,17 @@ class ExperimentEngine:
 
     Args:
         jobs: Worker processes for :meth:`prefetch`; ``1`` computes
-            serially in-process (exact legacy behaviour).
+            in-process, one request after another.
         cache_dir: Root directory of the on-disk result cache.
         use_cache: When ``False`` (the ``--no-cache`` flag) the engine
             neither reads nor writes cache entries.
-        obs: Optional instrumentation.  With a live tracer, every
-            computed request's launch spans are delivered to it — on the
-            parallel path the workers capture spans per request and the
-            parent re-emits them in request order, so a trace is
+        obs: Optional instrumentation.  When live, every computed
+            request runs under a capture of its own; the parent merges
+            its registry snapshot (with provenance) and re-emits its
+            spans in request order, so the trace and the metrics are
             byte-identical across job counts, whatever the request
             order.  A health monitor reads the same spans in the same
-            order.  Worker registry snapshots are merged back with
-            provenance.
+            order.
     """
 
     def __init__(
@@ -248,9 +247,13 @@ class ExperimentEngine:
                  requests: Sequence[RunRequest]) -> EngineStats:
         """Materialize a request matrix into the context's run store.
 
-        Cache hits are loaded; misses are computed — in parallel when
-        ``jobs > 1`` — stored, and installed into ``ctx._runs`` so the
-        experiment modules that follow only ever see in-memory hits.
+        Cache hits are loaded; misses are computed by
+        :func:`_compute_request` — on a process pool when ``jobs > 1``
+        and more than one request misses, in-process otherwise — then
+        installed into ``ctx._runs`` and stored, in request order, so
+        the experiment modules that follow only ever see in-memory
+        hits.  A worker failure raises :class:`EngineWorkerError`; an
+        in-process failure raises as it is.
 
         Returns:
             The engine's cumulative stats (also kept on ``self.stats``).
@@ -279,37 +282,33 @@ class ExperimentEngine:
         obs = self._obs_for(ctx)
         start = time.perf_counter()
         if self.jobs > 1 and len(todo) > 1:
-            self._compute_parallel(ctx, todo, obs, described)
+            results = self._pool_results(ctx, todo, obs.enabled)
+            mode = "worker"
         else:
-            produced: set = set()
-            for request in todo:
-                keys = produced_keys(request)
-                # Skip what an earlier request of this call produced.  A
-                # run an earlier request computed only as a dependency
-                # (the Turbo baseline behind target_throughput) ran
-                # uninstrumented, so it is computed again, as a worker
-                # would.
-                if all(key in produced for key in keys):
-                    continue
-                produced.update(keys)
-                task_start = time.perf_counter()
-                if obs.enabled:
-                    computed, spans = _compute_request_with_capture(
-                        ctx, request, obs.registry
-                    )
-                else:
-                    computed = VARIANTS[request.variant].compute(
-                        ctx, request, obs
-                    )
-                    spans = []
-                ctx._runs.update(computed)
-                self.store_request(ctx, request, computed, described)
-                self.stats.computed += 1
-                if obs.enabled:
-                    self._record_task(
-                        obs, "serial", time.perf_counter() - task_start
-                    )
-                    _reemit(obs, spans)
+            # Lazy: each result is installed before the next request
+            # computes, so a later request finds its dependencies.
+            results = (
+                (request, *_compute_request(ctx, request, obs.enabled))
+                for request in todo
+            )
+            mode = "serial"
+        for request, runs, captured in results:
+            ctx._runs.update(runs)
+            self.store_request(ctx, request, runs, described)
+            self.stats.computed += 1
+            if mode == "worker":
+                self.stats.parallel_computed += 1
+            if captured is not None:
+                obs.registry.merge(captured["registry"])
+                self._record_task(obs, mode, captured["task_s"])
+                # The capture has no health monitor, so the live one
+                # reads each launch span right after the tracer receives
+                # it, the order a live session feeds it: a health-on
+                # engine run reports what ``repro obs health`` computes
+                # from the written trace.
+                for span in captured["spans"]:
+                    obs.tracer.emit(span)
+                    obs.health.observe_span(span)
         self.stats.compute_s += time.perf_counter() - start
         if obs.enabled:
             publish_cache_stats(obs.registry, self.cache.stats, scope="engine")
@@ -332,11 +331,11 @@ class ExperimentEngine:
             "Wall-clock seconds spent computing one request",
         ).observe(seconds, mode=mode)
 
-    def _compute_parallel(
-        self, ctx: Any, todo: List[RunRequest], obs: Instrumentation = NOOP,
-        described: Optional[Dict[Any, Described]] = None,
-    ) -> None:
-        """Fan the misses out over a process pool and collect results."""
+    def _pool_results(
+        self, ctx: Any, todo: List[RunRequest], capture: bool
+    ) -> Iterator[Tuple[RunRequest, Dict[RunKey, RunResult], Any]]:
+        """Compute the misses on a process pool; yield
+        ``(request, runs, captured)`` in request order."""
         # Materialize the predictor up front: workers must never each
         # pay for Random Forest training, and the trained object ships
         # once per worker via the pool initializer.
@@ -350,7 +349,7 @@ class ExperimentEngine:
                 "predictor": ctx._predictor,
                 "cache_dir": ctx._cache_dir,
                 "alpha": ctx.alpha,
-                "obs": obs.enabled,
+                "capture": capture,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
@@ -368,21 +367,14 @@ class ExperimentEngine:
             ]
             try:
                 for request, future in futures:
-                    status, payload, obs_payload = future.result()
+                    status, payload, captured = future.result()
                     if status != "ok":
                         raise EngineWorkerError(request, payload)
                     runs = {
                         tuple(key): run_result_from_dict(run_dict)
                         for key, run_dict in payload
                     }
-                    ctx._runs.update(runs)
-                    self.store_request(ctx, request, runs, described)
-                    self.stats.computed += 1
-                    self.stats.parallel_computed += 1
-                    if obs_payload is not None and obs.enabled:
-                        obs.registry.merge(obs_payload["registry"])
-                        self._record_task(obs, "worker", obs_payload["task_s"])
-                        _reemit(obs, obs_payload["spans"])
+                    yield request, runs, captured
             finally:
                 for _, future in futures:
                     future.cancel()
@@ -391,38 +383,36 @@ class ExperimentEngine:
 # ----- request computation with span capture --------------------------------
 
 
-def _reemit(obs: Instrumentation, spans: List[Dict[str, Any]]) -> None:
-    """Deliver one request's captured spans to the live instrumentation.
+def _compute_request(
+    ctx: Any, request: RunRequest, capture: bool
+) -> Tuple[Dict[RunKey, RunResult], Optional[Dict[str, Any]]]:
+    """Compute one request; the engine's only way to compute a miss.
 
-    The capture has no health monitor, so the parent's monitor reads
-    each launch span here, right after the tracer receives it — the
-    order a live session feeds it — and a health-on engine run reports
-    what ``repro obs health`` computes from the written trace.
+    Uncaptured, the request runs uninstrumented and ``captured`` is
+    ``None``.  Captured, it runs under an instrumentation of its own,
+    and ``captured`` holds its registry snapshot, its spans and its
+    compute seconds, which the parent merges, re-emits and records the
+    same way whichever process computed it.  Only the runs the request
+    produces are instrumented: a dependency computed on the way (the
+    Turbo baseline behind ``target_throughput``) runs uninstrumented.
     """
-    for span in spans:
-        obs.tracer.emit(span)
-        obs.health.observe_span(span)
-
-
-def _compute_request_with_capture(
-    ctx: Any, request: RunRequest, registry: Any
-) -> Tuple[Dict[RunKey, RunResult], List[Dict[str, Any]]]:
-    """Compute one request into ``registry``, capturing its spans.
-
-    Only the runs the request produces are instrumented: a dependency
-    computed on the way (the Turbo baseline behind
-    ``target_throughput``) runs uninstrumented, so neither the trace
-    nor the metrics depend on which process computed what.
-    """
-    capture = Instrumentation(registry, Tracer(keep=True))
-    runs = VARIANTS[request.variant].compute(ctx, request, capture)
-    return runs, capture.tracer.spans
+    compute = VARIANTS[request.variant].compute
+    if not capture:
+        return compute(ctx, request, NOOP), None
+    start = time.perf_counter()
+    obs = Instrumentation(MetricsRegistry(), Tracer(keep=True))
+    runs = compute(ctx, request, obs)
+    return runs, {
+        "registry": obs.registry.snapshot(),
+        "spans": obs.tracer.spans,
+        "task_s": time.perf_counter() - start,
+    }
 
 
 # ----- worker side ----------------------------------------------------------
 
 _WORKER_CTX: Any = None
-_WORKER_OBS = False
+_WORKER_CAPTURE = False
 
 
 def _worker_init(spec_bytes: bytes) -> None:
@@ -431,7 +421,7 @@ def _worker_init(spec_bytes: bytes) -> None:
     The spec carries the parent context's class (pickled by reference),
     so the engine itself never imports the experiments package.
     """
-    global _WORKER_CTX, _WORKER_OBS
+    global _WORKER_CTX, _WORKER_CAPTURE
     spec = pickle.loads(spec_bytes)
     _WORKER_CTX = spec["context"](
         simulator=spec["simulator"],
@@ -439,43 +429,28 @@ def _worker_init(spec_bytes: bytes) -> None:
         cache_dir=spec["cache_dir"],
         alpha=spec["alpha"],
     )
-    _WORKER_OBS = bool(spec.get("obs", False))
+    _WORKER_CAPTURE = spec["capture"]
 
 
 def _worker_compute(request: RunRequest) -> Tuple[str, Any, Any]:
     """Execute one request; never raises across the process boundary.
 
-    Returns ``("ok", [(key, run_dict), ...], obs_payload)`` on success
-    or ``("err", traceback_text, None)`` on failure, so the parent can
-    re-raise with the worker's original traceback attached.  When the
-    parent's instrumentation is live, ``obs_payload`` ships this
-    request's registry snapshot, filtered span dicts, and compute time
-    back for merging.
+    Returns ``("ok", [(key, run_dict), ...], captured)`` on success
+    (``captured`` as :func:`_compute_request` returns it) or
+    ``("err", traceback_text, None)`` on failure, so the parent can
+    re-raise with the worker's original traceback attached.
     """
     try:
         if _WORKER_CTX is None:
             raise RuntimeError("engine worker used before initialization")
-        obs_payload: Any = None
-        if _WORKER_OBS:
-            registry = MetricsRegistry()
-            start = time.perf_counter()
-            runs, spans = _compute_request_with_capture(
-                _WORKER_CTX, request, registry
-            )
-            obs_payload = {
-                "registry": registry.snapshot(),
-                "spans": spans,
-                "task_s": time.perf_counter() - start,
-            }
-        else:
-            runs = VARIANTS[request.variant].compute(_WORKER_CTX, request, NOOP)
+        runs, captured = _compute_request(_WORKER_CTX, request, _WORKER_CAPTURE)
         return (
             "ok",
             [
                 (list(key), run_result_to_dict(run))
                 for key, run in runs.items()
             ],
-            obs_payload,
+            captured,
         )
     except BaseException:
         import traceback

@@ -12,9 +12,10 @@ A :class:`RunRequest` names one unit of cacheable, parallelizable work:
   predictor's fingerprint) beyond the app/simulator/params that every
   key includes.
 
-Both the serial path (``ExperimentContext`` methods) and the engine's
-worker processes execute requests through this registry, which is what
-makes ``--jobs 4`` byte-identical to ``--jobs 1``: there is exactly one
+``ExperimentContext`` methods (and through them ``repro run`` and
+``repro analyze``) and the engine, in-process or on its worker pool,
+execute requests through this registry, which is what makes
+``--jobs 4`` byte-identical to ``--jobs 1``: there is exactly one
 implementation of every run.
 """
 
@@ -169,7 +170,7 @@ def _compute_mpc_ideal(
     )
     app = ctx.app(name)
     _, run = invocation_pair(
-        ctx.sim.session(manager, obs=obs), app, charge_overhead=False
+        ctx.sim.session(manager, charge_overhead=False, obs=obs), app
     )
     return {(name, "mpc_ideal"): run}
 
@@ -208,7 +209,7 @@ def _run_with_predictor(
     )
     app = ctx.app(name)
     _, steady = invocation_pair(
-        ctx.sim.session(manager, obs=obs), app, charge_overhead=False
+        ctx.sim.session(manager, charge_overhead=False, obs=obs), app
     )
     return steady
 

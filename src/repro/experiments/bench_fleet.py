@@ -7,8 +7,8 @@ through :class:`~repro.fleet.sim.FleetSimulator` over a grid of fleet
 sizes and global caps:
 
 * **nodes** — 1, 4, and 8 worker-process shards (1 and 4 in
-  ``--quick`` mode).  The single-node entry *is* the batched streaming
-  baseline: one ``SessionManager`` stepping ``step_batch`` chunks.
+  ``--quick`` mode).  The single-node entry *is* the streaming
+  baseline: one ``SessionManager`` dispatching each launch in order.
 * **caps** — ``tight`` (60% of the fleet's aggregate TDP, so budget
   throttling engages every epoch) and ``loose`` (120%, so the
   allocator runs but never bites).

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.hardware.apu import APUModel
 from repro.obs import Instrumentation, make_instrumentation
 from repro.runtime.events import KernelLaunch
-from repro.runtime.manager import SessionManager, chunk_distinct_sessions
+from repro.runtime.manager import SessionManager
 from repro.runtime.session import SessionStats
 from repro.sim.simulator import OverheadModel
 from repro.workloads.counters import CounterSynthesizer
@@ -159,32 +159,25 @@ class FleetNode:
 
         Events arrive slim — ``(index, session_id, kernel_key)`` — and
         resolve against the specs registered at :meth:`add_session`, so
-        the shard pipe never re-ships a ``KernelSpec`` per launch.  They
-        run through ``SessionManager.step_batch`` in maximal
-        distinct-session chunks; decisions equal one-at-a-time dispatch
-        (the step-batch differential contract).
+        the shard pipe never re-ships a ``KernelSpec`` per launch.  Each
+        is dispatched on its own: ``build_policy`` gives every session
+        its own predictor, so ``SessionManager.step_batch`` would find
+        nothing to stack.
 
         Returns ``(session_id, index, decision)`` per event, in input
         order — the picklable form the parent folds into the fleet
         report and the differential tests compare float-for-float.
         """
-        launches = [
-            KernelLaunch(
+        dispatch = self.manager.dispatch
+        decisions = []
+        for index, session_id, kernel_key in events:
+            outcome = dispatch(KernelLaunch(
                 index=index,
                 spec=self._kernels[session_id][kernel_key],
                 session_id=session_id,
-            )
-            for index, session_id, kernel_key in events
-        ]
-        outcomes = []
-        for chunk in chunk_distinct_sessions(
-            launches, key=lambda l: l.session_id
-        ):
-            outcomes.extend(self.manager.step_batch(chunk))
-        return [
-            (o.session_id, o.record.index, outcome_decision(o))
-            for o in outcomes
-        ]
+            ))
+            decisions.append((session_id, index, outcome_decision(outcome)))
+        return decisions
 
     def set_budget(self, watts: Optional[float]) -> None:
         """Apply an apportioned budget to every session.

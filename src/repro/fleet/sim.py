@@ -9,8 +9,8 @@ dispatched events the fleet flushes an **epoch**, one
 
 1. each node applies the budget apportioned at the previous epoch
    (the throttle cap every hosted policy sees), places its newly
-   admitted sessions and processes its buffered slice (``step_batch``
-   chunks),
+   admitted sessions and dispatches its buffered slice one launch at a
+   time, in order,
 2. in the same reply each node reports epoch-windowed demand (power,
    throughput) and drains its metrics and spans,
 3. node registries and spans merge parent-side, and the
@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fleet.budget import BudgetAllocator, NodeDemand
 from repro.fleet.shard import InlineShard, ProcessShard
-from repro.obs import Instrumentation, make_instrumentation
+from repro.obs import make_instrumentation
 from repro.runtime.session import SessionStats
 from repro.workloads.traces.format import RecordedDecision, Trace, TraceEvent
 
@@ -164,7 +164,6 @@ class FleetSimulator:
         self.rebalance = rebalance
         self.cache_dir = cache_dir
         self.allocator = BudgetAllocator(cap_w) if cap_w is not None else None
-        self.obs: Instrumentation = make_instrumentation()
 
     # ----- shard construction ---------------------------------------------------
 
@@ -184,12 +183,17 @@ class FleetSimulator:
     # ----- the run --------------------------------------------------------------
 
     def run(self) -> FleetReport:
-        """Drive the whole trace; returns the fleet report."""
+        """Drive the whole trace; returns the fleet report.
+
+        Each run builds its own instrumentation, so a report's registry
+        and spans cover that run only.
+        """
         import contextlib
 
-        report = FleetReport(nodes=self.nodes, registry=self.obs.registry)
-        registry = self.obs.registry
-        tracer = self.obs.tracer
+        obs = make_instrumentation()
+        registry = obs.registry
+        tracer = obs.tracer
+        report = FleetReport(nodes=self.nodes, registry=registry)
 
         remaining = {
             sid: len(self.trace.events_for(sid))
@@ -321,7 +325,9 @@ class FleetSimulator:
                     prefill += len(backlog)
 
                 if self.rebalance and self.nodes > 1:
-                    self._rebalance_once(shards, placement, active, report)
+                    self._rebalance_once(
+                        shards, placement, active, report, registry
+                    )
                 return prefill
 
             epoch_fill = 0
@@ -381,6 +387,7 @@ class FleetSimulator:
         placement: Dict[str, int],
         active: List[set],
         report: FleetReport,
+        registry: Any,
     ) -> None:
         """Migrate one session from the most- to the least-loaded node.
 
@@ -405,7 +412,7 @@ class FleetSimulator:
         active[dst].add(sid)
         placement[sid] = dst
         report.placement[sid] = shards[dst].node_id
-        self.obs.registry.counter(
+        registry.counter(
             "repro_fleet_migrations_total",
             "Sessions migrated between nodes by the rebalancer",
         ).inc()

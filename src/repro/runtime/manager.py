@@ -23,7 +23,7 @@ from repro.sim.policy import PowerPolicy
 from repro.sim.simulator import OverheadModel
 from repro.workloads.counters import CounterSynthesizer, CounterVector
 
-__all__ = ["SessionManager", "chunk_distinct_sessions"]
+__all__ = ["SessionManager"]
 
 _log = logging.getLogger(__name__)
 
@@ -40,33 +40,6 @@ _BATCHED_COUNTERS = (
      "Sweeps a session missed that another session's request in the "
      "same stacked call supplied"),
 )
-
-
-def chunk_distinct_sessions(items: Sequence[Any], key: Any) -> List[List[Any]]:
-    """Split ``items`` into maximal distinct-session runs, in order.
-
-    A chunk closes as soon as a session repeats, so each chunk is a
-    legal :meth:`SessionManager.step_batch` input and per-session item
-    order is preserved across chunks.  The fleet nodes step their
-    epoch slices in these chunks.
-
-    Args:
-        items: The ordered items to chunk.
-        key: Callable mapping an item to its session id.
-    """
-    chunks: List[List[Any]] = []
-    chunk: List[Any] = []
-    sessions: set = set()
-    for item in items:
-        sid = key(item)
-        if sid in sessions:
-            chunks.append(chunk)
-            chunk, sessions = [], set()
-        chunk.append(item)
-        sessions.add(sid)
-    if chunk:
-        chunks.append(chunk)
-    return chunks
 
 
 class SessionManager:
@@ -190,6 +163,10 @@ class SessionManager:
         own vector objects; members share a sweep, so rows one member's
         search computes serve the others.  The events are then
         dispatched normally, in order.
+
+        Stacking pays only when sessions share a predictor object (as
+        in ``repro bench decide``); sessions that each hold their own,
+        as on a fleet node, gain nothing over :meth:`dispatch`.
 
         Decisions, per-session statistics, evaluation charges, and
         per-decision telemetry are identical to dispatching the events

@@ -231,7 +231,10 @@ class SessionRuntime:
         session_id: Routing key of this session in a manager.
         app_name: Default application name for streamed runs (offline
             replay takes it from the application itself).
-        charge_overhead: Default overhead charging for streamed runs.
+        charge_overhead: Whether to convert each decision's model
+            evaluations into time and energy overheads, for every run
+            of the session (the paper's idealized studies switch this
+            off).
         obs: Observability hooks (``repro.obs``).  Defaults to the
             shared no-op instrumentation; when live, the runtime emits
             one ``launch`` span per processed event (stamped with the
@@ -383,8 +386,7 @@ class SessionRuntime:
             return ()
         return tuple(self.policy.prefetch_counters(event.index))
 
-    def process(self, event: KernelLaunch, *,
-                charge_overhead: Optional[bool] = None) -> LaunchOutcome:
+    def process(self, event: KernelLaunch) -> LaunchOutcome:
         """Execute one kernel-launch event end to end.
 
         An ``index == 0`` event starts a new run automatically (after
@@ -405,8 +407,6 @@ class SessionRuntime:
                 f"out-of-order launch event: got index {event.index}, "
                 f"expected {expected}"
             )
-        charge = self.charge_overhead if charge_overhead is None else charge_overhead
-
         tracer = self.obs.tracer
         registry = self.obs.registry
         assert self._result is not None
@@ -459,7 +459,7 @@ class SessionRuntime:
         overhead_time = 0.0
         overhead_gpu_j = 0.0
         overhead_cpu_j = 0.0
-        if charge:
+        if self.charge_overhead:
             compute_time = self.overhead.decision_time_s(decision)
             overhead_time = max(0.0, compute_time - self.cpu_phase_s)
             if compute_time > 0.0:
@@ -575,12 +575,11 @@ class SessionRuntime:
 
     # ----- drivers ---------------------------------------------------------------
 
-    def run(self, app: Application, *,
-            charge_overhead: Optional[bool] = None) -> RunResult:
+    def run(self, app: Application) -> RunResult:
         """Offline replay: one full invocation of ``app``."""
         self.begin_run(app.name)
         for event in launch_events(app, self.session_id):
-            self.process(event, charge_overhead=charge_overhead)
+            self.process(event)
         assert self._result is not None
         return self._result
 
@@ -644,16 +643,15 @@ class SessionRuntime:
             )
 
 
-def invocation_pair(session: SessionRuntime, app: Application, *,
-                    charge_overhead: Optional[bool] = None) -> Tuple[RunResult, RunResult]:
+def invocation_pair(session: SessionRuntime,
+                    app: Application) -> Tuple[RunResult, RunResult]:
     """Profiling invocation followed by the steady-state invocation.
 
     The canonical two-run MPC protocol (profile, then optimize) used by
-    the CLI and the experiment variants.
+    the experiment variants; overheads are charged as the session was
+    built to charge them.
 
     Returns:
         ``(first, steady)`` run traces.
     """
-    first = session.run(app, charge_overhead=charge_overhead)
-    steady = session.run(app, charge_overhead=charge_overhead)
-    return first, steady
+    return session.run(app), session.run(app)

@@ -74,9 +74,9 @@ class Simulator:
         apu: Ground-truth hardware model.
         counters: Synthesizer producing each launch's Table-III
             counters for the policy.
-        overhead: Model converting decisions into optimizer overhead;
-            pass ``None`` (or use ``charge_overhead=False`` per run) for
-            idealized studies that exclude overheads.
+        overhead: Model converting decisions into optimizer overhead
+            (idealized studies that exclude overheads build their
+            session or run with ``charge_overhead=False``).
         manager_config: Hardware configuration the optimizer runs at.
         cpu_phase_s: Duration of the CPU phase preceding each kernel
             launch during which an idle CPU can run the optimizer
@@ -122,7 +122,8 @@ class Simulator:
         Fault isolation is *off* by default so the offline harness
         keeps its fail-fast semantics (a buggy policy raises instead of
         silently degrading to fail-safe); streaming drivers pass
-        ``isolate_faults=True``.
+        ``isolate_faults=True``.  ``charge_overhead`` holds for every
+        run of the session.
 
         ``obs`` is deliberately a per-call argument rather than
         simulator state: the simulator is part of the experiment
@@ -168,6 +169,6 @@ class Simulator:
         Returns:
             The per-launch trace and aggregates for this invocation.
         """
-        return self.session(policy, obs=obs).run(
-            app, charge_overhead=charge_overhead
-        )
+        return self.session(
+            policy, charge_overhead=charge_overhead, obs=obs
+        ).run(app)

@@ -7,9 +7,26 @@ decides, counts and monitors exactly as one-at-a-time dispatch does.
 """
 
 from repro.obs import make_instrumentation
-from repro.runtime.manager import chunk_distinct_sessions
 from repro.workloads.traces import TraceReplayer
 from repro.workloads.traces.replay import ReplayReport
+
+
+def distinct_session_chunks(events):
+    """Split ``events`` into maximal runs of distinct sessions, in order.
+
+    A chunk closes as soon as a session repeats, so each chunk is a
+    legal ``step_batch`` input and per-session order is preserved.
+    """
+    chunks, chunk, sessions = [], [], set()
+    for event in events:
+        if event.session in sessions:
+            chunks.append(chunk)
+            chunk, sessions = [], set()
+        chunk.append(event)
+        sessions.add(event.session)
+    if chunk:
+        chunks.append(chunk)
+    return chunks
 
 
 def replay_batched(trace):
@@ -21,7 +38,7 @@ def replay_batched(trace):
     obs = make_instrumentation(health=True)
     manager = TraceReplayer(trace)._build_manager(obs)
     report = ReplayReport(trace=trace, registry=obs.registry, health=obs.health)
-    for chunk in chunk_distinct_sessions(trace.events, key=lambda e: e.session):
+    for chunk in distinct_session_chunks(trace.events):
         report.outcomes.extend(
             manager.step_batch([event.as_launch() for event in chunk])
         )

@@ -5,9 +5,12 @@ placement, and per-epoch budgets — run to run, and transport to
 transport.
 """
 
+import json
+
 import pytest
 
 from repro.fleet import FleetSimulator
+from repro.obs.exporters import prometheus_text
 
 pytestmark = pytest.mark.fleet
 
@@ -61,3 +64,21 @@ def test_process_transport_matches_inline(corpus):
     assert process.registry.counter(name).total() == inline.registry.counter(
         name
     ).total()
+
+
+def test_second_run_on_one_simulator_reports_the_same(corpus):
+    """Each run counts into its own registry: a rerun neither
+    double-counts nor rewrites the first run's report."""
+    sim = FleetSimulator(corpus["serverless"], nodes=2, cap_w=250.0)
+    first = sim.run()
+    first_metrics = prometheus_text(first.registry)
+    first_spans = [json.dumps(span, sort_keys=True) for span in first.spans]
+    second = sim.run()
+
+    assert first.registry.counter("repro_fleet_epochs_total").total() == 2
+    assert prometheus_text(second.registry) == first_metrics
+    assert [json.dumps(span, sort_keys=True) for span in second.spans] == (
+        first_spans
+    )
+    assert fingerprint(second) == fingerprint(first)
+    assert prometheus_text(first.registry) == first_metrics

@@ -1,7 +1,7 @@
 """The fleet-of-one differential contract.
 
 A fleet of one node is, by construction, the streaming runtime: one
-``SessionManager`` stepping ``step_batch`` chunks.  These tests pin
+``SessionManager`` dispatching each launch in order.  These tests pin
 that equivalence float-for-float on every adversarial scenario family
 — decisions *and* per-session statistics — and against the checked-in
 stamped golden traces, so any divergence between the fleet path and

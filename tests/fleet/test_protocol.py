@@ -65,11 +65,12 @@ def test_capped_run_posts_one_command_per_node_per_epoch(corpus, transport):
 
 
 def budgets_at_each_step(sim):
-    """Run ``sim`` inline, recording the budgets each step_batch sees.
+    """Run ``sim`` inline, recording the budgets each dispatch sees.
 
     Returns the report and one ``(node_id, epoch, manager budget,
-    session budgets)`` row per ``step_batch`` call, where ``epoch``
-    counts the node's ``epoch`` commands before the call.
+    session budget)`` row per ``dispatch`` call, where ``epoch``
+    counts the node's ``epoch`` commands before the call and the
+    session budget is the dispatched launch's session's.
     """
     rows = []
     build = sim._build_shards
@@ -77,24 +78,23 @@ def budgets_at_each_step(sim):
     def instrument(node):
         epochs = []
         run_epoch = node.epoch
-        step_batch = node.manager.step_batch
+        dispatch = node.manager.dispatch
 
         def epoch(*args):
             epochs.append(None)
             return run_epoch(*args)
 
-        def recording_step_batch(launches):
+        def recording_dispatch(launch):
             rows.append((
                 node.node_id,
                 len(epochs) - 1,
                 node.manager.power_budget_w,
-                [node.manager.session(launch.session_id).power_budget_w
-                 for launch in launches],
+                node.manager.session(launch.session_id).power_budget_w,
             ))
-            return step_batch(launches)
+            return dispatch(launch)
 
         node.epoch = epoch
-        node.manager.step_batch = recording_step_batch
+        node.manager.dispatch = recording_dispatch
 
     def build_instrumented(stack):
         shards = build(stack)
@@ -122,12 +122,12 @@ def test_budget_is_in_place_at_the_next_epochs_first_launch(corpus, migrate):
         migrations = report.registry.counter("repro_fleet_migrations_total")
         assert migrations.total() == 1
     assert any(epoch > 0 for _, epoch, _, _ in rows)
-    for node_id, epoch, budget, session_budgets in rows:
+    for node_id, epoch, budget, session_budget in rows:
         expected = (
             None if epoch == 0 else report.epochs[epoch - 1].budgets[node_id]
         )
         assert budget == expected
-        assert session_budgets == [expected] * len(session_budgets)
+        assert session_budget == expected
 
 
 def test_uncapped_run_never_sets_a_budget(corpus):
@@ -136,6 +136,6 @@ def test_uncapped_run_never_sets_a_budget(corpus):
     )
     assert rows
     assert all(record.budgets == {} for record in report.epochs)
-    for _, _, budget, session_budgets in rows:
+    for _, _, budget, session_budget in rows:
         assert budget is None
-        assert session_budgets == [None] * len(session_budgets)
+        assert session_budget is None
