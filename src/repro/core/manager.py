@@ -34,7 +34,7 @@ from repro.core.optimizer import GreedyHillClimbOptimizer
 from repro.core.pattern import KernelPatternExtractor, KernelRecord
 from repro.core.search_order import SearchOrder, build_search_order
 from repro.core.tracker import PerformanceTracker
-from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig, default_space
 from repro.ml.predictors import PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
 from repro.runtime.lifecycle import PolicyLifecycle, PolicyState
@@ -118,7 +118,7 @@ class MPCPowerManager(PowerPolicy):
                 f"bound; got {alpha!r}"
             )
         self.obs = or_noop(obs)
-        self.space = space if space is not None else ConfigSpace()
+        self.space = space if space is not None else default_space()
         self.optimizer = GreedyHillClimbOptimizer(
             self.space, predictor, obs=self.obs
         )

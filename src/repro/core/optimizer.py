@@ -25,25 +25,29 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.pattern import KernelRecord
 from repro.core.tracker import PerformanceTracker
 from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
-from repro.hardware.table import ConfigTable
+from repro.hardware.table import lattice_table
 from repro.ml.predictors import KernelEstimate, PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
 from repro.workloads.counters import CounterVector
 
 __all__ = [
-    "MAX_PASSES", "OptimizationResult", "PartialSweep", "GreedyHillClimbOptimizer",
+    "MAX_PASSES", "SWEEP_POOL_SIZE", "OptimizationResult", "PartialSweep",
+    "GreedyHillClimbOptimizer",
 ]
 
 #: Bound on whole sensitivity-order sweeps of the hill climb, which
 #: keeps each search's evaluation count small and predictable.
 MAX_PASSES = 3
+
+#: Sweeps a sweep pool keeps: the most recently started ones.
+SWEEP_POOL_SIZE = 64
 
 #: Memoized per-knob span-attribute keys ("climb_steps.<knob>"), so the
 #: per-search telemetry does not rebuild the strings on every decision.
@@ -84,7 +88,7 @@ class PartialSweep:
     :attr:`KernelEstimate.energy_j`.  The sweep keeps its own copy of
     the counter values, never the vector object it is cached under: a
     ``WeakKeyDictionary`` value that references its key keeps that key
-    alive forever.
+    alive forever.  The copy is the sweep's key in a sweep pool.
 
     Attributes:
         counters: A copy of the swept counter values.
@@ -118,7 +122,10 @@ class GreedyHillClimbOptimizer:
     climb step reads a row of one :class:`PartialSweep` of the kernel's
     counters.  Sweeps come from :meth:`sweep_many`, which caches one per
     counter vector object for as long as that object lives, so a vector
-    that recurs across windows and decisions is swept once.  A sweep
+    that recurs across windows and decisions is swept once; behind that
+    cache sits the sweep :attr:`pool`, keyed by counter value, which a
+    :class:`~repro.runtime.manager.SessionManager` shares among the
+    sessions it hosts on one predictor and lattice.  A sweep
     computes only the rows searches read, one cross at a time (the rows
     within one knob move of a configuration): a new sweep starts with
     the cross through the fail-safe, where every climb starts and
@@ -178,7 +185,7 @@ class GreedyHillClimbOptimizer:
             "it held no sweep for)",
         ).labelled()
         self._m_lock = registry.lock
-        self.table = ConfigTable(space)
+        self.table = lattice_table(space)
         self._fail_safe_index = self.table.index_of_config(self.fail_safe)
         self._fail_safe_cross = np.array(
             self.table.moves().cross[self._fail_safe_index], dtype=np.intp
@@ -190,57 +197,45 @@ class GreedyHillClimbOptimizer:
         self._sweeps: weakref.WeakKeyDictionary[CounterVector, PartialSweep] = (
             weakref.WeakKeyDictionary()
         )
-
-    @property
-    def lattice_key(self) -> Tuple:
-        """Hashable identity of the search lattice.
-
-        Two optimizers with equal keys sweep identical tables, so a
-        batched caller may share one predictor sweep between them.
-        """
-        space = self.space
-        return (
-            tuple(space.cpu_axis),
-            tuple(space.nb_axis),
-            tuple(space.gpu_axis),
-            tuple(space.cu_axis),
-        )
+        #: Sweeps by counter value, the :data:`SWEEP_POOL_SIZE` most
+        #: recently started, read when this optimizer's own cache
+        #: misses: the pool ``SessionManager.add_session`` hands over,
+        #: shared by the manager's sessions on this predictor and
+        #: lattice.  ``None`` for an optimizer no manager hosts, which
+        #: keeps only its own cache.
+        self.pool: Optional[Dict[CounterVector, PartialSweep]] = None
 
     def missing(self, counters_list: Iterable[CounterVector]) -> List[CounterVector]:
         """Distinct vectors of ``counters_list`` with no held sweep, in order."""
         held = self._sweeps
         return [c for c in dict.fromkeys(counters_list) if c not in held]
 
-    def sweep_many(
-        self,
-        counters_list: Sequence[CounterVector],
-        swept: Optional[Mapping[CounterVector, PartialSweep]] = None,
-    ) -> List[PartialSweep]:
+    def sweep_many(self, counters_list: Sequence[CounterVector]) -> List[PartialSweep]:
         """One sweep per counter vector, in order.
 
         Every sweep the hill climb and the window search read comes
         from here.  Vectors this optimizer already holds are served
-        from its cache; the others are taken from ``swept`` (sweeps a
-        batched caller started once for several optimizers on this
-        predictor and lattice) or else started by :meth:`start_sweeps`
-        in one stacked call, and cached under the caller's own vector
-        objects.  Estimates are pure functions of (counters, lattice,
-        predictor), so a held sweep never goes stale, and optimizers
-        that share a predictor and lattice may share sweeps.  No
-        evaluations are charged here — charging happens when a search
-        consumes rows.
+        from its cache; the others are taken from the :attr:`pool`
+        (one value-keyed lookup each) or else started by
+        :meth:`start_sweeps` in one stacked call, and cached under the
+        caller's own vector objects.  Estimates are pure functions of
+        (counters, lattice, predictor), so a held sweep never goes
+        stale, and optimizers that share a predictor and lattice may
+        share sweeps.  No evaluations are charged here — charging
+        happens when a search consumes rows.
         """
         held = self._sweeps
         sweeps = [held.get(c) for c in counters_list]
         if None not in sweeps:
             return sweeps
         misses = self.missing(counters_list)
-        swept = dict(swept or {})
-        compute = [c for c in misses if c not in swept]
+        pool = self.pool
+        found = dict.fromkeys(misses) if pool is None else {c: pool.get(c) for c in misses}
+        compute = [c for c, sweep in found.items() if sweep is None]
         if compute:
-            swept.update(zip(compute, self.start_sweeps(compute)))
-        for counters in misses:
-            held[counters] = swept[counters]
+            found.update(zip(compute, self.start_sweeps(compute)))
+        for counters, sweep in found.items():
+            held[counters] = sweep
         if self.obs.enabled:
             self._m_sweeps.inc(len(misses))
         return [held[c] for c in counters_list]
@@ -248,11 +243,19 @@ class GreedyHillClimbOptimizer:
     def start_sweeps(self, counters_list: Sequence[CounterVector]) -> List[PartialSweep]:
         """New sweeps of ``counters_list``, each computed at the fail-safe cross.
 
-        One stacked predictor call for all of them.  Nothing is cached
-        here; :meth:`sweep_many` caches what it is handed.
+        One stacked predictor call for all of them.  Each new sweep
+        enters the :attr:`pool`, if any, which then drops its oldest
+        entries beyond :data:`SWEEP_POOL_SIZE`; :meth:`sweep_many`
+        caches what its caller reads.
         """
         sweeps = [PartialSweep(c, len(self.table)) for c in counters_list]
         self._fill(sweeps, self._fail_safe_cross)
+        pool = self.pool
+        if pool is not None:
+            for sweep in sweeps:
+                pool[sweep.counters] = sweep
+            for _ in range(len(pool) - SWEEP_POOL_SIZE):
+                del pool[next(iter(pool))]
         return sweeps
 
     def _fill(self, sweeps: Sequence[PartialSweep], rows: np.ndarray) -> None:

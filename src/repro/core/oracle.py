@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.apu import APUModel
-from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig, default_space
 from repro.hardware.table import ConfigTable
 from repro.workloads.app import Application
 
@@ -111,7 +111,7 @@ def solve_theoretically_optimal(
     Returns:
         The planned per-launch configurations and their totals.
     """
-    space = space if space is not None else ConfigSpace()
+    space = space if space is not None else default_space()
     keys, menus, counts = _menus(app, apu, space)
     budget = app.total_instructions / target_throughput
     configs = space.all_configs()

@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.optimizer import GreedyHillClimbOptimizer
 from repro.core.pattern import KernelPatternExtractor
 from repro.core.tracker import PerformanceTracker
-from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig, default_space
 from repro.ml.predictors import PerfPowerPredictor
 from repro.sim.policy import Decision, Observation, PowerPolicy
 from repro.workloads.counters import CounterVector
@@ -103,7 +103,7 @@ class PPKPolicy(PowerPolicy):
         predictor: PerfPowerPredictor,
         space: Optional[ConfigSpace] = None,
     ) -> None:
-        self.space = space if space is not None else ConfigSpace()
+        self.space = space if space is not None else default_space()
         self.optimizer = GreedyHillClimbOptimizer(self.space, predictor)
         self.tracker = PerformanceTracker(target_throughput)
         self.extractor = KernelPatternExtractor()

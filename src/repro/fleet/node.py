@@ -1,9 +1,10 @@
 """One simulated fleet node: a SessionManager slice of the population.
 
 A :class:`FleetNode` owns its own ground-truth hardware models (one
-APU per node, as in a real fleet) and a
-:class:`~repro.runtime.manager.SessionManager` hosting the sessions
-placed on it.  Because counter synthesis is a pure function of
+APU per node, as in a real fleet), one predictor per (predictor kind,
+kernel population) and a :class:`~repro.runtime.manager.SessionManager`
+hosting the sessions placed on it, which share those predictors and
+the manager's sweep pools.  Because counter synthesis is a pure function of
 ``(seed, kernel, sequence)`` and a policy only ever sees its own
 session's launches, a session's decisions are *placement-invariant*:
 they are float-for-float the same on any node of any fleet — the
@@ -31,7 +32,7 @@ from repro.sim.simulator import OverheadModel
 from repro.workloads.counters import CounterSynthesizer
 from repro.workloads.kernel import KernelSpec
 from repro.workloads.traces.format import RecordedDecision, SessionSpec
-from repro.workloads.traces.replay import build_policy, outcome_decision
+from repro.workloads.traces.replay import Predictors, build_policy, outcome_decision
 
 __all__ = ["FleetNode"]
 
@@ -78,6 +79,8 @@ class FleetNode:
             isolate_faults=True,
             obs=self.obs,
         )
+        # Predictors built for this node's sessions (build_policy).
+        self._predictors: Predictors = {}
         # Spec + kernels per hosted session, kept so a migrated-in
         # snapshot can rebuild an identically-constructed policy.
         self._specs: Dict[str, Tuple[SessionSpec, List[KernelSpec]]] = {}
@@ -103,6 +106,7 @@ class FleetNode:
             overhead=self.overhead,
             obs=self.obs,
             cache_dir=self.cache_dir,
+            predictors=self._predictors,
         )
         self.manager.add_session(
             spec.session_id,
@@ -160,9 +164,8 @@ class FleetNode:
         Events arrive slim — ``(index, session_id, kernel_key)`` — and
         resolve against the specs registered at :meth:`add_session`, so
         the shard pipe never re-ships a ``KernelSpec`` per launch.  Each
-        is dispatched on its own: ``build_policy`` gives every session
-        its own predictor, so ``SessionManager.step_batch`` would find
-        nothing to stack.
+        is dispatched on its own, in order; sessions on one predictor
+        still share sweeps through the manager's sweep pool.
 
         Returns ``(session_id, index, decision)`` per event, in input
         order — the picklable form the parent folds into the fleet

@@ -10,13 +10,16 @@ greedy hill-climbing optimizer uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.hardware import dvfs
 
-__all__ = ["Knob", "HardwareConfig", "ConfigSpace", "FAILSAFE_CONFIG"]
+__all__ = [
+    "Knob", "HardwareConfig", "ConfigSpace", "FAILSAFE_CONFIG", "default_space",
+]
 
 #: The four hardware knobs, in the canonical order used throughout.
 KNOBS: Tuple[str, ...] = ("cpu", "nb", "gpu", "cu")
@@ -177,6 +180,15 @@ class ConfigSpace:
             )
         )
 
+    @property
+    def lattice_key(self) -> Tuple[Tuple, ...]:
+        """Hashable identity of the lattice: the four axes, ``KNOBS`` order.
+
+        Spaces with equal keys enumerate the same configurations in the
+        same order, so they share one lattice table and its sweeps.
+        """
+        return (self.cpu_axis, self.nb_axis, self.gpu_axis, self.cu_axis)
+
     def axis(self, knob: str) -> Tuple:
         """Return the (slow -> fast) axis of values for a knob."""
         try:
@@ -288,6 +300,16 @@ class ConfigSpace:
             candidates = [v for v in axis if _FULL_AXIS_RANK[knob][v] >= rank]
             changes[knob] = candidates[0] if candidates else axis[-1]
         return config.replace(**changes) if changes else config
+
+
+@functools.lru_cache(maxsize=1)
+def default_space() -> ConfigSpace:
+    """The default :class:`ConfigSpace`, built once per process.
+
+    Every policy built without an explicit space searches this one
+    object, so hosting a session enumerates no lattice.
+    """
+    return ConfigSpace()
 
 
 #: Slow -> fast performance rank of every legal knob value over the

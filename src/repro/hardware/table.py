@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.hardware.config import KNOBS, ConfigSpace, HardwareConfig
 
-__all__ = ["ConfigTable", "MoveTable", "move_table"]
+__all__ = ["ConfigTable", "MoveTable", "lattice_table", "move_table"]
 
 
 class MoveTable:
@@ -271,3 +271,22 @@ class ConfigTable:
             column = per_state[self._cpu_state_codes]
             memo[key] = column
         return column
+
+
+#: Lattice tables by :attr:`ConfigSpace.lattice_key`, built on first
+#: use by :func:`lattice_table`.
+_LATTICE_TABLES: Dict[Tuple[Tuple, ...], ConfigTable] = {}
+
+
+def lattice_table(space: ConfigSpace) -> ConfigTable:
+    """The shared :class:`ConfigTable` of a lattice, built on first use.
+
+    Every optimizer searching one lattice reads one table, so the
+    per-table memos (CPU power columns, the oracle's ground-truth
+    matrices) are computed once per process, not once per session.
+    """
+    key = space.lattice_key
+    table = _LATTICE_TABLES.get(key)
+    if table is None:
+        table = _LATTICE_TABLES[key] = ConfigTable(space)
+    return table

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.hardware.apu import APUModel
-from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig, default_space
 from repro.hardware.table import ConfigTable
 from repro.workloads.counters import COUNTER_NAMES, CounterSynthesizer, CounterVector
 from repro.workloads.kernel import KernelSpec
@@ -121,7 +121,7 @@ def build_dataset(
     if not kernels:
         raise ValueError("need at least one kernel")
     apu = apu if apu is not None else APUModel()
-    space = space if space is not None else ConfigSpace()
+    space = space if space is not None else default_space()
     # Counters are sampled once per kernel, as a profiler would, by the
     # default (noisy) synthesizer.
     synthesizer = CounterSynthesizer()

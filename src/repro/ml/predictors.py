@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.hardware.apu import APUModel
-from repro.hardware.config import ConfigSpace, HardwareConfig
+from repro.hardware.config import ConfigSpace, HardwareConfig, default_space
 from repro.hardware.dvfs import CPU_PSTATES
 from repro.hardware.table import ConfigTable
 from repro.ml.dataset import build_dataset
@@ -472,7 +472,7 @@ def train_predictor(
         list(kernels) if kernels is not None
         else training_population(FOREST_RECIPE["population"])
     )
-    space = space if space is not None else ConfigSpace()
+    space = space if space is not None else default_space()
 
     cache_file = None
     if cache_dir:
@@ -533,7 +533,7 @@ def evaluate_predictor(
         12% respectively for its 15 benchmarks.
     """
     apu = apu if apu is not None else APUModel()
-    space = space if space is not None else ConfigSpace()
+    space = space if space is not None else default_space()
     synthesizer = CounterSynthesizer(noise=0.0)
 
     table = ConfigTable(space)

@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hardware.apu import APUModel
-from repro.hardware.config import ConfigSpace
+from repro.hardware.config import ConfigSpace, default_space
 from repro.ml.dataset import build_dataset
 from repro.ml.forest import RandomForestRegressor, mean_absolute_percentage_error
 from repro.workloads.kernel import KernelSpec
@@ -104,7 +104,7 @@ def cross_validate_predictor(
         Per-fold out-of-group MAPEs for time and power.
     """
     apu = apu if apu is not None else APUModel()
-    space = space if space is not None else ConfigSpace()
+    space = space if space is not None else default_space()
     dataset = build_dataset(kernels, apu=apu, space=space, seed=seed)
 
     time_mapes: List[float] = []

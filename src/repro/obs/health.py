@@ -796,8 +796,16 @@ def format_health_report(report: Dict[str, Any]) -> str:
     if not sessions:
         lines.append("(no launch decisions observed)")
         return "\n".join(lines)
+    # The name columns are as wide as their longest entry, so engine
+    # and CLI session names (``<app>/<policy>``) keep the table aligned.
+    width = max(len("session"), *map(len, sessions))
+    kernel_width = max(
+        [len("kernel")]
+        + [len(kernel) for health in sessions.values()
+           for kernel in health.get("kernels", {})]
+    )
     header = (
-        f"{'session':16s} {'state':10s} {'decisions':>9s} {'samples':>8s} "
+        f"{'session':{width}s} {'state':10s} {'decisions':>9s} {'samples':>8s} "
         f"{'trusted':>8s} {'drift':>6s} {'first':>6s} "
         f"{'ewma(ips)':>10s} {'ewma(pow)':>10s}"
     )
@@ -806,7 +814,7 @@ def format_health_report(report: Dict[str, Any]) -> str:
         first = health.get("first_drift_decision")
         ewma = health.get("ewma", {})
         lines.append(
-            f"{name:16s} {health['state']:10s} {health['decisions']:>9d} "
+            f"{name:{width}s} {health['state']:10s} {health['decisions']:>9d} "
             f"{health['samples']:>8d} {health['trusted_samples']:>8d} "
             f"{health['drift_events']:>6d} "
             f"{'-' if first is None else first:>6} "
@@ -821,12 +829,12 @@ def format_health_report(report: Dict[str, Any]) -> str:
         lines.append(f"-- {name} --")
         if kernels:
             lines.append(
-                f"  {'kernel':20s} {'samples':>8s} "
+                f"  {'kernel':{kernel_width}s} {'samples':>8s} "
                 f"{'ips mean/max':>14s} {'power mean/max':>15s}"
             )
             for kernel, ledger in kernels.items():
                 lines.append(
-                    f"  {kernel:20s} {ledger['samples']:>8d} "
+                    f"  {kernel:{kernel_width}s} {ledger['samples']:>8d} "
                     f"{ledger['mean_ips']:>6.3f}/{ledger['max_ips']:<6.3f} "
                     f"{ledger['mean_power']:>7.3f}/{ledger['max_power']:<6.3f}"
                 )

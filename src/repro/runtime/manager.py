@@ -34,11 +34,11 @@ _BATCHED_COUNTERS = (
     ("repro_runtime_batched_launches_total",
      "Launches processed through step_batch"),
     ("repro_runtime_batched_sweeps_total",
-     "Distinct whole-lattice sweeps started for batches (rows covered, "
-     "not computed)"),
+     "Distinct sweeps step_batch started, stacked, for vectors its "
+     "sessions missed and their sweep pool lacked"),
     ("repro_runtime_batched_dedup_hits_total",
-     "Sweeps a session missed that another session's request in the "
-     "same stacked call supplied"),
+     "Sweeps a session missed that its sweep pool or another session's "
+     "request in the same stacked call supplied"),
 )
 
 
@@ -47,7 +47,10 @@ class SessionManager:
 
     All sessions execute on the same APU/counter/overhead models (the
     machine being managed); each session hosts its own policy and keeps
-    its own trace and statistics.  The optimizer runs at
+    its own trace and statistics.  Sessions whose optimizers search one
+    lattice with one predictor object read one sweep pool, owned by the
+    manager: a sweep one session starts serves the others (see
+    :meth:`add_session`).  The optimizer runs at
     ``MANAGER_CONFIG`` with no CPU phase to hide it, the
     :class:`~repro.runtime.session.SessionRuntime` defaults.
 
@@ -81,6 +84,9 @@ class SessionManager:
         self.isolate_faults = isolate_faults
         self.obs = or_noop(obs)
         self._sessions: Dict[str, SessionRuntime] = {}
+        # Sweep pools by (predictor id, lattice key), each stored with
+        # its predictor so the id cannot be reused while the pool lives.
+        self._pools: Dict[Tuple[int, Tuple], Tuple[Any, Dict[CounterVector, Any]]] = {}
         # Fallback sites that have logged their first fault.
         self._warned: set = set()
         # The batched_* counters, bound at the first step_batch call
@@ -93,6 +99,13 @@ class SessionManager:
                     app_name: str = "",
                     charge_overhead: bool = True) -> SessionRuntime:
         """Register a new session hosting ``policy``.
+
+        The session gets the manager's power budget, and its optimizer
+        (if any) the manager's sweep pool for its predictor object and
+        lattice, shared by every hosted session on that pair.  Sweeps
+        are pure functions of (counters, lattice, predictor), so sharing
+        changes no decision, charge or count.  Managers on one predictor
+        object never share a pool.
 
         Raises:
             ValueError: If the id is empty or already registered.
@@ -114,6 +127,11 @@ class SessionManager:
             obs=self.obs,
             power_budget_w=self.power_budget_w,
         )
+        optimizer = getattr(policy, "optimizer", None)
+        if optimizer is not None:
+            predictor = optimizer.predictor
+            key = (id(predictor), optimizer.space.lattice_key)
+            optimizer.pool = self._pools.setdefault(key, (predictor, {}))[1]
         self._sessions[session_id] = session
         return session
 
@@ -153,20 +171,22 @@ class SessionManager:
         """Process one launch per session with their sweeps started stacked.
 
         Each ready session's policy is asked (side-effect free) which
-        counter vectors its upcoming decision will sweep; sessions whose
-        optimizers share a predictor and search lattice are grouped, the
-        vectors of each group that its members do not hold yet are
-        deduplicated, and their sweeps are started with one stacked
-        ``estimate_matrix_many`` call over their fail-safe crosses.
-        Every member receives the sweeps it asked for through its
-        optimizer's ``sweep_many``, which caches them under the member's
-        own vector objects; members share a sweep, so rows one member's
-        search computes serve the others.  The events are then
-        dispatched normally, in order.
+        counter vectors its upcoming decision will sweep; sessions are
+        grouped by sweep pool (one per predictor object and search
+        lattice, see :meth:`add_session`), the vectors of each group
+        that neither its members nor its pool hold yet are
+        deduplicated, and their sweeps are started into the pool with
+        one stacked ``estimate_matrix_many`` call over their fail-safe
+        crosses.  Every member then takes the sweeps it asked for
+        through its optimizer's ``sweep_many``, which reads the pool
+        and caches them under the member's own vector objects; members
+        share a sweep, so rows one member's search computes serve the
+        others.  The events are then dispatched normally, in order.
 
         Stacking pays only when sessions share a predictor object (as
-        in ``repro bench decide``); sessions that each hold their own,
-        as on a fleet node, gain nothing over :meth:`dispatch`.
+        in ``repro bench decide`` and perfbench's ``tenants``
+        workload); fleet nodes dispatch each launch, and their sessions
+        on one predictor share sweeps through the pool alone.
 
         Decisions, per-session statistics, evaluation charges, and
         per-decision telemetry are identical to dispatching the events
@@ -201,9 +221,9 @@ class SessionManager:
             seen.add(event.session_id)
         sessions = [self.session(event.session_id) for event in events]
 
-        # Group prefetch requests by (predictor, lattice): one stacked
-        # sweep per group serves every member session.
-        groups: Dict[Any, List[Tuple[Any, Tuple[CounterVector, ...]]]] = {}
+        # Group prefetch requests by sweep pool, that is by (predictor,
+        # lattice): one stacked start per group serves every member.
+        groups: Dict[int, List[Tuple[Any, Tuple[CounterVector, ...]]]] = {}
         for event, session in zip(events, sessions):
             optimizer = getattr(session.policy, "optimizer", None)
             if optimizer is None:
@@ -218,31 +238,29 @@ class SessionManager:
                 continue
             if not wanted:
                 continue
-            key = (id(optimizer.predictor), optimizer.lattice_key)
-            groups.setdefault(key, []).append((optimizer, wanted))
+            groups.setdefault(id(optimizer.pool), []).append((optimizer, wanted))
 
         swept = 0
         missed = 0
         for members in groups.values():
+            first = members[0][0]
+            pool = first.pool
             unique: Dict[CounterVector, None] = {}
             for optimizer, wanted in members:
                 misses = optimizer.missing(wanted)
                 missed += len(misses)
-                unique.update(dict.fromkeys(misses))
-            if not unique:
-                continue
-            first = members[0][0]
-            try:
-                sweeps = first.start_sweeps(list(unique))
-            except Exception as error:
-                # Every member sweeps its misses when it decides, where
-                # a persistent fault surfaces through process().
-                self._fell_back("step_batch.group_sweep", error)
-                continue
-            swept += len(unique)
-            shared = dict(zip(unique, sweeps))
+                unique.update(dict.fromkeys(c for c in misses if c not in pool))
+            if unique:
+                try:
+                    first.start_sweeps(list(unique))
+                except Exception as error:
+                    # Every member sweeps its misses when it decides,
+                    # where a persistent fault surfaces through process().
+                    self._fell_back("step_batch.group_sweep", error)
+                    continue
+                swept += len(unique)
             for optimizer, wanted in members:
-                optimizer.sweep_many(wanted, shared)
+                optimizer.sweep_many(wanted)
 
         if self.obs.enabled:
             if self._m_batched is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.hardware.config import ConfigSpace, HardwareConfig, Knob
+from repro.hardware.config import ConfigSpace, HardwareConfig, Knob, default_space
 from repro.sim.policy import Decision, Observation, PowerPolicy
 
 __all__ = ["TurboCorePolicy"]
@@ -42,7 +42,7 @@ class TurboCorePolicy(PowerPolicy):
     def __init__(self, tdp_w: float = 95.0,
                  space: Optional[ConfigSpace] = None) -> None:
         self.tdp_w = tdp_w
-        self.space = space if space is not None else ConfigSpace()
+        self.space = space if space is not None else default_space()
         self._config = self._boost_config()
         self._last_power_w: Optional[float] = None
 

@@ -58,7 +58,14 @@ class CounterVector:
 
     Attributes mirror Table III; percentages are 0-100, sizes are in the
     units CodeXL reports (work-items, instructions per work-item, kB).
+
+    Vectors key the sweep caches and pools, so the hash is computed once
+    and kept in a slot outside ``__dict__``: ``vars()``, pickles and
+    fingerprints see the eight fields only, and an unpickled or copied
+    vector computes its hash again on first use.
     """
+
+    __slots__ = ("_hash", "__dict__", "__weakref__")
 
     global_work_size: float
     mem_unit_stalled: float
@@ -69,25 +76,43 @@ class CounterVector:
     valu_insts: float
     fetch_size: float
 
+    def _fields(self) -> Tuple[float, ...]:
+        return (
+            self.global_work_size,
+            self.mem_unit_stalled,
+            self.cache_hit,
+            self.vfetch_insts,
+            self.scratch_regs,
+            self.lds_bank_conflict,
+            self.valu_insts,
+            self.fetch_size,
+        )
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._fields())
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __getstate__(self) -> Dict[str, float]:
+        return self.__dict__
+
     def as_dict(self) -> Dict[str, float]:
         """Counters keyed by their Table III names."""
         return dict(zip(COUNTER_NAMES, self.as_array()))
 
     def as_array(self) -> np.ndarray:
         """Counters as a float vector in Table III order."""
-        return np.array(
-            [
-                self.global_work_size,
-                self.mem_unit_stalled,
-                self.cache_hit,
-                self.vfetch_insts,
-                self.scratch_regs,
-                self.lds_bank_conflict,
-                self.valu_insts,
-                self.fetch_size,
-            ],
-            dtype=float,
-        )
+        return np.array(self._fields(), dtype=float)
 
     @classmethod
     def from_array(cls, values) -> "CounterVector":

@@ -20,7 +20,7 @@ harness in ``tests/differential/``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.manager import MPCPowerManager
 from repro.core.policies import FixedConfigPolicy, PPKPolicy
@@ -70,6 +70,11 @@ _CHECKED_FIELDS = (
 )
 
 
+#: The predictors one host has built, by (predictor kind, kernel
+#: population); see :func:`build_policy`.
+Predictors = Dict[Tuple[str, Tuple[KernelSpec, ...]], PerfPowerPredictor]
+
+
 def build_policy(
     spec: PolicySpec,
     kernels: List[KernelSpec],
@@ -78,6 +83,7 @@ def build_policy(
     overhead: OverheadModel,
     obs: Optional[Instrumentation] = None,
     cache_dir: str = ".cache",
+    predictors: Optional[Predictors] = None,
 ) -> PowerPolicy:
     """Instantiate the policy a session spec describes.
 
@@ -88,6 +94,10 @@ def build_policy(
         overhead: Decision-overhead model of the replay.
         obs: Instrumentation shared with the hosting session.
         cache_dir: Random Forest cache directory (``forest`` predictor).
+        predictors: The host's predictors on ``apu``, by predictor kind
+            and kernel population (none for a forest, which reads no
+            population); a missing one is built and added, so a host's
+            sessions share one per key.  Sharing changes no decision.
     """
     if spec.kind == "turbo":
         return TurboCorePolicy(tdp_w=apu.tdp_w)
@@ -95,13 +105,17 @@ def build_policy(
         assert spec.config is not None  # ensured by PolicySpec.validate
         return FixedConfigPolicy(spec.config)
 
-    predictor: PerfPowerPredictor
-    if spec.predictor == "oracle":
-        predictor = OraclePredictor(apu, kernels)
-    else:
-        from repro.ml.predictors import train_predictor
+    predictors = {} if predictors is None else predictors
+    key = (spec.predictor, tuple(kernels) if spec.predictor == "oracle" else ())
+    predictor = predictors.get(key)
+    if predictor is None:
+        if spec.predictor == "oracle":
+            predictor = OraclePredictor(apu, kernels)
+        else:
+            from repro.ml.predictors import train_predictor
 
-        predictor = train_predictor(apu=apu, cache_dir=cache_dir)
+            predictor = train_predictor(apu=apu, cache_dir=cache_dir)
+        predictors[key] = predictor
     if spec.kind == "ppk":
         return PPKPolicy(spec.target_throughput, predictor)
     if spec.kind == "mpc":
@@ -273,6 +287,7 @@ class TraceReplayer:
             isolate_faults=True,
             obs=obs,
         )
+        predictors: Predictors = {}
         for spec in self.trace.header.sessions:
             policy = build_policy(
                 spec.policy,
@@ -281,6 +296,7 @@ class TraceReplayer:
                 overhead=self.overhead,
                 obs=obs,
                 cache_dir=self.cache_dir,
+                predictors=predictors,
             )
             manager.add_session(
                 spec.session_id,

@@ -40,6 +40,7 @@ def build_schedule_trace(
     *,
     name: str = "fleet-mini",
     policy_kind: str = "mpc",
+    predictor: str = "oracle",
     **header_kw,
 ) -> Trace:
     """A trace whose event order *is* ``schedule`` (one id per event).
@@ -56,7 +57,9 @@ def build_schedule_trace(
         spec = COMPUTE if index % 2 == 0 else MEMORY
         events.append(TraceEvent(index=index, session=sid, spec=spec))
         counts[sid] = index + 1
-    policy = PolicySpec(kind=policy_kind, target_throughput=turbo_target())
+    policy = PolicySpec(
+        kind=policy_kind, target_throughput=turbo_target(), predictor=predictor
+    )
     header = TraceHeader(
         name=name,
         source="test:fleet",

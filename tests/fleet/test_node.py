@@ -1,8 +1,14 @@
-"""FleetNode: demand windows, budget application, slim-step and epoch protocol."""
+"""FleetNode: demand windows, budget application, slim-step and epoch
+protocol, and the predictors and sweeps its sessions share."""
 
 import pytest
 
+from repro.experiments import bench_fleet
+from repro.fleet import FleetSimulator
 from repro.fleet.node import FleetNode
+from repro.hardware.apu import APUModel
+from repro.ml import predictors
+from repro.ml.predictors import OraclePredictor
 
 from tests.fleet.conftest import build_schedule_trace
 
@@ -110,3 +116,59 @@ def test_epoch_is_the_node_methods_in_order():
         expected = (split.step(window), split.demand(), split.drain_obs())
         assert fused.epoch(budget, sessions, window) == expected
         assert fused.manager.power_budget_w == budget
+
+
+@pytest.mark.parametrize("predictor", ["oracle", "forest"])
+def test_sessions_of_one_spec_share_one_predictor(predictor, monkeypatch):
+    # The forest is stubbed, so nothing trains: one call per forest.
+    forests = []
+
+    def train_predictor(apu=None, cache_dir=None, **kwargs):
+        forests.append(OraclePredictor(apu, trace.unique_kernels("a")))
+        return forests[-1]
+
+    monkeypatch.setattr(predictors, "train_predictor", train_predictor)
+    trace = build_schedule_trace(
+        ["a", "b", "c"] * 6, name="node-shared", predictor=predictor
+    )
+    node = FleetNode("n")
+    for session_id in ("a", "b", "c"):
+        node.add_session(trace.session(session_id), trace.unique_kernels(session_id))
+    node.step([(e.index, e.session, e.spec.key) for e in trace.events])
+    optimizers = [
+        node.manager.session(session_id).policy.optimizer
+        for session_id in ("a", "b", "c")
+    ]
+    assert len({id(optimizer.predictor) for optimizer in optimizers}) == 1
+    assert len({id(optimizer.pool) for optimizer in optimizers}) == 1
+    assert len(forests) == (1 if predictor == "forest" else 0)
+    # A migrated-in session of the same spec joins them.
+    node.remove_session("c")
+    node.add_session(trace.session("c"), trace.unique_kernels("c"))
+    assert node.manager.session("c").policy.optimizer.predictor is optimizers[0].predictor
+    assert len(forests) == (1 if predictor == "forest" else 0)
+
+
+def test_bench_trace_evaluates_each_node_kernel_once(monkeypatch):
+    # The fleet benchmark's trace: 11 oracle sessions of one kernel
+    # pair on 2 nodes.  One oracle per node and one lattice table per
+    # process leave one ground-truth matrix per (node, kernel).
+    calls = []
+    execute_matrix = APUModel.execute_matrix
+
+    def counting(self, spec, table):
+        calls.append((id(self), spec.key))
+        return execute_matrix(self, spec, table)
+
+    monkeypatch.setattr(APUModel, "execute_matrix", counting)
+    trace = bench_fleet.bench_trace(0, quick=True)
+    nodes = 2
+    FleetSimulator(
+        trace,
+        nodes=nodes,
+        cap_w=bench_fleet.CAP_FRACTIONS["tight"] * APUModel().tdp_w * nodes,
+        epoch_launches=32,
+        transport="inline",
+    ).run()
+    assert len(calls) == 4
+    assert len(set(calls)) == 4

@@ -318,6 +318,36 @@ class TestLiveSession:
         assert "model health" in text and "HEALTHY" in text
 
 
+def test_health_report_columns_fit_the_longest_names():
+    # Engine and CLI sessions are named <app>/<policy>; the session and
+    # kernel columns must widen to fit them, not overflow a fixed width.
+    monitor = HealthMonitor()
+    sessions = ("kmeans/TheoreticallyOptimal", "s")
+    kernels = ("kmeans_kernel_compute_memberships", "k")
+    for index in range(4):
+        for session in sessions:
+            for kernel in kernels:
+                monitor.observe_launch(
+                    launch(index=index, session=session, kernel=kernel)
+                )
+    report = monitor.report()
+    lines = format_health_report(report).splitlines()
+    header = lines[1]
+    state = header.index("state")
+    for line, session in zip(lines[2:], sessions):
+        assert line.startswith(session + " ")
+        assert line[state - 1] == " "
+        assert line[state:].startswith(report["sessions"][session]["state"])
+    kernel_headers = [line for line in lines if line.lstrip().startswith("kernel ")]
+    assert len(kernel_headers) == len(sessions)
+    end = kernel_headers[0].index("samples") + len("samples")
+    rows = [line for line in lines[4:] if line.startswith("  ")
+            and line not in kernel_headers]
+    assert len(rows) == len(sessions) * len(kernels)
+    for line in kernel_headers + rows:
+        assert line[end - 1] != " " and line[end] == " "
+
+
 def _health_worker_snapshot(worker_id):
     """One engine worker's health registry (module-level: picklable)."""
     registry = MetricsRegistry()

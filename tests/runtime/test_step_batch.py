@@ -125,25 +125,32 @@ def test_failing_group_sweep_falls_back_counted_and_logged_once(sim, caplog):
                 raise RuntimeError("stacked call fault")
             return super().estimate_matrix_many(counters_list, table, indices)
 
+    # Sessions a and b run apps with no kernel in common, so their
+    # counters never coincide and every stacked call after the first
+    # batch asks for two vectors.  (Sessions of one app would share
+    # them: the manager's sweep pool serves a vector that either
+    # session's earlier start computed.)
+    apps = {"a": APP, "b": benchmark("swat")}
+    kernels = [k for app in apps.values() for k in app.unique_kernels]
+
     def build(predictor, obs):
         manager = _manager(sim, obs=obs)
-        for session_id in ("a", "b"):
-            manager.add_session(session_id, PPKPolicy(turbo_target(sim), predictor))
+        for session_id, app in apps.items():
+            manager.add_session(
+                session_id, PPKPolicy(turbo_target(sim, app), predictor)
+            )
         return manager
 
     obs = make_instrumentation()
-    batched = build(StackedCallFault(sim.apu, APP.unique_kernels), obs)
+    batched = build(StackedCallFault(sim.apu, kernels), obs)
     clean_obs = make_instrumentation()
-    streaming = build(OraclePredictor(sim.apu, APP.unique_kernels), clean_obs)
-    # Session b runs one launch ahead, so each batch holds one compute
-    # and one memory kernel and their stacked call asks for two vectors.
-    a = list(launch_events(APP, session_id="a"))
-    b = list(launch_events(APP, session_id="b"))
-    streaming.dispatch(b[0])
-    batched.dispatch(b[0])
+    streaming = build(OraclePredictor(sim.apu, kernels), clean_obs)
+    streams = [
+        launch_events(app, session_id=session_id)
+        for session_id, app in apps.items()
+    ]
     with caplog.at_level(logging.WARNING, logger="repro.runtime.manager"):
-        for step in range(len(a) - 1):
-            batch = [a[step], b[step + 1]]
+        for batch in zip(*streams):
             for event, outcome in zip(batch, batched.step_batch(batch)):
                 assert outcome.record == streaming.dispatch(event).record
     series = obs.registry.counter("repro_fallbacks_total").series()

@@ -1,5 +1,8 @@
 """Unit tests for Table-III counter synthesis and signatures."""
 
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,30 @@ class TestCounterVector:
         a = CounterVector.from_array(np.ones(8))
         with pytest.raises(ValueError):
             a.blended_with(a, weight=1.5)
+
+
+    def test_hash_is_kept_outside_the_vector_state(self):
+        vector = CounterSynthesizer().observe(COMPUTE, sequence=3)
+        fields = tuple(vars(vector))
+        pickled = pickle.dumps(vector)
+        value = hash(vector)
+        # The hash is the dataclass field-tuple hash, computed once; the
+        # eight fields stay the whole of vars(), pickles and copies.
+        assert value == hash(tuple(vars(vector).values()))
+        assert tuple(vars(vector)) == fields and len(fields) == 8
+        assert pickle.dumps(vector) == pickled
+        for copy in (pickle.loads(pickled), CounterVector(**vars(vector))):
+            assert copy == vector and copy is not vector
+            assert hash(copy) == value
+        assert weakref.ref(vector)() is vector
+
+    def test_equality_is_by_value(self):
+        vector = CounterVector.from_array(np.arange(1.0, 9.0))
+        nan = CounterVector.from_array(np.full(8, np.nan))
+        assert vector == CounterVector.from_array(np.arange(1.0, 9.0))
+        assert vector != CounterVector.from_array(np.arange(2.0, 10.0))
+        assert vector != tuple(vars(vector).values())
+        assert nan == nan and nan != CounterVector.from_array(np.full(8, np.nan))
 
 
 class TestSynthesis:
