@@ -37,6 +37,7 @@ import math
 from typing import Optional, Sequence
 
 from repro.obs import Instrumentation, or_noop
+from repro.obs.tracing import LaunchNote
 
 __all__ = ["AdaptiveHorizonGenerator"]
 
@@ -60,9 +61,10 @@ class AdaptiveHorizonGenerator:
             when given together with ``time_profile``, each launch is
             credited the larger of its time share and its
             throughput-tracker allowance.
-        obs: Optional instrumentation; horizon requests annotate the
-            current trace span with the remaining overhead budget and
-            emit request/zero-horizon counters.
+        obs: Optional instrumentation, which registers the horizon
+            series; a request handed a launch note writes the remaining
+            overhead budget and the chosen length onto it, and
+            :meth:`fold` counts them.
     """
 
     def __init__(
@@ -124,23 +126,19 @@ class AdaptiveHorizonGenerator:
                 cumulative.append(acc)
             self._baseline_cumulative = cumulative
         self.obs = or_noop(obs)
-        # Pre-bound series handles: the horizon is computed once per
-        # decision, so the per-call label canonicalization and registry
-        # lookups are hoisted to construction (no-ops under NOOP obs).
         registry = self.obs.registry
         self._m_requests = registry.counter(
             "repro_horizon_requests_total", "Adaptive horizon computations"
-        ).labelled()
+        )
         self._m_zero = registry.counter(
             "repro_horizon_zero_total",
             "Horizon requests resolved to zero (no overhead budget)",
-        ).labelled()
+        )
         self._m_length = registry.histogram(
             "repro_horizon_length",
             "Chosen horizon lengths",
             buckets=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
-        ).labelled()
-        self._m_lock = registry.lock
+        )
         self._elapsed_s = 0.0  # Σ (T_j + T_MPC,j) over completed kernels
 
     @property
@@ -171,17 +169,16 @@ class AdaptiveHorizonGenerator:
         """Rebuild mutable state from :meth:`snapshot` output."""
         self._elapsed_s = float(payload["elapsed_s"])
 
-    def horizon(self, index: int, *, emit_obs: bool = True) -> int:
+    def horizon(self, index: int, note: Optional[LaunchNote] = None) -> int:
         """H_i for the upcoming kernel.
 
         Args:
             index: Zero-based execution index of the upcoming kernel
                 (the paper's i is ``index + 1``).
-            emit_obs: Suppress span annotations and registry counters
-                when ``False``.  The computation itself is pure, so
-                speculative callers (the batched prefetch hook) can
-                evaluate H_i without double-counting the real
-                decision's telemetry.
+            note: The deciding launch's note, if live; the remaining
+                budget and the chosen length are written onto it.  The
+                computation itself is pure, so speculative callers (the
+                batched prefetch hook) pass none and count nothing.
 
         Returns:
             The admissible horizon length, in [0, N].
@@ -209,11 +206,18 @@ class AdaptiveHorizonGenerator:
         if not math.isfinite(h):
             return n
         horizon = int(min(n, max(0.0, math.floor(h))))
-        if emit_obs and self.obs.enabled:
-            self.obs.tracer.annotate("horizon_budget_s", budget)
-            with self._m_lock:
-                self._m_requests.inc_unlocked()
-                if horizon <= 0:
-                    self._m_zero.inc_unlocked()
-                self._m_length.observe_unlocked(horizon)
+        if note is not None:
+            note.attributes["horizon_budget_s"] = budget
+            note.horizon = horizon
         return horizon
+
+    def fold(self, note: LaunchNote) -> None:
+        """Count the horizon request a launch's note carries.
+
+        Writes the ``repro_horizon_*`` series under the registry lock
+        the caller (the hosting session's launch fold) holds.
+        """
+        self._m_requests.add(())
+        if note.horizon <= 0:
+            self._m_zero.add(())
+        self._m_length.add((), note.horizon)

@@ -37,6 +37,7 @@ from repro.core.tracker import PerformanceTracker
 from repro.hardware.config import ConfigSpace, HardwareConfig, default_space
 from repro.ml.predictors import PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
+from repro.obs.tracing import LaunchNote
 from repro.runtime.lifecycle import PolicyLifecycle, PolicyState
 from repro.sim.policy import Decision, Observation, PowerPolicy
 from repro.sim.simulator import OverheadModel
@@ -46,6 +47,9 @@ __all__ = ["MPCPowerManager"]
 
 #: Bump when the manager snapshot layout changes.
 MANAGER_SNAPSHOT_SCHEMA = 1
+
+#: The decision counter's label key per optimization mode.
+_MODE_KEYS = {mode: (("mode", mode),) for mode in ("ppk", "mpc", "skip")}
 
 
 @dataclass
@@ -84,9 +88,11 @@ class MPCPowerManager(PowerPolicy):
             window members are not reserved at fail-safe, reverting to
             per-kernel constraint checking (the window's future can no
             longer repay or restrict the current kernel's slack).
-        obs: Optional instrumentation; decisions annotate the current
-            trace span (mode, horizon, predictions) and emit registry
-            metrics.  Defaults to the shared no-op.
+        obs: Optional instrumentation, which registers the decision
+            series; decisions write their mode, horizon and predictions
+            onto the launch note their host hands them, and :meth:`fold`
+            counts them.  Defaults to the shared no-op, under which the
+            manager notes nothing.
 
     Raises:
         ValueError: If ``target_throughput`` is not a positive finite
@@ -133,24 +139,18 @@ class MPCPowerManager(PowerPolicy):
         self.window_reserve = window_reserve
         self._fail_safe = self.optimizer.fail_safe
 
-        # Pre-bound series handles for the per-decision telemetry: the
-        # registry lookup + label canonicalization happen once here
-        # instead of on every decision (no-ops under NOOP obs).
         registry = self.obs.registry
-        decisions = registry.counter(
+        self._m_decisions = registry.counter(
             "repro_mpc_decisions_total", "Decisions by optimization mode"
         )
-        self._m_decisions = {
-            mode: decisions.labelled(mode=mode) for mode in ("ppk", "mpc", "skip")
-        }
         self._m_model_evals = registry.counter(
             "repro_mpc_model_evaluations_total",
             "Predictor queries spent across all decisions",
-        ).labelled()
+        )
         self._m_pattern_misses = registry.counter(
             "repro_mpc_pattern_misses_total",
             "Decisions where the extractor had no expected record",
-        ).labelled()
+        )
 
         self._lifecycle = PolicyLifecycle()
         self._stats: Optional[_ProfiledStats] = None
@@ -244,46 +244,61 @@ class MPCPowerManager(PowerPolicy):
 
     # ----- decisions ---------------------------------------------------------------
 
-    def decide(self, index: int) -> Decision:
+    def decide(self, index: int, note: Optional[LaunchNote] = None) -> Decision:
+        if note is not None and not self.obs.enabled:
+            note = None  # built uninstrumented: note nothing
         if self._lifecycle.state is PolicyState.PROFILING:
-            decision = self._decide_ppk()
+            decision = self._decide_ppk(note)
         else:
             if self._lifecycle.state is PolicyState.FROZEN:
                 # First decision against the frozen profile: steady state.
                 self._transition(PolicyState.MPC)
-            decision = self._decide_mpc(index)
+            decision = self._decide_mpc(index, note)
         self._last_config = decision.config
         self._last_decision_overhead_s = self.overhead_model.decision_time_s(decision)
-        if self.obs.enabled:
-            self._m_model_evals.inc(decision.model_evaluations)
+        if note is not None:
+            note.model_evaluations = decision.model_evaluations
         return decision
 
-    def _count_decision(self, mode: str) -> None:
-        span = self.obs.tracer.current()
-        if span is not None:
-            span.attributes["mode"] = mode
-        self._m_decisions[mode].inc()
+    def fold(self, note: LaunchNote) -> None:
+        """Count one launch's decision, search and horizon series.
 
-    def _annotate_prediction(self, record: KernelRecord, result: Any) -> None:
+        Writes the ``repro_mpc_*`` series (and, through the optimizer
+        and horizon generator, theirs) from the note under the registry
+        lock the hosting session's launch fold holds.
+        """
+        mode = note.attributes.get("mode")
+        if mode is None:
+            return
+        self._m_decisions.add(_MODE_KEYS[mode])
+        if note.model_evaluations is not None:
+            self._m_model_evals.add((), note.model_evaluations)
+        if note.pattern_miss:
+            self._m_pattern_misses.add(())
+        self.optimizer.fold(note)
+        if note.horizon is not None:
+            assert self._horizon_gen is not None
+            self._horizon_gen.fold(note)
+
+    @staticmethod
+    def _note_prediction(note: LaunchNote, record: KernelRecord, result: Any) -> None:
         """Stamp predicted IPS / power for the kernel about to launch."""
         estimate = result.estimate
         if estimate.time_s > 0:
-            span = self.obs.tracer.current()
-            if span is not None:
-                attrs = span.attributes
-                attrs["predicted_ips"] = record.instructions / estimate.time_s
-                attrs["predicted_power_w"] = estimate.energy_j / estimate.time_s
+            attrs = note.attributes
+            attrs["predicted_ips"] = record.instructions / estimate.time_s
+            attrs["predicted_power_w"] = estimate.energy_j / estimate.time_s
 
-    def _decide_ppk(self) -> Decision:
+    def _decide_ppk(self, note: Optional[LaunchNote]) -> Decision:
         """Profiling mode: run PPK while the pattern is being extracted."""
-        if self.obs.enabled:
-            self._count_decision("ppk")
+        if note is not None:
+            note.attributes["mode"] = "ppk"
         record = self.extractor.last_record()
         if record is None:
             return Decision(config=self._fail_safe, fail_safe=True, horizon=0)
-        result = self.optimizer.optimize_kernel(record, self.tracker)
-        if self.obs.enabled:
-            self._annotate_prediction(record, result)
+        result = self.optimizer.optimize_kernel(record, self.tracker, note)
+        if note is not None:
+            self._note_prediction(note, record, result)
         return Decision(
             config=result.config,
             model_evaluations=result.evaluations,
@@ -291,27 +306,25 @@ class MPCPowerManager(PowerPolicy):
             fail_safe=result.fail_safe,
         )
 
-    def _decide_mpc(self, index: int) -> Decision:
+    def _decide_mpc(self, index: int, note: Optional[LaunchNote]) -> Decision:
         assert self._stats is not None and self._horizon_gen is not None
         n = self._stats.num_kernels
         if index >= n:
             # The application launched more kernels than the profile
             # recorded; degrade gracefully to PPK behaviour.
-            self.obs.tracer.annotate("pattern_hit", False)
-            return self._decide_ppk()
+            if note is not None:
+                note.attributes["pattern_hit"] = False
+            return self._decide_ppk(note)
 
         horizon = (
-            self._horizon_gen.horizon(index) if self.adaptive_horizon else n
+            self._horizon_gen.horizon(index, note) if self.adaptive_horizon else n
         )
-        if self.obs.enabled:
+        if note is not None:
             hit = self.extractor.expected_record(index) is not None
-            span = self.obs.tracer.current()
-            if span is not None:
-                attrs = span.attributes
-                attrs["horizon_cap"] = n
-                attrs["pattern_hit"] = hit
-            if not hit:
-                self._m_pattern_misses.inc()
+            attrs = note.attributes
+            attrs["horizon_cap"] = n
+            attrs["pattern_hit"] = hit
+            note.pattern_miss = not hit
         if horizon <= 0:
             # No overhead budget: skip optimization (no model calls).
             # The previous configuration is only safe to reuse when the
@@ -326,29 +339,27 @@ class MPCPowerManager(PowerPolicy):
                 and last is not None
                 and expected.signature == last.signature
             )
-            if self.obs.enabled:
-                self._count_decision("skip")
+            if note is not None:
                 # Health monitors key their budget-collapse detector on
                 # runs of these exhausted-budget fail-safe skips.
-                span = self.obs.tracer.current()
-                if span is not None:
-                    span.attributes["budget_exhausted"] = True
+                note.attributes["mode"] = "skip"
+                note.attributes["budget_exhausted"] = True
             if same_kernel and self.tracker.above_target():
                 return Decision(config=self._last_config, horizon=0)
             return Decision(config=self._fail_safe, horizon=0, fail_safe=True)
 
-        if self.obs.enabled:
-            self._count_decision("mpc")
+        if note is not None:
+            note.attributes["mode"] = "mpc"
         window, reserved = self._window_records(index, horizon)
         if not window:
             return Decision(config=self._fail_safe, fail_safe=True, horizon=horizon)
 
         result = self.optimizer.optimize_window(
             window, self.tracker, reserved=reserved,
-            reserve_window=self.window_reserve,
+            reserve_window=self.window_reserve, note=note,
         )
-        if self.obs.enabled:
-            self._annotate_prediction(window[-1], result)
+        if note is not None:
+            self._note_prediction(note, window[-1], result)
         return Decision(
             config=result.config,
             model_evaluations=result.evaluations,
@@ -410,7 +421,7 @@ class MPCPowerManager(PowerPolicy):
             record = self.extractor.last_record()
             return (record.counters,) if record is not None else ()
         horizon = (
-            self._horizon_gen.horizon(index, emit_obs=False)
+            self._horizon_gen.horizon(index)
             if self.adaptive_horizon
             else n
         )

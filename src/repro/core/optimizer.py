@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.hardware.config import FAILSAFE_CONFIG, ConfigSpace, HardwareConfig
 from repro.hardware.table import lattice_table
 from repro.ml.predictors import KernelEstimate, PerfPowerPredictor
 from repro.obs import Instrumentation, or_noop
+from repro.obs.tracing import LaunchNote
 from repro.workloads.counters import CounterVector
 
 __all__ = [
@@ -48,18 +49,6 @@ MAX_PASSES = 3
 
 #: Sweeps a sweep pool keeps: the most recently started ones.
 SWEEP_POOL_SIZE = 64
-
-#: Memoized per-knob span-attribute keys ("climb_steps.<knob>"), so the
-#: per-search telemetry does not rebuild the strings on every decision.
-_CLIMB_STEP_KEYS: Dict[str, str] = {}
-
-
-def _climb_step_key(knob: str) -> str:
-    key = _CLIMB_STEP_KEYS.get(knob)
-    if key is None:
-        key = _CLIMB_STEP_KEYS[knob] = f"climb_steps.{knob}"
-    return key
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -143,10 +132,11 @@ class GreedyHillClimbOptimizer:
     Args:
         space: The searchable configuration space.
         predictor: Performance/power model used for all estimates.
-        obs: Optional instrumentation; searches accumulate hill-climb
-            step counts and matrix-path batch statistics onto the
-            current trace span and emit registry counters.  Defaults to
-            the shared no-op.
+        obs: Optional instrumentation, which registers the search and
+            sweep counters; searches write their hill-climb step counts
+            and matrix-path batch statistics onto the
+            :class:`~repro.obs.tracing.LaunchNote` they are handed, and
+            :meth:`fold` counts them.  Defaults to the shared no-op.
 
     When the performance target cannot be met the search falls back to
     :data:`~repro.hardware.config.FAILSAFE_CONFIG`, clamped onto
@@ -159,32 +149,27 @@ class GreedyHillClimbOptimizer:
         self.predictor = predictor
         self.fail_safe = space.clamp(FAILSAFE_CONFIG)
         self.obs = or_noop(obs)
-        # Pre-bound series handles for the per-search telemetry: the
-        # registry lookup + label canonicalization happen once here
-        # instead of on every search (no-ops under NOOP obs).
         registry = self.obs.registry
         self._m_searches = registry.counter(
             "repro_optimizer_searches_total", "Greedy hill-climb searches run"
-        ).labelled()
+        )
         self._m_evaluations = registry.counter(
             "repro_optimizer_evaluations_total",
             "Predictor queries spent inside hill-climb searches",
-        ).labelled()
+        )
         self._m_climb_steps = registry.counter(
             "repro_optimizer_climb_steps_total",
             "Accepted hill-climb moves by knob",
         )
-        self._m_climb_by_knob: Dict[str, Any] = {}
         self._m_memo_hits = registry.counter(
             "repro_optimizer_memo_hits_total",
             "Predictor requests served from the per-search memo",
-        ).labelled()
+        )
         self._m_sweeps = registry.counter(
             "repro_optimizer_sweeps_total",
             "Whole-lattice sweeps an optimizer had to obtain (vectors "
             "it held no sweep for)",
-        ).labelled()
-        self._m_lock = registry.lock
+        )
         self.table = lattice_table(space)
         self._fail_safe_index = self.table.index_of_config(self.fail_safe)
         self._fail_safe_cross = np.array(
@@ -210,7 +195,8 @@ class GreedyHillClimbOptimizer:
         held = self._sweeps
         return [c for c in dict.fromkeys(counters_list) if c not in held]
 
-    def sweep_many(self, counters_list: Sequence[CounterVector]) -> List[PartialSweep]:
+    def sweep_many(self, counters_list: Sequence[CounterVector],
+                   note: Optional[LaunchNote] = None) -> List[PartialSweep]:
         """One sweep per counter vector, in order.
 
         Every sweep the hill climb and the window search read comes
@@ -222,7 +208,8 @@ class GreedyHillClimbOptimizer:
         (counters, lattice, predictor), so a held sweep never goes
         stale, and optimizers that share a predictor and lattice may
         share sweeps.  No evaluations are charged here — charging
-        happens when a search consumes rows.
+        happens when a search consumes rows.  The vectors obtained are
+        counted onto ``note``, if given.
         """
         held = self._sweeps
         sweeps = [held.get(c) for c in counters_list]
@@ -236,8 +223,8 @@ class GreedyHillClimbOptimizer:
             found.update(zip(compute, self.start_sweeps(compute)))
         for counters, sweep in found.items():
             held[counters] = sweep
-        if self.obs.enabled:
-            self._m_sweeps.inc(len(misses))
+        if note is not None:
+            note.sweeps += len(misses)
         return [held[c] for c in counters_list]
 
     def start_sweeps(self, counters_list: Sequence[CounterVector]) -> List[PartialSweep]:
@@ -294,7 +281,8 @@ class GreedyHillClimbOptimizer:
     # ----- single kernel -------------------------------------------------------
 
     def optimize_kernel(self, record: KernelRecord,
-                        tracker: PerformanceTracker) -> OptimizationResult:
+                        tracker: PerformanceTracker,
+                        note: Optional[LaunchNote] = None) -> OptimizationResult:
         """Find a low-energy configuration meeting the throughput target.
 
         Args:
@@ -302,6 +290,8 @@ class GreedyHillClimbOptimizer:
                 expected instruction count).
             tracker: Throughput state; Equation 5's headroom is derived
                 from it.  Not modified.
+            note: The launch's note, if live; the search counts its
+                moves, evaluations and memo hits onto it.
 
         Returns:
             The optimization outcome, including the evaluation count
@@ -318,7 +308,7 @@ class GreedyHillClimbOptimizer:
         # in this search or not — the search's modelled cost is its
         # per-configuration budget.
         moves = self.table.moves()
-        [sweep] = self.sweep_many((record.counters,))
+        [sweep] = self.sweep_many((record.counters,), note)
         times, energies = sweep.times_s, sweep.energy_j
 
         # Rank knobs by predicted energy sensitivity: |ΔE| across the
@@ -342,7 +332,8 @@ class GreedyHillClimbOptimizer:
         # Every move lands on a feasible row, so once one is found the
         # current row is the best feasible one so far.
         found = times[current] <= headroom
-        climb_steps: Dict[str, int] = {}
+        # Accepted moves per knob, onto the launch's note if live.
+        climb_steps: Dict[str, int] = {} if note is None else note.climb_steps
         steps, neighbours = moves.steps, moves.neighbours
 
         # Sweep the knobs in sensitivity order; repeat the sweep until a
@@ -404,48 +395,32 @@ class GreedyHillClimbOptimizer:
         if not found:
             # The fail-safe row is requested once more for the result.
             evals += 1
-        if self.obs.enabled:
-            self._record_search(evals, climb_steps, evals - len(seen))
+        if note is not None:
+            # Columnar-path telemetry: one sweep read per search, and
+            # how many requests the per-search memo absorbed.
+            note.searches += 1
+            note.memo_hits += evals - len(seen)
+            note.evaluations += evals
         return OptimizationResult(
             config=self.table.config_at(current) if found else self.fail_safe,
             estimate=sweep.estimate(current),
             evaluations=evals, fail_safe=not found,
         )
 
-    def _record_search(self, evals: int, climb_steps: Dict[str, int],
-                       memo_hits: int) -> None:
-        """Emit one search's step/evaluation telemetry (obs enabled).
+    def fold(self, note: LaunchNote) -> None:
+        """Count one launch's searches and sweeps from its note.
 
-        The span is resolved once and written directly (each
-        ``tracer.inc`` call re-walks the thread-local span stack), and
-        all counter bumps happen under one registry-lock hold — this
-        runs once per search on the decision hot path.
+        Writes the ``repro_optimizer_*`` series under the registry lock
+        the caller (the hosting session's launch fold) holds.
         """
-        span = self.obs.tracer.current()
-        total_steps = sum(climb_steps.values())
-        if span is not None:
-            span.inc("hill_climb_steps", total_steps)
-        by_knob = self._m_climb_by_knob
-        # ``sorted`` keeps the span-attribute insertion order (and so
-        # the exported trace bytes) independent of climb order.
-        knobs = sorted(climb_steps)
-        for knob in knobs:
-            if span is not None:
-                span.inc(_climb_step_key(knob), climb_steps[knob])
-            if knob not in by_knob:
-                by_knob[knob] = self._m_climb_steps.labelled(knob=knob)
-        if span is not None:
-            # Columnar-path telemetry: one sweep read per search (so a
-            # launch's count is its searches), and how many requests
-            # the per-search memo absorbed.
-            span.inc("matrix_batches", 1)
-            span.inc("memo_hits", memo_hits)
-        with self._m_lock:
-            self._m_searches.inc_unlocked()
-            self._m_evaluations.inc_unlocked(evals)
-            for knob in knobs:
-                by_knob[knob].inc_unlocked(climb_steps[knob])
-            self._m_memo_hits.inc_unlocked(memo_hits)
+        if note.searches:
+            self._m_searches.add((), note.searches)
+            self._m_evaluations.add((), note.evaluations)
+            for knob, steps in note.climb_steps.items():
+                self._m_climb_steps.add((("knob", knob),), steps)
+            self._m_memo_hits.add((), note.memo_hits)
+        if note.sweeps:
+            self._m_sweeps.add((), note.sweeps)
 
     def optimize_kernel_batch(
         self,
@@ -517,6 +492,7 @@ class GreedyHillClimbOptimizer:
         tracker: PerformanceTracker,
         reserved: Sequence[KernelRecord] = (),
         reserve_window: bool = True,
+        note: Optional[LaunchNote] = None,
     ) -> OptimizationResult:
         """Optimize a search-ordered window; return the last kernel's result.
 
@@ -546,6 +522,8 @@ class GreedyHillClimbOptimizer:
             reserve_window: Ablation switch — when ``False``, no
                 fail-safe reserve is held at all and kernels are only
                 accounted as they commit (per-kernel constraints).
+            note: The launch's note, if live; every search and the
+                window's sweeps are counted onto it.
 
         Returns:
             The result for the final (current) kernel, with the
@@ -560,7 +538,7 @@ class GreedyHillClimbOptimizer:
         # held yet; the searches below then read them from the cache.
         to_reserve = list(window[:-1]) + list(reserved) if reserve_window else []
         sweeps = self.sweep_many(
-            [record.counters for record in [*window, *to_reserve]]
+            [record.counters for record in [*window, *to_reserve]], note
         )
 
         # Fail-safe reserve for everything in the window that has not
@@ -581,7 +559,7 @@ class GreedyHillClimbOptimizer:
             if id(record) in pending:
                 insts, time_s = pending.pop(id(record))
                 speculative.adjust(-insts, -time_s)
-            result = self.optimize_kernel(record, speculative)
+            result = self.optimize_kernel(record, speculative, note)
             total_evals += result.evaluations
             speculative.update(record.instructions, result.estimate.time_s)
 

@@ -18,6 +18,7 @@ from repro.core.pattern import KernelPatternExtractor
 from repro.core.tracker import PerformanceTracker
 from repro.hardware.config import ConfigSpace, HardwareConfig, default_space
 from repro.ml.predictors import PerfPowerPredictor
+from repro.obs.tracing import LaunchNote
 from repro.sim.policy import Decision, Observation, PowerPolicy
 from repro.workloads.counters import CounterVector
 
@@ -31,7 +32,7 @@ class FixedConfigPolicy(PowerPolicy):
         self.config = config
         self.name = name
 
-    def decide(self, index: int) -> Decision:
+    def decide(self, index: int, note: Optional[LaunchNote] = None) -> Decision:
         return Decision(config=self.config)
 
     def observe(self, observation: Observation) -> None:
@@ -62,7 +63,7 @@ class PlannedPolicy(PowerPolicy):
         self.plan: List[HardwareConfig] = list(plan)
         self.name = name
 
-    def decide(self, index: int) -> Decision:
+    def decide(self, index: int, note: Optional[LaunchNote] = None) -> Decision:
         if index >= len(self.plan):
             raise IndexError(
                 f"plan has {len(self.plan)} entries but launch {index} requested"
@@ -113,7 +114,7 @@ class PPKPolicy(PowerPolicy):
         self.tracker.reset()
         self.extractor.end_run()
 
-    def decide(self, index: int) -> Decision:
+    def decide(self, index: int, note: Optional[LaunchNote] = None) -> Decision:
         record = self.extractor.last_record()
         if record is None:
             return Decision(config=self._fail_safe, fail_safe=True, horizon=0)

@@ -390,7 +390,7 @@ def _compute_request(
 
     Uncaptured, the request runs uninstrumented and ``captured`` is
     ``None``.  Captured, it runs under an instrumentation of its own,
-    and ``captured`` holds its registry snapshot, its spans and its
+    and ``captured`` holds its registry drain, its spans and its
     compute seconds, which the parent merges, re-emits and records the
     same way whichever process computed it.  Only the runs the request
     produces are instrumented: a dependency computed on the way (the
@@ -403,7 +403,7 @@ def _compute_request(
     obs = Instrumentation(MetricsRegistry(), Tracer(keep=True))
     runs = compute(ctx, request, obs)
     return runs, {
-        "registry": obs.registry.snapshot(),
+        "registry": obs.registry.drain(),
         "spans": obs.tracer.spans,
         "task_s": time.perf_counter() - start,
     }

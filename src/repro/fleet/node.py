@@ -53,8 +53,8 @@ class FleetNode:
             predictor specs.
         obs: Node-local instrumentation.  Defaults to a live private
             registry/tracer pair whose contents ship to the parent at
-            each epoch via :meth:`drain_obs` (the engine-worker merge
-            idiom).
+            each epoch via :meth:`drain_obs` (the engine workers ship
+            theirs the same way).
     """
 
     def __init__(
@@ -224,14 +224,14 @@ class FleetNode:
         return self.manager.stats()
 
     def drain_obs(self) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-        """This epoch's registry snapshot and finished spans.
+        """This epoch's registry drain and finished spans.
 
-        The registry is snapshot-and-reset so parent-side merges never
-        double-count across epochs; spans drain in emission order.
+        The drain carries only the metric families registered and the
+        series written since the last one, and resets them, so
+        parent-side merges never double-count across epochs; spans
+        drain in emission order.
         """
-        snapshot = self.obs.registry.snapshot_and_reset()
-        spans = self.obs.tracer.drain()
-        return snapshot, spans
+        return self.obs.registry.drain(), self.obs.tracer.drain()
 
     # ----- migration ------------------------------------------------------------
 

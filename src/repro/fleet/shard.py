@@ -11,7 +11,8 @@ behind one post/collect protocol:
   ``(command, args)`` / ``("ok" | "err", payload)`` pipe protocol.
   Worker failures re-raise parent-side as :class:`ShardError` with the
   original remote traceback, mirroring ``EngineWorkerError``; a worker
-  that dies raises :class:`ShardError` naming its exit code.
+  that dies or misses :data:`REPLY_DEADLINE_S` raises
+  :class:`ShardError` naming its exit code or the deadline.
 
 The protocol is split into :meth:`post` and :meth:`collect` so the
 parent can post one epoch's work to *every* node before collecting any
@@ -30,14 +31,19 @@ from typing import Any, List
 
 from repro.fleet.node import FleetNode
 
-__all__ = ["InlineShard", "ProcessShard", "ShardError"]
+__all__ = ["InlineShard", "ProcessShard", "REPLY_DEADLINE_S", "ShardError"]
+
+#: Seconds the parent waits for one reply before it gives a worker up
+#: as hung: far past any epoch, a forest spec's first training included.
+REPLY_DEADLINE_S = 900.0
 
 
 class ShardError(RuntimeError):
     """A shard worker failed or died.
 
     ``remote_traceback`` carries the worker's original traceback or, for
-    a worker lost mid-protocol, the reason naming its exit code.
+    a worker lost mid-protocol, the reason naming its exit code or the
+    reply deadline it missed.
     """
 
     def __init__(self, node_id: str, command: str, remote_traceback: str) -> None:
@@ -126,6 +132,7 @@ class ProcessShard:
         parent_conn, child_conn = multiprocessing.Pipe()
         self._conn = parent_conn
         self._pending: List[str] = []
+        self._hung = False  # set when a reply misses its deadline
         self._process = multiprocessing.Process(
             target=_shard_worker,
             args=(child_conn, pickle.dumps(config, pickle.HIGHEST_PROTOCOL)),
@@ -151,14 +158,23 @@ class ProcessShard:
         self._pending.append(command)
 
     def collect(self) -> List[Any]:
-        """Block for every posted command's result, in post order."""
+        """Every posted command's result, in post order, each within
+        :data:`REPLY_DEADLINE_S` (else :class:`ShardError`; then close)."""
         results = []
         while self._pending:
+            command = self._pending[0]
             try:
+                if not self._conn.poll(REPLY_DEADLINE_S):
+                    self._hung = True
+                    raise ShardError(
+                        self.node_id, command,
+                        f"worker sent no reply within the {REPLY_DEADLINE_S:g} s "
+                        "reply deadline",
+                    )
                 status, payload = self._conn.recv()
             except (EOFError, OSError) as exc:
-                raise self._lost(self._pending[0], "before replying") from exc
-            command = self._pending.pop(0)
+                raise self._lost(command, "before replying") from exc
+            self._pending.pop(0)
             if status != "ok":
                 raise ShardError(self.node_id, command, payload)
             results.append(payload)
@@ -171,7 +187,7 @@ class ProcessShard:
         except (BrokenPipeError, OSError):
             pass
         self._conn.close()
-        self._process.join(timeout=10.0)
+        self._process.join(timeout=0.0 if self._hung else 10.0)
         if self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=5.0)

@@ -253,11 +253,11 @@ class FleetSimulator:
                     )
                 demands: List[NodeDemand] = []
                 for shard in shards:
-                    ((decisions, demand, (snapshot, spans)),) = shard.collect()
+                    ((decisions, demand, (drain, spans)),) = shard.collect()
                     for sid, _index, decision in decisions:
                         report.decisions.setdefault(sid, []).append(decision)
                     demands.append(NodeDemand(**demand))
-                    registry.merge(snapshot)
+                    registry.merge(drain)
                     for span in spans:
                         tracer.emit(span)
                 for i, buffer in enumerate(buffers):

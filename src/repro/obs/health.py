@@ -45,7 +45,7 @@ from collections import deque
 from enum import IntEnum
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import NULL_REGISTRY
+from repro.obs.metrics import NULL_REGISTRY, LabelKey, label_key
 from repro.obs.tracing import NULL_TRACER, SPAN_SCHEMA
 
 __all__ = [
@@ -281,10 +281,10 @@ class SessionHealth:
         # Per-quantity detector/window state, unrolled into slots —
         # the trusted-sample path touches all of them every decision.
         "ph_ips", "ph_power", "ms_ips", "ms_power", "win_ips", "win_power",
-        # Bound metric handles (populated by the owning monitor so the
-        # per-decision path never re-canonicalizes label sets).
-        "m_decisions", "m_trusted", "m_untrusted", "m_state",
-        "m_ewma_ips", "m_ewma_power", "m_error", "m_events",
+        # Canonical label keys of this session's series, resolved once
+        # so the per-decision fold never re-canonicalizes label sets.
+        "key", "key_trusted", "key_untrusted", "key_ewma_ips",
+        "key_ewma_power", "key_error", "key_events",
     )
 
     def __init__(self, session: str) -> None:
@@ -307,15 +307,15 @@ class SessionHealth:
         self.ms_power = MeanShift(SHIFT_WINDOW, SHIFT_THRESHOLD)
         self.win_ips: Deque[float] = deque(maxlen=WINDOW)
         self.win_power: Deque[float] = deque(maxlen=WINDOW)
-        self.m_decisions: Any = None
-        self.m_trusted: Any = None
-        self.m_untrusted: Any = None
-        self.m_state: Any = None
-        self.m_ewma_ips: Any = None
-        self.m_ewma_power: Any = None
-        # kernel -> (bound ips histogram, bound power histogram)
-        self.m_error: Dict[str, Tuple[Any, ...]] = {}
-        self.m_events: Dict[str, Any] = {}
+        self.key = label_key({"session": session})
+        self.key_trusted = label_key({"session": session, "trusted": "yes"})
+        self.key_untrusted = label_key({"session": session, "trusted": "no"})
+        self.key_ewma_ips = label_key({"session": session, "quantity": "ips"})
+        self.key_ewma_power = label_key({"session": session, "quantity": "power"})
+        # kernel -> (ips error key, power error key)
+        self.key_error: Dict[str, Tuple[LabelKey, LabelKey]] = {}
+        # event kind -> key
+        self.key_events: Dict[str, LabelKey] = {}
 
     def as_dict(self) -> Dict[str, Any]:
         """This session's health as a JSON-able dict."""
@@ -360,14 +360,18 @@ def relative_errors(attrs: Dict[str, Any]) -> Optional[Dict[str, float]]:
     return out or None
 
 
+#: One launch as the health fold writes it: (session, event keys fired,
+#: the kernel's error keys or ``None``, trusted, e_ips, e_power).
+Sample = Tuple[Any, ...]
+
+
 class HealthMonitor:
     """Error ledgers + drift detectors + health states over launch spans.
 
-    Feed it finished launch-span payloads (the return value of
-    ``Tracer.end_span``; ``SessionRuntime.process`` does this when the
-    monitor is installed on its :class:`~repro.obs.Instrumentation`) or
-    a recorded span stream via :meth:`observe_span` — live and offline
-    ingestion are the same deterministic computation.
+    A live session folds each launch through :meth:`ingest` and
+    :meth:`fold`; recorded span streams go through :meth:`observe_span`
+    / :meth:`observe_launch`, which do both — the same deterministic
+    computation.
     """
 
     enabled = True
@@ -381,9 +385,6 @@ class HealthMonitor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.sessions: Dict[str, SessionHealth] = {}
         registry = self.registry
-        # The registry-wide lock, held once per decision around the
-        # bulk metric writes (see observe_launch).
-        self._lock = registry.lock
         self._m_decisions = registry.counter(
             "repro_health_decisions_total",
             "Launch decisions seen by the health monitor",
@@ -432,7 +433,15 @@ class HealthMonitor:
         self.observe_launch(attrs, at=payload.get("end_s") or 0.0)
 
     def observe_launch(self, attrs: Dict[str, Any], at: float = 0.0) -> None:
-        """Ingest one launch span's attributes (read-only)."""
+        """Ingest one launch span's attributes and write its series."""
+        sample = self.ingest(attrs, at)
+        with self.registry.lock:
+            self.fold(sample)
+
+    def ingest(self, attrs: Dict[str, Any], at: float = 0.0) -> Sample:
+        """Ledgers, detectors and state for one launch, outside the
+        lock (its rare writes lock themselves); returns what
+        :meth:`fold` writes."""
         get = attrs.get
         session = get("session")
         health = self.sessions.get(session)
@@ -446,19 +455,19 @@ class HealthMonitor:
             health = self.sessions.get(session)
             if health is None:
                 health = self.sessions[session] = SessionHealth(session)
-                self._bind_metrics(health)
-                health.m_state.set(0.0)
+                self._m_state.set(0.0, session=session)
         health.decisions += 1
 
         mode = get("mode")
         fail_safe = get("fail_safe")
         fallback = get("fallback")
+        fired: List[LabelKey] = []
         if fail_safe:
-            self._event(health, "fail_safe")
+            fired.append(self._event(health, "fail_safe"))
         if fallback:
-            self._event(health, "fallback")
+            fired.append(self._event(health, "fallback"))
         if get("pattern_hit") is False:
-            self._event(health, "pattern_miss")
+            fired.append(self._event(health, "pattern_miss"))
 
         # Budget collapse: a run of exhausted-horizon fail-safe skips
         # means the manager has stopped optimizing entirely — drift by
@@ -467,7 +476,7 @@ class HealthMonitor:
         if get("index") == 0:
             health.skip_streak = 0
         if mode == "skip" and fail_safe:
-            self._event(health, "budget_skip")
+            fired.append(self._event(health, "budget_skip"))
             health.skip_streak += 1
             if health.skip_streak >= SKIP_CASCADE:
                 health.skip_streak = 0
@@ -478,8 +487,7 @@ class HealthMonitor:
         # Profiling-mode PPK predictions are one step behind by design;
         # their error says nothing about the frozen model.
         if mode == "ppk" and "pattern_hit" not in attrs:
-            health.m_decisions.inc()
-            return
+            return health, fired, None, False, None, None
         # Inline relative_errors(): the per-decision path skips the
         # dict round-trip (same math, exercised against the function
         # by the unit tests).
@@ -498,45 +506,46 @@ class HealthMonitor:
             else None
         )
         if e_ips is None and e_power is None:
-            health.m_decisions.inc()
-            return
+            return health, fired, None, False, None, None
 
         kernel = str(get("kernel") or "")
         ledger = health.kernels.get(kernel)
         if ledger is None:
             ledger = health.kernels[kernel] = _KernelLedger()
         ledger.add(e_ips, e_power)
-        pair = health.m_error.get(kernel)
-        if pair is None:
-            pair = health.m_error[kernel] = tuple(
-                self._m_error.labelled(
-                    session=session, kernel=kernel, quantity=quantity
-                )
-                for quantity in QUANTITIES
+        keys = health.key_error.get(kernel)
+        if keys is None:
+            keys = health.key_error[kernel] = (
+                label_key({"session": health.session, "kernel": kernel,
+                           "quantity": "ips"}),
+                label_key({"session": health.session, "kernel": kernel,
+                           "quantity": "power"}),
             )
         health.samples += 1
         trusted = mode == "mpc" and not fail_safe and not fallback
         if trusted:
             health.trusted_samples += 1
             self._ingest_trusted(health, e_ips, e_power, at)
-        # One lock acquisition covers the per-decision bulk writes —
-        # every metric of a registry shares its lock.  The rare
-        # event/drift/transition writes above use the plain locked
-        # calls and therefore must stay outside this block.
+        return health, fired, keys, trusted, e_ips, e_power
+
+    def fold(self, sample: Sample) -> None:
+        """Write one ingested launch's series (registry lock held)."""
+        health, fired, keys, trusted, e_ips, e_power = sample
+        self._m_decisions.add(health.key)
+        for key in fired:
+            self._m_events.add(key)
+        if keys is None:
+            return
+        self._m_samples.add(health.key_trusted if trusted else health.key_untrusted)
         ewma = health.ewma
-        with self._lock:
-            health.m_decisions.inc_unlocked()
-            (
-                health.m_trusted if trusted else health.m_untrusted
-            ).inc_unlocked()
-            if e_ips is not None:
-                pair[0].observe_unlocked(e_ips)
-                if trusted:
-                    health.m_ewma_ips.set_unlocked(ewma["ips"])
-            if e_power is not None:
-                pair[1].observe_unlocked(e_power)
-                if trusted:
-                    health.m_ewma_power.set_unlocked(ewma["power"])
+        if e_ips is not None:
+            self._m_error.add(keys[0], e_ips)
+            if trusted:
+                self._m_ewma.put(health.key_ewma_ips, ewma["ips"])
+        if e_power is not None:
+            self._m_error.add(keys[1], e_power)
+            if trusted:
+                self._m_ewma.put(health.key_ewma_power, ewma["power"])
 
     def _ingest_trusted(
         self,
@@ -612,32 +621,16 @@ class HealthMonitor:
 
     # ----- events, drift, transitions ----------------------------------------
 
-    def _bind_metrics(self, health: SessionHealth) -> None:
-        """Pre-resolve this session's per-decision metric label sets."""
-        session = health.session
-        health.m_decisions = self._m_decisions.labelled(session=session)
-        health.m_trusted = self._m_samples.labelled(
-            session=session, trusted="yes"
-        )
-        health.m_untrusted = self._m_samples.labelled(
-            session=session, trusted="no"
-        )
-        health.m_state = self._m_state.labelled(session=session)
-        health.m_ewma_ips = self._m_ewma.labelled(
-            session=session, quantity="ips"
-        )
-        health.m_ewma_power = self._m_ewma.labelled(
-            session=session, quantity="power"
-        )
-
-    def _event(self, health: SessionHealth, kind: str) -> None:
+    @staticmethod
+    def _event(health: SessionHealth, kind: str) -> LabelKey:
+        """Count an event in the ledger; its series key for the fold."""
         health.events[kind] = health.events.get(kind, 0) + 1
-        bound = health.m_events.get(kind)
-        if bound is None:
-            bound = health.m_events[kind] = self._m_events.labelled(
-                session=health.session, kind=kind
+        key = health.key_events.get(kind)
+        if key is None:
+            key = health.key_events[kind] = label_key(
+                {"session": health.session, "kind": kind}
             )
-        bound.inc()
+        return key
 
     def _drift(self, health: SessionHealth, detector: str, at: float) -> None:
         health.drift_events += 1
@@ -673,7 +666,7 @@ class HealthMonitor:
         if detector is not None:
             record["detector"] = detector
         health.transitions.append(record)
-        health.m_state.set(float(to))
+        self._m_state.set(float(to), session=health.session)
         self._m_transitions.inc(session=health.session, to=to.name.lower())
         self.tracer.emit(
             {

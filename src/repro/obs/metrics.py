@@ -2,14 +2,15 @@
 
 A :class:`MetricsRegistry` names and owns every metric of one process.
 All primitives are label-aware (one time series per label set), guarded
-by a single registry lock, and — crucially for the experiment engine —
-**mergeable**: :meth:`MetricsRegistry.snapshot` captures a registry as a
-JSON-able dict that travels across a ``ProcessPoolExecutor`` boundary,
-and :meth:`MetricsRegistry.merge` folds such a snapshot into another
+by a single registry lock, and **mergeable**:
+:meth:`MetricsRegistry.drain` hands over what changed since the last
+drain (new definitions, touched series under their canonical keys) and
+clears it, and :meth:`MetricsRegistry.merge` adds a drain into another
 registry (counters and histograms add, gauges take the incoming value,
 and a ``sources`` count records how many registries contributed, so
-provenance is never lost when worker metrics are shipped back to the
-parent).
+provenance is never lost when fleet nodes and engine workers ship their
+metrics back to the parent).  :meth:`MetricsRegistry.snapshot` is the
+JSON-able whole-registry view the exporters render.
 
 Instrumentation must cost nothing when disabled, so the module also
 provides :data:`NULL_REGISTRY`: a registry whose factory methods hand
@@ -21,12 +22,10 @@ either a real or a null object.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Sequence, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "BoundCounter",
-    "BoundGauge",
-    "BoundHistogram",
     "Counter",
     "Gauge",
     "Histogram",
@@ -34,10 +33,14 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
+    "label_key",
 ]
 
 #: Version stamp of the snapshot payload layout.
 SNAPSHOT_SCHEMA = 1
+
+#: Version stamp of the drain payload layout.
+DRAIN_SCHEMA = 1
 
 #: Default histogram bucket upper bounds (seconds-flavoured, spanning
 #: microsecond decisions to multi-second experiment tasks).
@@ -49,117 +52,18 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 LabelKey = Tuple[Tuple[str, str], ...]
 
 
-def _label_key(labels: Dict[str, Any]) -> LabelKey:
+def label_key(labels: Dict[str, Any]) -> LabelKey:
+    """The canonical key of a label set (what keyed writes take)."""
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class _Bound:
-    """One label set of a metric with its key pre-resolved.
-
-    The ``**labels`` API canonicalizes (stringify + sort) the label set
-    on every call; hot paths that hit the same series thousands of
-    times per second (the health monitor's per-decision counters) bind
-    the series once via :meth:`_Metric.labelled` and mutate the parent
-    metric's storage directly — snapshot/merge/exposition are
-    unaffected, only the per-call label work disappears.
-
-    Every update is written once, here: the labelled metric calls and
-    :meth:`MetricsRegistry.merge` write through bound handles too.
-    """
-
-    __slots__ = ("_lock", "_series", "_key")
-
-    def __init__(self, metric: "_Metric", key: LabelKey) -> None:
-        self._lock = metric._lock
-        self._series = metric._series
-        self._key = key
-
-
-class BoundCounter(_Bound):
-    """Pre-resolved counter series (monotonic)."""
-
-    __slots__ = ()
-
-    def inc(self, value: float = 1.0) -> None:
-        with self._lock:
-            self.inc_unlocked(value)
-
-    def inc_unlocked(self, value: float = 1.0) -> None:
-        """:meth:`inc` for callers already holding the registry lock."""
-        if value < 0:
-            raise ValueError("counters can only increase")
-        series, key = self._series, self._key
-        series[key] = series.get(key, 0.0) + value
-
-
-class BoundGauge(_Bound):
-    """Pre-resolved gauge series."""
-
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.set_unlocked(value)
-
-    def set_unlocked(self, value: float) -> None:
-        """:meth:`set` for callers already holding the registry lock."""
-        self._series[self._key] = float(value)
-
-    def inc(self, value: float = 1.0) -> None:
-        series, key = self._series, self._key
-        with self._lock:
-            series[key] = series.get(key, 0.0) + value
-
-
-class BoundHistogram(_Bound):
-    """Pre-resolved histogram series."""
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self, metric: "Histogram", key: LabelKey) -> None:
-        super().__init__(metric, key)
-        self._buckets = metric.buckets
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            self.observe_unlocked(value)
-
-    def observe_unlocked(self, value: float) -> None:
-        """:meth:`observe` for callers already holding the registry lock."""
-        state = self._series.get(self._key)
-        if state is None:
-            state = self._new_state()
-        for index, bound in enumerate(self._buckets):
-            if value <= bound:
-                state["counts"][index] += 1
-                break
-        else:
-            state["counts"][-1] += 1
-        state["sum"] += value
-        state["count"] += 1
-
-    def merge_unlocked(self, other: Dict[str, Any]) -> None:
-        """Add another registry's state of this series (lock held)."""
-        state = self._series.get(self._key)
-        if state is None:
-            state = self._new_state()
-        state["counts"] = [
-            a + b for a, b in zip(state["counts"], other["counts"])
-        ]
-        state["sum"] += float(other["sum"])
-        state["count"] += int(other["count"])
-
-    def _new_state(self) -> Dict[str, Any]:
-        state = self._series[self._key] = {
-            "counts": [0] * (len(self._buckets) + 1),
-            "sum": 0.0,
-            "count": 0,
-        }
-        return state
-
-
 class _Metric:
-    """Shared plumbing of all labelled metric kinds."""
+    """Shared plumbing of all labelled metric kinds.
+
+    The ``**labels`` methods canonicalize and lock per call (rare
+    writes); the keyed ``add`` / ``put`` take a key resolved once and
+    run under a registry lock the caller holds (the launch fold).
+    """
 
     kind = "metric"
 
@@ -180,18 +84,23 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def labelled(self, **labels: Any) -> BoundCounter:
-        """A :class:`BoundCounter` handle for one label set."""
-        return BoundCounter(self, _label_key(labels))
-
     def inc(self, value: float = 1.0, **labels: Any) -> None:
         """Add ``value`` (must be non-negative) to a label set."""
-        self.labelled(**labels).inc(value)
+        if value < 0:
+            raise ValueError("counters can only increase")
+        key = label_key(labels)
+        with self._lock:
+            self.add(key, value)
+
+    def add(self, key: LabelKey, value: float = 1.0) -> None:
+        """Add ``value`` to the series under ``key`` (lock held)."""
+        series = self._series
+        series[key] = series.get(key, 0.0) + value
 
     def value(self, **labels: Any) -> float:
         """Current value of one label set (0.0 when never touched)."""
         with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
+            return self._series.get(label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum over every label set."""
@@ -204,22 +113,26 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def labelled(self, **labels: Any) -> BoundGauge:
-        """A :class:`BoundGauge` handle for one label set."""
-        return BoundGauge(self, _label_key(labels))
-
     def set(self, value: float, **labels: Any) -> None:
         """Set a label set to ``value``."""
-        self.labelled(**labels).set(value)
+        key = label_key(labels)
+        with self._lock:
+            self.put(key, value)
+
+    def put(self, key: LabelKey, value: float) -> None:
+        """Set the series under ``key`` to ``value`` (lock held)."""
+        self._series[key] = float(value)
 
     def inc(self, value: float = 1.0, **labels: Any) -> None:
         """Adjust a label set by ``value`` (may be negative)."""
-        self.labelled(**labels).inc(value)
+        key = label_key(labels)
+        with self._lock:
+            self._series[key] = self._series.get(key, 0.0) + value
 
     def value(self, **labels: Any) -> float:
         """Current value of one label set (0.0 when never set)."""
         with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
+            return self._series.get(label_key(labels), 0.0)
 
 
 class Histogram(_Metric):
@@ -244,25 +157,57 @@ class Histogram(_Metric):
             raise ValueError("bucket bounds must be strictly ascending")
         self.buckets = bounds
 
-    def labelled(self, **labels: Any) -> BoundHistogram:
-        """A :class:`BoundHistogram` handle for one label set."""
-        return BoundHistogram(self, _label_key(labels))
-
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation into a label set."""
-        self.labelled(**labels).observe(value)
+        key = label_key(labels)
+        with self._lock:
+            self.add(key, value)
+
+    def add(self, key: LabelKey, value: float) -> None:
+        """Record one observation into the series under ``key`` (lock held)."""
+        state = self._series.get(key)
+        if state is None:
+            state = self._new_state(key)
+        # The first bucket whose bound is >= value; NaN (no bound is)
+        # lands in the overflow bucket.
+        buckets = self.buckets
+        state["counts"][
+            bisect_left(buckets, value) if value == value else len(buckets)
+        ] += 1
+        state["sum"] += value
+        state["count"] += 1
+
+    def _merge(self, key: LabelKey, other: Dict[str, Any]) -> None:
+        """Add another registry's state of one series (lock held)."""
+        state = self._series.get(key)
+        if state is None:
+            state = self._new_state(key)
+        state["counts"] = [a + b for a, b in zip(state["counts"], other["counts"])]
+        state["sum"] += float(other["sum"])
+        state["count"] += int(other["count"])
+
+    def _new_state(self, key: LabelKey) -> Dict[str, Any]:
+        state = self._series[key] = {
+            "counts": [0] * (len(self.buckets) + 1),
+            "sum": 0.0,
+            "count": 0,
+        }
+        return state
 
     def count(self, **labels: Any) -> int:
         """Total observations of one label set."""
         with self._lock:
-            state = self._series.get(_label_key(labels))
+            state = self._series.get(label_key(labels))
             return state["count"] if state else 0
 
     def sum(self, **labels: Any) -> float:
         """Sum of observed values of one label set."""
         with self._lock:
-            state = self._series.get(_label_key(labels))
+            state = self._series.get(label_key(labels))
             return state["sum"] if state else 0.0
+
+
+_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
@@ -277,38 +222,54 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self) -> None:
-        #: The registry-wide lock every metric shares.  Hot paths that
-        #: make several writes per event may hold it once and use the
-        #: ``*_unlocked`` bound-metric variants.
+        #: The registry-wide lock every metric shares.  A launch fold
+        #: holds it once around all of its keyed writes.
         self.lock = self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
+        # Definitions registered since the last drain, in order.
+        self._fresh: List[Tuple[str, str, str, Optional[Tuple[float, ...]]]] = []
         #: How many registries' worth of data this one holds (grows by
-        #: the incoming snapshot's ``sources`` on every :meth:`merge`).
+        #: the incoming drain's ``sources`` on every :meth:`merge`).
         self.sources = 1
 
     # ----- factories -------------------------------------------------------------
 
-    def _get(self, name: str, kind: type, help: str, **kwargs: Any) -> Any:
-        with self._lock:
-            metric = self._metrics.get(name)
-        if metric is not None:
-            if not isinstance(metric, kind):
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
-            if (
-                isinstance(metric, Histogram)
-                and "buckets" in kwargs
-                and metric.buckets != tuple(float(b) for b in kwargs["buckets"])
-            ):
-                raise ValueError(
-                    f"histogram {name!r} already registered with "
-                    f"different buckets"
-                )
-            return metric
-        metric = kind(name, help, self._lock, **kwargs)
-        with self._lock:
-            return self._metrics.setdefault(name, metric)
+    def _get(self, name: str, kind: type, help: str,
+             buckets: Optional[Sequence[float]] = None) -> Any:
+        # A registered metric is found without the lock (a dict read is
+        # atomic); only a definition takes it, checking again under it.
+        metric = self._metrics.get(name)
+        if metric is None:
+            with self._lock:
+                metric = self._metrics.get(name)
+                if metric is None:
+                    return self._define(name, kind.kind, help, buckets)
+        if not isinstance(metric, kind):
+            raise ValueError(
+                f"metric {name!r} already registered as {metric.kind}"
+            )
+        if (
+            buckets is not None
+            and metric.buckets != tuple(float(b) for b in buckets)
+        ):
+            raise ValueError(
+                f"histogram {name!r} already registered with different buckets"
+            )
+        return metric
+
+    def _define(self, name: str, kind: str, help: str,
+                buckets: Optional[Sequence[float]]) -> _Metric:
+        """Register a new metric (lock held); the next drain ships it."""
+        if kind == "histogram":
+            metric: _Metric = Histogram(name, help, self._lock, buckets=buckets)
+            buckets = metric.buckets
+        elif kind in _KINDS:
+            metric = _KINDS[kind](name, help, self._lock)
+        else:
+            raise ValueError(f"unknown metric kind {kind!r}")
+        self._metrics[name] = metric
+        self._fresh.append((name, kind, help, buckets))
+        return metric
 
     def counter(self, name: str, help: str = "") -> Counter:
         """The named counter, created on first use."""
@@ -321,17 +282,17 @@ class MetricsRegistry:
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         """The named fixed-bucket histogram, created on first use."""
-        return self._get(name, Histogram, help, buckets=buckets)
+        return self._get(name, Histogram, help, buckets)
 
     def metrics(self) -> List[_Metric]:
         """Every registered metric, sorted by name."""
         with self._lock:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
-    # ----- snapshot / merge -------------------------------------------------------
+    # ----- snapshot / drain / merge -----------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """The registry as a JSON-able dict (safe to pickle/ship)."""
+        """The registry as a JSON-able dict (what the exporters render)."""
         out: Dict[str, Any] = {"schema": SNAPSHOT_SCHEMA, "sources": self.sources}
         metrics = []
         for metric in self.metrics():
@@ -350,60 +311,62 @@ class MetricsRegistry:
         out["metrics"] = metrics
         return out
 
-    def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` payload into this registry.
-
-        Counters and histograms accumulate; gauges take the incoming
-        value (last writer wins); :attr:`sources` grows by the
-        snapshot's own source count, so provenance survives arbitrary
-        merge trees.
-        """
-        if snapshot.get("schema") != SNAPSHOT_SCHEMA:
-            raise ValueError(
-                f"unsupported metrics snapshot schema: {snapshot.get('schema')!r}"
-            )
-        incoming = []
-        for entry in snapshot["metrics"]:
-            name, kind = entry["name"], entry["kind"]
-            if kind == "counter":
-                metric: Any = self.counter(name, entry.get("help", ""))
-            elif kind == "gauge":
-                metric = self.gauge(name, entry.get("help", ""))
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, entry.get("help", ""), buckets=entry["buckets"]
-                )
-            else:
-                raise ValueError(f"unknown metric kind {kind!r}")
-            incoming.append((kind, metric, entry["series"]))
-        # One frame for every series and the source count, so a racing
-        # snapshot_and_reset never sees a half-merged registry.
+    def drain(self) -> Dict[str, Any]:
+        """The definitions and series written since the last drain
+        (canonical keys, so :meth:`merge` never re-canonicalizes), then
+        clear the series: successive drains are deltas.  One lock hold."""
         with self._lock:
-            for kind, metric, series in incoming:
-                for raw_key, value in series:
-                    bound = metric.labelled(**dict(raw_key))
-                    if kind == "counter":
-                        bound.inc_unlocked(float(value))
-                    elif kind == "gauge":
-                        bound.set_unlocked(value)
-                    else:
-                        bound.merge_unlocked(value)
-            self.sources += int(snapshot.get("sources", 1))
+            fresh, self._fresh = self._fresh, []
+            series = []
+            for name, metric in self._metrics.items():
+                if metric._series:
+                    series.append((name, list(metric._series.items())))
+                    metric._series.clear()
+            drained = {
+                "schema": DRAIN_SCHEMA,
+                "sources": self.sources,
+                "definitions": fresh,
+                "series": series,
+            }
+            self.sources = 1
+        return drained
+
+    def merge(self, drain: Dict[str, Any]) -> None:
+        """Add a :meth:`drain`: counters and histograms accumulate,
+        gauges take the incoming value, :attr:`sources` grows by the
+        drain's.  One lock hold."""
+        if drain.get("schema") != DRAIN_SCHEMA:
+            raise ValueError(
+                f"unsupported metrics drain schema: {drain.get('schema')!r}"
+            )
+        with self._lock:
+            metrics = self._metrics
+            for name, kind, help, buckets in drain["definitions"]:
+                metric = metrics.get(name)
+                if metric is None:
+                    self._define(name, kind, help, buckets)
+                elif metric.kind != kind:
+                    raise ValueError(
+                        f"metric {name!r} already registered as {metric.kind}"
+                    )
+            for name, series in drain["series"]:
+                metric = metrics[name]
+                if metric.kind == "counter":
+                    for key, value in series:
+                        metric.add(key, value)
+                elif metric.kind == "gauge":
+                    for key, value in series:
+                        metric.put(key, value)
+                else:
+                    for key, value in series:
+                        metric._merge(key, value)
+            self.sources += int(drain["sources"])
 
     def snapshot_and_reset(self) -> Dict[str, Any]:
-        """Snapshot, then clear every series (keeps definitions).
-
-        Engine workers call this after each task so successive
-        ship-backs never double-count.
-        """
+        """:meth:`snapshot`, then clear every series (kept for
+        perfbench's trace targets; shipping paths :meth:`drain`)."""
         snap = self.snapshot()
-        with self._lock:
-            for metric in self._metrics.values():
-                # Clear in place: bound handles (``labelled()``) alias
-                # the series dict and must survive the reset.
-                metric._series.clear()
-            # Under the frame that clears the series it describes.
-            self.sources = 1
+        self.drain()
         return snap
 
 
@@ -427,17 +390,11 @@ class _NullMetric:
     def observe(self, value: float, **labels: Any) -> None:
         pass
 
-    def inc_unlocked(self, value: float = 1.0) -> None:
+    def add(self, key: LabelKey, value: float = 1.0) -> None:
         pass
 
-    def set_unlocked(self, value: float) -> None:
+    def put(self, key: LabelKey, value: float) -> None:
         pass
-
-    def observe_unlocked(self, value: float) -> None:
-        pass
-
-    def labelled(self, **labels: Any) -> "_NullMetric":
-        return self
 
     def value(self, **labels: Any) -> float:
         return 0.0
@@ -487,10 +444,13 @@ class NullMetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         return {"schema": SNAPSHOT_SCHEMA, "sources": 0, "metrics": []}
 
+    def drain(self) -> Dict[str, Any]:
+        return {"schema": DRAIN_SCHEMA, "sources": 0, "definitions": [], "series": []}
+
     def snapshot_and_reset(self) -> Dict[str, Any]:
         return self.snapshot()
 
-    def merge(self, snapshot: Dict[str, Any]) -> None:
+    def merge(self, drain: Dict[str, Any]) -> None:
         pass
 
 

@@ -1,11 +1,10 @@
 """Span-based decision tracing with explicit clock injection.
 
-A :class:`Span` covers one unit of work — in this reproduction, one
-kernel-launch decision cycle — and carries a flat attribute dict that
-instrumented layers annotate as the launch flows through them: the
-runtime stamps identity and observed telemetry, the MPC manager stamps
-the decision mode / horizon / predictions, and the optimizer accumulates
-its hill-climb step counts.
+A :class:`Span` covers one unit of work and carries a flat attribute
+dict.  One kernel-launch decision cycle is a :class:`LaunchNote`, which
+the decision path writes onto as the launch flows through it: the
+runtime stamps identity and observed telemetry, the MPC manager the
+decision mode / horizon / predictions, the optimizer its search counts.
 
 Timestamps are **never** read from the wall clock on the hot path.  The
 tracer takes an injected ``clock`` callable, and callers that live in
@@ -20,10 +19,11 @@ calling code.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "SPAN_SCHEMA"]
+__all__ = [
+    "LaunchNote", "Span", "Tracer", "NullTracer", "NULL_TRACER", "SPAN_SCHEMA",
+]
 
 #: Version stamp written into every exported span.
 SPAN_SCHEMA = 1
@@ -44,10 +44,6 @@ class Span:
         """Set one attribute (last writer wins)."""
         self.attributes[key] = value
 
-    def inc(self, key: str, value: float = 1.0) -> None:
-        """Accumulate a numeric attribute (creates it at 0)."""
-        self.attributes[key] = self.attributes.get(key, 0.0) + value
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able form, as buffered and exported.
 
@@ -65,6 +61,48 @@ class Span:
         }
 
 
+class LaunchNote(Span):
+    """One launch's span and the one record its decision path writes.
+
+    The session runtime opens it and hands it down the decision path,
+    then folds it (see ``SessionRuntime._fold``).  :attr:`attributes`
+    export as the launch span.  Of the other slots, ``searches``,
+    ``memo_hits`` and ``climb_steps`` (per knob) become span attributes
+    at the fold; ``evaluations`` (inside searches), ``sweeps``
+    (obtained), ``horizon`` (requested), ``model_evaluations`` (set once
+    an MPC decision completes) and ``pattern_miss`` are fold-only.
+    """
+
+    __slots__ = ("searches", "memo_hits", "climb_steps", "evaluations",
+                 "sweeps", "horizon", "model_evaluations", "pattern_miss")
+
+    def __init__(self, start_s: float, attributes: Dict[str, Any]) -> None:
+        self.name = "launch"
+        self.start_s = start_s
+        self.end_s = None
+        self.attributes = attributes
+        self.searches = 0
+        self.memo_hits = 0
+        self.climb_steps: Dict[str, int] = {}
+        self.evaluations = 0
+        self.sweeps = 0
+        self.horizon: Optional[int] = None
+        self.model_evaluations: Optional[int] = None
+        self.pattern_miss = False
+
+    def publish_searches(self) -> None:
+        """Write the search counts as span attributes (integer sums, as floats)."""
+        if not self.searches:
+            return
+        attrs = self.attributes
+        climbs = self.climb_steps
+        attrs["hill_climb_steps"] = float(sum(climbs.values()))
+        for knob in sorted(climbs):
+            attrs[f"climb_steps.{knob}"] = float(climbs[knob])
+        attrs["matrix_batches"] = float(self.searches)
+        attrs["memo_hits"] = float(self.memo_hits)
+
+
 class _NullSpan:
     """A do-nothing span; one shared module-level instance."""
 
@@ -77,9 +115,6 @@ class _NullSpan:
     def annotate(self, key: str, value: Any) -> None:
         pass
 
-    def inc(self, key: str, value: float = 1.0) -> None:
-        pass
-
     def as_dict(self) -> Dict[str, Any]:
         return {}
 
@@ -88,7 +123,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects spans; tracks a per-thread current span for annotation.
+    """Collects finished spans.
 
     Args:
         clock: Injected time source used when ``at`` is not given to
@@ -110,37 +145,20 @@ class Tracer:
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.keep = keep
         self.spans: List[Dict[str, Any]] = []
-        self._local = threading.local()
 
     # ----- span lifecycle ---------------------------------------------------------
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def start_span(self, name: str, at: Optional[float] = None,
                    **attributes: Any) -> Span:
-        """Open a span and make it the thread's current one."""
+        """Open a span (annotated by whoever holds it)."""
         span = Span(name, start_s=self.clock() if at is None else at)
         if attributes:
-            span.attributes.update(attributes)
-        self._stack().append(span)
+            span.attributes = attributes
         return span
 
     def end_span(self, span: Span, at: Optional[float] = None) -> Dict[str, Any]:
-        """Close a span, pop it, and deliver it to the buffer."""
+        """Close a span and deliver it to the buffer."""
         span.end_s = self.clock() if at is None else at
-        stack = self._stack()
-        # LIFO fast path: the span being ended is almost always the
-        # innermost one, so a tail pop beats the linear scan.
-        if stack:
-            if stack[-1] is span:
-                stack.pop()
-            elif span in stack:
-                stack.remove(span)
         payload = span.as_dict()
         self.emit(payload)
         return payload
@@ -149,19 +167,6 @@ class Tracer:
         """Deliver an already-serialized span (e.g. from a worker)."""
         if self.keep:
             self.spans.append(payload)
-
-    # ----- annotation of the current span ----------------------------------------
-
-    def current(self) -> Optional[Span]:
-        """The innermost open span of this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def annotate(self, key: str, value: Any) -> None:
-        """Set an attribute on the current span (no-op when none)."""
-        span = self.current()
-        if span is not None:
-            span.annotate(key, value)
 
     def drain(self) -> List[Dict[str, Any]]:
         """Return and clear the buffered finished spans."""
@@ -183,12 +188,6 @@ class NullTracer:
         return {}
 
     def emit(self, payload: Dict[str, Any]) -> None:
-        pass
-
-    def current(self) -> Optional[Any]:
-        return None
-
-    def annotate(self, key: str, value: Any) -> None:
         pass
 
     def drain(self) -> List[Dict[str, Any]]:

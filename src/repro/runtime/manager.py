@@ -27,8 +27,8 @@ __all__ = ["SessionManager"]
 
 _log = logging.getLogger(__name__)
 
-#: The counters every ``step_batch`` call under live obs increments, in
-#: increment order: (name, help).
+#: The counters every ``step_batch`` call under live obs folds, in fold
+#: order: (name, help).
 _BATCHED_COUNTERS = (
     ("repro_runtime_batched_steps_total", "step_batch calls processed"),
     ("repro_runtime_batched_launches_total",
@@ -89,9 +89,11 @@ class SessionManager:
         self._pools: Dict[Tuple[int, Tuple], Tuple[Any, Dict[CounterVector, Any]]] = {}
         # Fallback sites that have logged their first fault.
         self._warned: set = set()
-        # The batched_* counters, bound at the first step_batch call
-        # under live obs, when they register.
+        # The batched_* counters, resolved at the first step_batch call
+        # under live obs, when they register; the optimizers' sweep
+        # counter at the first stacked start that obtains sweeps.
         self._m_batched: Optional[Tuple[Any, ...]] = None
+        self._m_sweeps: Any = None
 
     # ----- session registry ------------------------------------------------------
 
@@ -242,13 +244,16 @@ class SessionManager:
 
         swept = 0
         missed = 0
+        obtained = 0
         for members in groups.values():
             first = members[0][0]
             pool = first.pool
             unique: Dict[CounterVector, None] = {}
+            counts = []
             for optimizer, wanted in members:
                 misses = optimizer.missing(wanted)
                 missed += len(misses)
+                counts.append(len(misses))
                 unique.update(dict.fromkeys(c for c in misses if c not in pool))
             if unique:
                 try:
@@ -259,23 +264,35 @@ class SessionManager:
                     self._fell_back("step_batch.group_sweep", error)
                     continue
                 swept += len(unique)
-            for optimizer, wanted in members:
+            for (optimizer, wanted), count in zip(members, counts):
                 optimizer.sweep_many(wanted)
+                if optimizer.obs.enabled:
+                    obtained += count
 
         if self.obs.enabled:
-            if self._m_batched is None:
-                registry = self.obs.registry
-                self._m_batched = tuple(
-                    registry.counter(name, help).labelled()
-                    for name, help in _BATCHED_COUNTERS
-                )
-            steps, launches, sweeps, dedup_hits = self._m_batched
-            steps.inc()
-            launches.inc(len(events))
-            sweeps.inc(swept)
-            dedup_hits.inc(missed - swept)
+            self._fold(len(events), swept, missed - swept, obtained)
 
         return [self.dispatch(event) for event in events]
+
+    def _fold(self, launches: int, swept: int, dedup_hits: int,
+              obtained: int) -> None:
+        """Count one ``step_batch`` call under one registry-lock hold;
+        ``obtained`` is the sweeps instrumented members took from it."""
+        registry = self.obs.registry
+        if self._m_batched is None:
+            self._m_batched = tuple(
+                registry.counter(name, help) for name, help in _BATCHED_COUNTERS
+            )
+        if obtained and self._m_sweeps is None:
+            self._m_sweeps = registry.counter("repro_optimizer_sweeps_total")
+        steps, batched, sweeps, dedup = self._m_batched
+        with registry.lock:
+            steps.add(())
+            batched.add((), launches)
+            sweeps.add((), swept)
+            dedup.add((), dedup_hits)
+            if obtained:
+                self._m_sweeps.add((), obtained)
 
     def _fell_back(self, site: str, error: Exception) -> None:
         """Count a fault a fallback absorbed; log a site's first one.

@@ -35,6 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.hardware.apu import PART_TABLE, APUModel
 from repro.hardware.config import FAILSAFE_CONFIG, HardwareConfig, Knob
 from repro.obs import Instrumentation, or_noop
+from repro.obs.metrics import label_key
+from repro.obs.tracing import LaunchNote
 from repro.runtime.events import KernelLaunch, LaunchOutcome, launch_events
 from repro.sim.policy import Decision, Observation, PowerPolicy
 from repro.sim.simulator import MANAGER_CONFIG, OverheadModel
@@ -236,13 +238,15 @@ class SessionRuntime:
             of the session (the paper's idealized studies switch this
             off).
         obs: Observability hooks (``repro.obs``).  Defaults to the
-            shared no-op instrumentation; when live, the runtime emits
-            one ``launch`` span per processed event (stamped with the
-            session's *simulated* time, never the wall clock) plus
-            lifecycle/fault metrics, and feeds each finished launch
-            span to ``obs.health`` (the model-health monitor, when
-            installed).  Share the same object with the hosted policy
-            so its decision annotations land on the same spans.
+            shared no-op instrumentation; when live, the runtime opens
+            one :class:`~repro.obs.tracing.LaunchNote` per processed
+            event, hands it to the policy's ``decide``, and then folds
+            it: the ``launch`` span is emitted (stamped with the
+            session's *simulated* time, never the wall clock),
+            ``obs.health`` (the model-health monitor, when installed)
+            ingests it, and every per-launch metric series is written
+            under one registry-lock hold.  Share the same object with
+            the hosted policy so its decision notes are counted.
     """
 
     def __init__(
@@ -280,37 +284,34 @@ class SessionRuntime:
         self.charge_overhead = charge_overhead
         self.stats = SessionStats()
         self._result: Optional[RunResult] = None
-        self._m_lock = self.obs.registry.lock
-        self._bind_series()
-
-    def _bind_series(self) -> None:
-        """Bind the per-launch series to the current session id.
-
-        Pre-bound handles skip the registry lookup and label
-        canonicalization on every launch.  TDP throttles and fail-safe
-        causes bind theirs at first use, when the labelled API would
-        register them, so snapshots are unchanged; faults keep the
-        labelled API.  Binding registers nothing, and every handle is a
-        no-op under NOOP obs.  :meth:`restore` rebinds, since it takes
-        the snapshot's session id.
-        """
         registry = self.obs.registry
-        session_id, policy = self.session_id, self.policy.name
         self._m_runs = registry.counter(
             "repro_runtime_runs_total", "Application invocations started"
-        ).labelled(session=session_id, policy=policy)
+        )
         self._m_launches = registry.counter(
             "repro_runtime_launches_total", "Kernel launches processed"
-        ).labelled(session=session_id, policy=policy)
+        )
         self._m_kernel_seconds = registry.histogram(
             "repro_runtime_kernel_seconds", "Per-launch kernel execution time"
-        ).labelled(session=session_id)
+        )
         self._m_overhead_seconds = registry.histogram(
             "repro_runtime_overhead_seconds",
             "Per-launch optimizer overhead time",
-        ).labelled(session=session_id)
+        )
+        # Registered at the first throttle and fail-safe.
         self._m_throttles: Any = None
-        self._m_fail_safe: Dict[str, Any] = {}
+        self._m_fail_safe: Any = None
+        self._key_series()
+
+    def _key_series(self) -> None:
+        """Resolve this session's label keys once (``restore`` re-keys)."""
+        session = self.session_id
+        self._key = label_key({"session": session})
+        self._key_policy = label_key({"session": session, "policy": self.policy.name})
+        self._key_cause = {
+            cause: label_key({"session": session, "cause": cause})
+            for cause in ("policy", "fault")
+        }
 
     # ----- run lifecycle --------------------------------------------------------
 
@@ -330,7 +331,7 @@ class SessionRuntime:
             self.app_name = app_name
         self.policy.begin_run()
         self.stats.runs += 1
-        self._m_runs.inc()
+        self._m_runs.inc(session=self.session_id, policy=self.policy.name)
         self._result = RunResult(
             app_name=self.app_name, policy_name=self.policy.name
         )
@@ -407,53 +408,45 @@ class SessionRuntime:
                 f"out-of-order launch event: got index {event.index}, "
                 f"expected {expected}"
             )
-        tracer = self.obs.tracer
-        registry = self.obs.registry
+        obs = self.obs
         assert self._result is not None
-        span = tracer.start_span(
-            "launch",
-            at=self.sim_time_s,
-            session=self.session_id,
-            app=self._result.app_name,
-            policy=self._result.policy_name,
-            index=event.index,
-            kernel=event.spec.key,
-        )
+        note: Optional[LaunchNote] = None
+        if obs.enabled:
+            note = LaunchNote(self.sim_time_s, {
+                "session": self.session_id,
+                "app": self._result.app_name,
+                "policy": self._result.policy_name,
+                "index": event.index,
+                "kernel": event.spec.key,
+            })
 
         # 1. decide (fault-isolated).
         fallback = False
         try:
-            decision = self.policy.decide(event.index)
+            decision = self.policy.decide(event.index, note)
         except Exception as exc:
             if not self.isolate_faults:
-                tracer.end_span(span, at=self.sim_time_s)
+                self._end_span(note)
                 raise
             self.stats.fail_safe_fallbacks += 1
             self.stats.record_error(exc)
-            span.annotate("error", repr(exc))
-            registry.counter(
-                "repro_runtime_faults_total",
-                "Isolated policy faults, by failing phase",
-            ).inc(session=self.session_id, phase="decide")
+            if note is not None:
+                note.attributes["error"] = repr(exc)
+            self._count_fault("decide")
             decision = Decision(config=FAILSAFE_CONFIG, fail_safe=True)
             fallback = True
 
         # 2. throttle under the active power cap (TDP and/or node
         # budget), as the part's power controller would.
+        throttled = False
         cap_w = self.effective_cap_w
         if cap_w is not None:
-            throttled = throttle_to_cap(self.apu, event.spec,
-                                        decision.config, cap_w)
-            if throttled != decision.config:
-                decision = replace(decision, config=throttled)
-                span.annotate("tdp_throttled", True)
-                if self._m_throttles is None:
-                    self._m_throttles = registry.counter(
-                        "repro_runtime_tdp_throttles_total",
-                        "Launches whose configuration was throttled into "
-                        "the active power cap (TDP or node budget)",
-                    ).labelled(session=self.session_id)
-                self._m_throttles.inc()
+            config = throttle_to_cap(self.apu, event.spec, decision.config, cap_w)
+            if config != decision.config:
+                decision = replace(decision, config=config)
+                throttled = True
+                if note is not None:
+                    note.attributes["tdp_throttled"] = True
 
         # 3. charge the decision's optimizer overhead.
         overhead_time = 0.0
@@ -486,15 +479,13 @@ class SessionRuntime:
             )
         except Exception as exc:
             if not self.isolate_faults:
-                tracer.end_span(span, at=self.sim_time_s)
+                self._end_span(note)
                 raise
             self.stats.observe_failures += 1
             self.stats.record_error(exc)
-            span.annotate("error", repr(exc))
-            registry.counter(
-                "repro_runtime_faults_total",
-                "Isolated policy faults, by failing phase",
-            ).inc(session=self.session_id, phase="observe")
+            if note is not None:
+                note.attributes["error"] = repr(exc)
+            self._count_fault("observe")
 
         record = LaunchRecord(
             index=event.index,
@@ -522,48 +513,8 @@ class SessionRuntime:
         self.stats.overhead_time_s += overhead_time
         self.stats.energy_j += record.energy_j + record.overhead_energy_j
 
-        if tracer.enabled:
-            # Direct writes into the span's attribute dict: eleven
-            # ``span.annotate`` calls per launch are pure call overhead
-            # on the hot path.  The null span shares one class-level
-            # dict, so the disabled path must not reach these stores.
-            attrs = span.attributes
-            attrs["config"] = str(decision.config)
-            attrs["horizon"] = decision.horizon
-            attrs["model_evaluations"] = decision.model_evaluations
-            attrs["fail_safe"] = decision.fail_safe
-            attrs["fallback"] = fallback
-            attrs["time_s"] = record.time_s
-            attrs["observed_ips"] = record.instructions / record.time_s
-            attrs["observed_power_w"] = record.energy_j / record.time_s
-            attrs["energy_j"] = record.energy_j
-            attrs["overhead_time_s"] = overhead_time
-            attrs["overhead_energy_j"] = record.overhead_energy_j
-        # The health monitor (a no-op unless installed) reads the
-        # predicted-vs-observed pairs off the finished span to update
-        # error ledgers and drift detectors; handing it the attribute
-        # dict directly skips re-parsing the payload envelope.
-        tracer.end_span(span, at=self.sim_time_s)
-        self.obs.health.observe_launch(span.attributes, at=self.sim_time_s)
-
-        if registry.enabled:
-            if decision.fail_safe:
-                # Outside the bulk lock hold below: the registry lock is
-                # not reentrant.
-                cause = "fault" if fallback else "policy"
-                fail_safe = self._m_fail_safe.get(cause)
-                if fail_safe is None:
-                    fail_safe = self._m_fail_safe[cause] = registry.counter(
-                        "repro_runtime_fail_safe_total",
-                        "Fail-safe launches, by cause (policy decision vs "
-                        "fault degradation)",
-                    ).labelled(session=self.session_id, cause=cause)
-                fail_safe.inc()
-            with self._m_lock:
-                self._m_launches.inc_unlocked()
-                self._m_kernel_seconds.observe_unlocked(record.time_s)
-                if overhead_time > 0.0:
-                    self._m_overhead_seconds.observe_unlocked(overhead_time)
+        if note is not None:
+            self._fold(note, decision, record, fallback, throttled)
 
         return LaunchOutcome(
             session_id=self.session_id,
@@ -572,6 +523,66 @@ class SessionRuntime:
             record=record,
             fallback=fallback,
         )
+
+    def _count_fault(self, phase: str) -> None:
+        self.obs.registry.counter(
+            "repro_runtime_faults_total",
+            "Isolated policy faults, by failing phase",
+        ).inc(session=self.session_id, phase=phase)
+
+    def _end_span(self, note: Optional[LaunchNote]) -> None:
+        """Emit the launch span, if traced, at the current sim time."""
+        if note is not None and self.obs.tracer.enabled:
+            self.obs.tracer.end_span(note, at=self.sim_time_s)
+
+    def _fold(self, note: LaunchNote, decision: Decision, record: LaunchRecord,
+              fallback: bool, throttled: bool) -> None:
+        """Complete and emit the launch span, feed health, then write
+        every per-launch series (the runtime's, the policy's and
+        health's) under one registry-lock hold."""
+        obs = self.obs
+        note.publish_searches()
+        attrs = note.attributes
+        attrs["config"] = str(decision.config)
+        attrs["horizon"] = decision.horizon
+        attrs["model_evaluations"] = decision.model_evaluations
+        attrs["fail_safe"] = decision.fail_safe
+        attrs["fallback"] = fallback
+        attrs["time_s"] = record.time_s
+        attrs["observed_ips"] = record.instructions / record.time_s
+        attrs["observed_power_w"] = record.energy_j / record.time_s
+        attrs["energy_j"] = record.energy_j
+        attrs["overhead_time_s"] = record.overhead_time_s
+        attrs["overhead_energy_j"] = record.overhead_energy_j
+        self._end_span(note)
+        health = obs.health
+        sample = health.ingest(attrs, at=self.sim_time_s) if health.enabled else None
+
+        registry = obs.registry
+        if throttled and self._m_throttles is None:
+            self._m_throttles = registry.counter(
+                "repro_runtime_tdp_throttles_total",
+                "Launches whose configuration was throttled into "
+                "the active power cap (TDP or node budget)",
+            )
+        if decision.fail_safe and self._m_fail_safe is None:
+            self._m_fail_safe = registry.counter(
+                "repro_runtime_fail_safe_total",
+                "Fail-safe launches, by cause (policy decision vs "
+                "fault degradation)",
+            )
+        with registry.lock:
+            self._m_launches.add(self._key_policy)
+            self._m_kernel_seconds.add(self._key, record.time_s)
+            if record.overhead_time_s > 0.0:
+                self._m_overhead_seconds.add(self._key, record.overhead_time_s)
+            if throttled:
+                self._m_throttles.add(self._key)
+            if decision.fail_safe:
+                self._m_fail_safe.add(self._key_cause["fault" if fallback else "policy"])
+            self.policy.fold(note)
+            if sample is not None:
+                health.fold(sample)
 
     # ----- drivers ---------------------------------------------------------------
 
@@ -625,7 +636,7 @@ class SessionRuntime:
                 f"host runs {self.policy.name!r}"
             )
         self.session_id = payload["session_id"]
-        self._bind_series()
+        self._key_series()
         self.app_name = payload["app_name"]
         self.charge_overhead = payload["charge_overhead"]
         self.policy.restore(payload["policy"]["state"])

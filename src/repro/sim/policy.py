@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.hardware.apu import Measurement
 from repro.hardware.config import HardwareConfig
+from repro.obs.tracing import LaunchNote
 from repro.workloads.counters import CounterVector
 
 __all__ = ["Decision", "Observation", "PowerPolicy"]
@@ -79,12 +80,18 @@ class PowerPolicy(abc.ABC):
     name: str = "policy"
 
     @abc.abstractmethod
-    def decide(self, index: int) -> Decision:
-        """Choose the configuration for the ``index``-th kernel launch."""
+    def decide(self, index: int, note: Optional[LaunchNote] = None) -> Decision:
+        """Choose the configuration for the ``index``-th kernel launch.
+
+        ``note`` is the launch's record when the host's obs is live.
+        """
 
     @abc.abstractmethod
     def observe(self, observation: Observation) -> None:
         """Receive telemetry for the launch just completed."""
+
+    def fold(self, note: LaunchNote) -> None:
+        """Count what :meth:`decide` noted (registry lock held by the host)."""
 
     def begin_run(self) -> None:
         """Hook called when a new run (application invocation) starts.

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.hardware.config import ConfigSpace, HardwareConfig, Knob, default_space
+from repro.obs.tracing import LaunchNote
 from repro.sim.policy import Decision, Observation, PowerPolicy
 
 __all__ = ["TurboCorePolicy"]
@@ -53,7 +54,7 @@ class TurboCorePolicy(PowerPolicy):
         self._config = self._boost_config()
         self._last_power_w = None
 
-    def decide(self, index: int) -> Decision:
+    def decide(self, index: int, note: Optional[LaunchNote] = None) -> Decision:
         return Decision(config=self._config, model_evaluations=0)
 
     def observe(self, observation: Observation) -> None:

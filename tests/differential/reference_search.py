@@ -82,7 +82,7 @@ class ReferenceSearch:
         self.max_passes = max_passes
 
     def optimize_kernel(self, record: KernelRecord,
-                        tracker: PerformanceTracker) -> OptimizationResult:
+                        tracker: PerformanceTracker, note=None) -> OptimizationResult:
         space = self.space
         evals = 0
 
@@ -162,7 +162,7 @@ class ReferenceSearch:
     def optimize_window(self, window: Sequence[KernelRecord],
                         tracker: PerformanceTracker,
                         reserved: Sequence[KernelRecord] = (),
-                        reserve_window: bool = True) -> OptimizationResult:
+                        reserve_window: bool = True, note=None) -> OptimizationResult:
         speculative = tracker.copy()
         evals = 0
         # Everything not yet committed is held at its fail-safe estimate.
@@ -188,6 +188,9 @@ class ReferenceSearch:
             config=result.config, estimate=result.estimate,
             evaluations=evals, fail_safe=result.fail_safe,
         )
+
+    def fold(self, note) -> None:
+        """The reference counts nothing: it writes no launch note."""
 
 
 def install_reference(monkeypatch) -> List[ReferenceOracle]:

@@ -87,18 +87,13 @@ def test_step_rejects_unknown_sessions(hosted):
 def test_drain_obs_resets_between_epochs(hosted):
     node, events = hosted
     node.step(events[:4])
-    snapshot, spans = node.drain_obs()
-    assert snapshot["metrics"]
+    drain, spans = node.drain_obs()
+    assert drain["definitions"] and drain["series"]
     assert spans
     # Draining again without work ships nothing twice.
-    snapshot2, spans2 = node.drain_obs()
+    drain2, spans2 = node.drain_obs()
     assert spans2 == []
-    totals = {
-        m["name"]: sum(s["value"] for s in m.get("series", []))
-        for m in snapshot2["metrics"]
-        if m["kind"] == "counter"
-    }
-    assert all(v == 0 for v in totals.values())
+    assert drain2["definitions"] == [] and drain2["series"] == []
 
 
 def test_epoch_is_the_node_methods_in_order():

@@ -2,10 +2,13 @@
 
 import os
 import signal
+import time
 
 import pytest
 
 from repro.fleet import InlineShard, ProcessShard, ShardError
+from repro.fleet import shard as shard_module
+from repro.fleet.node import FleetNode
 
 from tests.fleet.conftest import build_schedule_trace
 
@@ -98,6 +101,39 @@ def test_dead_worker_raises_shard_error_with_exit_code(mini):
     finally:
         shard.close()
     shard.close()  # closing a dead shard twice stays safe
+
+
+def test_hung_worker_raises_shard_error_at_the_reply_deadline(mini, monkeypatch):
+    spec, kernels, events = mini
+
+    def hang(self, events):
+        time.sleep(60.0)
+
+    def give_up(signum, frame):
+        raise TimeoutError("collect waited past the reply deadline")
+
+    # The worker forks after the patch, so its step hangs.
+    monkeypatch.setattr(FleetNode, "step", hang)
+    monkeypatch.setattr(shard_module, "REPLY_DEADLINE_S", 0.5)
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(20)
+    shard = ProcessShard("n")
+    try:
+        shard.post("add_session", spec, kernels)
+        shard.post("step", events)
+        with pytest.raises(ShardError) as excinfo:
+            shard.collect()
+        assert excinfo.value.node_id == "n"
+        assert excinfo.value.command == "step"
+        assert "no reply within the 0.5 s reply deadline" in str(excinfo.value)
+        start = time.monotonic()
+        shard.close()
+        assert time.monotonic() - start < 5.0
+        assert not shard._process.is_alive()
+    finally:
+        shard.close()
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_process_shard_rejects_obs_kwarg():

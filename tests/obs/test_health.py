@@ -356,7 +356,7 @@ def _health_worker_snapshot(worker_id):
         monitor.observe_launch(
             launch(index=index, session=f"w{worker_id}", error=0.1)
         )
-    return registry.snapshot()
+    return registry.drain()
 
 
 class TestWorkerMerge:

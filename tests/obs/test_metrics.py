@@ -108,7 +108,7 @@ class TestSnapshotMerge:
 
     def test_merge_accumulates_counters_and_histograms(self):
         a, b = self._populated(), self._populated()
-        a.merge(b.snapshot())
+        a.merge(b.drain())
         assert a.counter("c_total").value(mode="x") == 4.0
         (state,) = a.histogram("h", buckets=(1.0, 10.0)).series().values()
         assert state["count"] == 2
@@ -118,44 +118,61 @@ class TestSnapshotMerge:
         a = self._populated()
         b = MetricsRegistry()
         b.gauge("g").set(99)
-        a.merge(b.snapshot())
+        a.merge(b.drain())
         assert a.gauge("g").value() == 99.0
 
     def test_merge_accumulates_sources(self):
         a, b, c = self._populated(), self._populated(), self._populated()
-        b.merge(c.snapshot())
-        a.merge(b.snapshot())
+        b.merge(c.drain())
+        a.merge(b.drain())
         assert a.sources == 3
 
     def test_snapshot_is_json_able(self):
         import json
 
-        payload = json.loads(json.dumps(self._populated().snapshot()))
-        fresh = MetricsRegistry()
-        fresh.merge(payload)
-        assert fresh.counter("c_total").value(mode="x") == 2.0
+        snapshot = self._populated().snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+        (counter,) = [m for m in snapshot["metrics"] if m["name"] == "c_total"]
+        assert counter["series"] == [[[["mode", "x"]], 2.0]]
 
     def test_schema_mismatch_raises(self):
         with pytest.raises(ValueError):
-            MetricsRegistry().merge({"schema": 999, "metrics": []})
+            MetricsRegistry().merge({"schema": 999, "definitions": [], "series": []})
 
     def test_snapshot_and_reset_prevents_double_count(self):
         registry = self._populated()
         first = registry.snapshot_and_reset()
+        assert first["metrics"][0]["series"] == [[[["mode", "x"]], 2.0]]
         assert registry.counter("c_total").value(mode="x") == 0.0
         assert registry.sources == 1
-        second = registry.snapshot()
+        target = MetricsRegistry()
+        target.merge(registry.drain())
+        assert target.counter("c_total").value(mode="x") == 0.0
+
+    def test_drain_ships_only_what_changed_since_the_last(self):
+        registry = self._populated()
+        first = registry.drain()
+        assert [d[0] for d in first["definitions"]] == ["c_total", "g", "h"]
+        assert [name for name, _ in first["series"]] == ["c_total", "g", "h"]
+        registry.counter("c_total").inc(mode="y")
+        second = registry.drain()
+        # Definitions ship once; series ship under their canonical key.
+        assert second["definitions"] == []
+        assert second["series"] == [("c_total", [((("mode", "y"),), 1.0)])]
         target = MetricsRegistry()
         target.merge(first)
         target.merge(second)
         assert target.counter("c_total").value(mode="x") == 2.0
+        assert target.counter("c_total").value(mode="y") == 1.0
+        assert target.histogram("h", buckets=(1.0, 10.0)).count() == 1
+        assert registry.drain()["series"] == []
 
 
 def _worker_snapshot(worker_id):
     registry = MetricsRegistry()
     registry.counter("work_total", "tasks done").inc(worker_id + 1)
     registry.histogram("work_seconds", buckets=(1.0,)).observe(0.5)
-    return registry.snapshot()
+    return registry.drain()
 
 
 class TestProcessPoolMerge:

@@ -1,6 +1,4 @@
-"""Tracer lifecycle: explicit clocks, current-span annotation, buffering."""
-
-import threading
+"""Tracer lifecycle: explicit clocks, span attributes, buffering."""
 
 import pytest
 
@@ -14,8 +12,7 @@ class TestSpanLifecycle:
         tracer = Tracer()
         span = tracer.start_span("launch", at=1.5, app="x")
         span.annotate("config", "c")
-        span.inc("steps")
-        span.inc("steps", 2)
+        span.annotate("steps", 3.0)
         payload = tracer.end_span(span, at=2.0)
         assert payload == {
             "schema": SPAN_SCHEMA,
@@ -39,39 +36,6 @@ class TestSpanLifecycle:
         span = tracer.start_span("launch")
         payload = tracer.end_span(span)
         assert (payload["start_s"], payload["end_s"]) == (10.0, 20.0)
-
-
-class TestCurrentSpan:
-    def test_annotate_lands_on_innermost(self):
-        tracer = Tracer()
-        outer = tracer.start_span("outer")
-        inner = tracer.start_span("inner")
-        tracer.annotate("key", "inner-value")
-        tracer.end_span(inner)
-        tracer.annotate("key", "outer-value")
-        tracer.end_span(outer)
-        by_name = {s["name"]: s["attributes"] for s in tracer.spans}
-        assert by_name["inner"] == {"key": "inner-value"}
-        assert by_name["outer"] == {"key": "outer-value"}
-
-    def test_annotate_without_open_span_is_noop(self):
-        tracer = Tracer()
-        tracer.annotate("key", "value")
-        assert tracer.current() is None
-        assert tracer.spans == []
-
-    def test_stacks_are_thread_local(self):
-        tracer = Tracer()
-        tracer.start_span("main-thread")
-        seen = {}
-
-        def other():
-            seen["current"] = tracer.current()
-
-        thread = threading.Thread(target=other)
-        thread.start()
-        thread.join()
-        assert seen["current"] is None
 
 
 class TestSinkAndBuffer:
@@ -98,10 +62,8 @@ class TestNullTracer:
         span_b = NULL_TRACER.start_span("b")
         assert span_a is span_b
         span_a.annotate("k", "v")
-        span_a.inc("n")
         assert span_a.attributes == {}
         assert NULL_TRACER.end_span(span_a) == {}
         assert NULL_TRACER.spans == []
         assert NULL_TRACER.drain() == []
-        assert NULL_TRACER.current() is None
         assert not NULL_TRACER.enabled

@@ -34,7 +34,7 @@ class _ScriptedPolicy(PowerPolicy):
     def __init__(self, script):
         self.script = script
 
-    def decide(self, index):
+    def decide(self, index, note=None):
         config_index, evals = self.script[index % len(self.script)]
         return Decision(config=CONFIGS[config_index], model_evaluations=evals)
 

@@ -128,7 +128,7 @@ class TestOtherPolicies:
         class Opaque(PowerPolicy):
             name = "Opaque"
 
-            def decide(self, index):
+            def decide(self, index, note=None):
                 raise NotImplementedError
 
             def observe(self, observation):

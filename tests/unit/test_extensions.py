@@ -22,7 +22,7 @@ APP = Application(
 class _Chatty(FixedConfigPolicy):
     """Fixed-config policy that pretends to do optimizer work."""
 
-    def decide(self, index):
+    def decide(self, index, note=None):
         return Decision(config=self.config, model_evaluations=100)
 
 

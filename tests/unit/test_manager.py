@@ -178,7 +178,7 @@ class TestZeroHorizonFastPath:
         # A loose target keeps the tracker above target; with a uniform
         # app every upcoming kernel matches the one that just ran.
         sim, manager = self._steady(self.UNIFORM, target_scale=0.5)
-        monkeypatch.setattr(manager._horizon_gen, "horizon", lambda index: 0)
+        monkeypatch.setattr(manager._horizon_gen, "horizon", lambda index, note=None: 0)
         third = sim.run(self.UNIFORM, manager)
         # Launch 0 has no previous kernel in the run -> fail-safe; every
         # later launch reuses the previous configuration at zero cost.
@@ -200,7 +200,7 @@ class TestZeroHorizonFastPath:
         )
         sim.run(APP, manager)
         sim.run(APP, manager)
-        monkeypatch.setattr(manager._horizon_gen, "horizon", lambda index: 0)
+        monkeypatch.setattr(manager._horizon_gen, "horizon", lambda index, note=None: 0)
         third = sim.run(APP, manager)
         assert all(r.fail_safe for r in third.launches)
         assert all(r.horizon == 0 for r in third.launches)
@@ -209,7 +209,7 @@ class TestZeroHorizonFastPath:
         # An unreachable target keeps the tracker below target, so even
         # a same-kernel launch falls back to fail-safe.
         sim, manager = self._steady(self.UNIFORM, target_scale=10.0)
-        monkeypatch.setattr(manager._horizon_gen, "horizon", lambda index: 0)
+        monkeypatch.setattr(manager._horizon_gen, "horizon", lambda index, note=None: 0)
         third = sim.run(self.UNIFORM, manager)
         assert all(r.fail_safe for r in third.launches)
 

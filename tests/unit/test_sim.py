@@ -58,7 +58,7 @@ class TestSimulator:
         sim = Simulator()
 
         class Chatty(FixedConfigPolicy):
-            def decide(self, index):
+            def decide(self, index, note=None):
                 return Decision(config=self.config, model_evaluations=10)
 
         charged = sim.run(APP, Chatty(FAST))

@@ -16,7 +16,7 @@ FAST = ConfigSpace().fastest()
 
 
 class _Chatty(FixedConfigPolicy):
-    def decide(self, index):
+    def decide(self, index, note=None):
         return Decision(config=self.config, model_evaluations=500)
 
 
