@@ -190,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--transport", choices=("inline", "process"), default="inline",
-        help="shard transport (default: inline)",
+        help="shard transport: inline runs every node in this process, "
+        "process hosts node-0 here and one worker process per other "
+        "node (default: inline)",
     )
     fleet_run.add_argument(
         "--max-sessions-per-node", type=int, default=None, metavar="N",

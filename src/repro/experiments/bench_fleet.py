@@ -6,9 +6,11 @@ per-session variety, so every node does identical work per launch)
 through :class:`~repro.fleet.sim.FleetSimulator` over a grid of fleet
 sizes and global caps:
 
-* **nodes** — 1, 4, and 8 worker-process shards (1 and 4 in
-  ``--quick`` mode).  The single-node entry *is* the streaming
-  baseline: one ``SessionManager`` dispatching each launch in order.
+* **nodes** — 1, 4, and 8 nodes on the process transport (1 and 4
+  in ``--quick`` mode): the parent hosts ``node-0`` and one worker
+  process per other node computes the rest.  The single-node entry
+  starts no worker, so it *is* the streaming baseline: one
+  ``SessionManager`` dispatching each launch in order.
 * **caps** — ``tight`` (60% of the fleet's aggregate TDP, so budget
   throttling engages every epoch) and ``loose`` (120%, so the
   allocator runs but never bites).
@@ -89,7 +91,7 @@ def _time_grid_point(
         nodes=nodes,
         cap_w=cap_w,
         epoch_launches=epoch_launches,
-        transport="process" if nodes > 1 else "inline",
+        transport="process",
     )
     start = time.perf_counter()
     report = sim.run()

@@ -3,8 +3,9 @@
 The paper manages one APU with per-kernel MPC; this package opens the
 fleet axis the ROADMAP's north star asks for: many simulated nodes
 (each a :class:`~repro.runtime.manager.SessionManager` hosting a slice
-of the session population), sharded across engine worker processes,
-under a datacenter-level power cap that a :class:`BudgetAllocator`
+of the session population), sharded across the parent process
+(``node-0``) and one worker process per other node, under a
+datacenter-level power cap that a :class:`BudgetAllocator`
 apportions into per-node budgets — re-negotiated on a fixed epoch as
 load shifts (shares-per-watt with a min-floor and headroom-reclaim,
 after the serverless power-budgeting models in SNIPPETS.md).  Each

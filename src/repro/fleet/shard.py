@@ -4,20 +4,25 @@ Two interchangeable transports drive :class:`~repro.fleet.node.FleetNode`
 behind one post/collect protocol:
 
 * :class:`InlineShard` executes node methods in-process — the
-  reference semantics, and what the determinism tests compare the
-  process transport against;
+  reference semantics, what the determinism tests compare the process
+  transport against, and how the fleet parent hosts ``node-0`` itself;
 * :class:`ProcessShard` runs the node on a long-lived worker process
-  (one per node, as the engine lane runs request workers), speaking a
-  ``(command, args)`` / ``("ok" | "err", payload)`` pipe protocol.
-  Worker failures re-raise parent-side as :class:`ShardError` with the
-  original remote traceback, mirroring ``EngineWorkerError``; a worker
-  that dies or misses :data:`REPLY_DEADLINE_S` raises
-  :class:`ShardError` naming its exit code or the deadline.
+  (one per node past ``node-0``, as the engine lane runs request
+  workers), speaking a ``(command, args)`` / ``("ok" | "err", payload)``
+  pipe protocol.  A worker that dies or misses
+  :data:`REPLY_DEADLINE_S` raises :class:`ShardError` naming its exit
+  code or the deadline.
+
+Both carriers raise a failing node method as :class:`ShardError` with
+its traceback, mirroring ``EngineWorkerError``, and keep serving later
+posts.
 
 The protocol is split into :meth:`post` and :meth:`collect` so the
 parent can post one epoch's work to *every* node before collecting any
 result — the fan-out that buys wall-clock parallelism without threads
-(so every metrics registry keeps one writer thread).
+(so every metrics registry keeps one writer thread).  An inline shard
+runs its posted calls when they are collected, so the parent computes
+``node-0`` while the workers compute the rest.
 A budget epoch is one round trip per node: the fleet posts a single
 ``epoch`` command (budget, new sessions, slim launches) to each node
 and collects one reply (decisions, demand, obs deltas).
@@ -27,23 +32,25 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-from typing import Any, List
+import traceback
+from typing import Any, List, Tuple
 
 from repro.fleet.node import FleetNode
 
 __all__ = ["InlineShard", "ProcessShard", "REPLY_DEADLINE_S", "ShardError"]
 
-#: Seconds the parent waits for one reply before it gives a worker up
-#: as hung: far past any epoch, a forest spec's first training included.
+#: Seconds the parent waits for one worker reply before it gives the
+#: worker up as hung: far past any epoch, a forest spec's first training
+#: included.  Inline shards run in the parent and have no deadline.
 REPLY_DEADLINE_S = 900.0
 
 
 class ShardError(RuntimeError):
-    """A shard worker failed or died.
+    """A shard's node method failed, or its worker died.
 
-    ``remote_traceback`` carries the worker's original traceback or, for
-    a worker lost mid-protocol, the reason naming its exit code or the
-    reply deadline it missed.
+    ``remote_traceback`` carries the node method's original traceback
+    or, for a worker lost mid-protocol, the reason naming its exit code
+    or the reply deadline it missed.
     """
 
     def __init__(self, node_id: str, command: str, remote_traceback: str) -> None:
@@ -52,30 +59,43 @@ class ShardError(RuntimeError):
         self.remote_traceback = remote_traceback
         super().__init__(
             f"shard {node_id!r} failed executing {command!r}\n"
-            f"--- original worker traceback ---\n{remote_traceback}"
+            f"--- original node traceback ---\n{remote_traceback}"
         )
 
 
 class InlineShard:
     """The in-process transport: a FleetNode called directly.
 
-    Results are computed eagerly at :meth:`post` time (the parent *is*
-    the node), buffered, and handed back by :meth:`collect` in post
-    order — the same observable protocol as :class:`ProcessShard`.
+    Posted calls run, in post order, when :meth:`collect` is called,
+    so calls posted to worker shards first overlap with them; until
+    then the shard holds the arguments themselves, not a copy, so the
+    caller leaves them unchanged between the two.  A call
+    that raises an ``Exception`` surfaces as :class:`ShardError`; the
+    calls posted after it stay queued for the next collect, as a
+    worker keeps serving — the same observable protocol as
+    :class:`ProcessShard`.
     """
 
     def __init__(self, node_id: str, **node_kwargs: Any) -> None:
         self.node_id = node_id
         self.node = FleetNode(node_id, **node_kwargs)
-        self._results: List[Any] = []
+        self._pending: List[Tuple[str, Tuple[Any, ...]]] = []
 
     def post(self, command: str, *args: Any) -> None:
         """Queue one node-method call."""
-        self._results.append(getattr(self.node, command)(*args))
+        self._pending.append((command, args))
 
     def collect(self) -> List[Any]:
-        """Results of every posted call since the last collect, in order."""
-        results, self._results = self._results, []
+        """Run every posted call; their results, in post order."""
+        results = []
+        while self._pending:
+            command, args = self._pending.pop(0)
+            try:
+                results.append(getattr(self.node, command)(*args))
+            except Exception as exc:
+                raise ShardError(
+                    self.node_id, command, traceback.format_exc()
+                ) from exc
         return results
 
     def close(self) -> None:
@@ -103,14 +123,15 @@ def _shard_worker(conn: Any, config_bytes: bytes) -> None:
         try:
             conn.send(("ok", getattr(node, command)(*args)))
         except BaseException:
-            import traceback
-
             conn.send(("err", traceback.format_exc()))
     conn.close()
 
 
 class ProcessShard:
     """The worker-process transport: one long-lived process per node.
+
+    The fleet parent hosts ``node-0`` inline; every other node of a
+    process fleet runs on one of these.
 
     Args:
         node_id: The node's fleet id.

@@ -113,8 +113,11 @@ class FleetSimulator:
         cap_w: Global power cap; ``None`` runs uncapped (no budget is
             ever apportioned — the fleet-of-one differential mode).
         epoch_launches: Dispatched launches per budget epoch.
-        transport: ``"inline"`` (in-process nodes) or ``"process"``
-            (one long-lived worker process per node).
+        transport: ``"inline"`` (every node in-process) or
+            ``"process"`` (the parent hosts ``node-0`` and computes it
+            while one long-lived worker process per other node
+            computes the rest; a 1-node process fleet starts no
+            worker).
         max_sessions_per_node: Admission limit; arrivals beyond it
             queue, and queue overflow beyond ``max_queued`` sheds.
         max_queued: Admission-queue capacity (``None`` = unbounded).
@@ -172,9 +175,12 @@ class FleetSimulator:
             "enforce_tdp": self.trace.header.enforce_tdp,
             "cache_dir": self.cache_dir,
         }
-        shard_class = InlineShard if self.transport == "inline" else ProcessShard
+        # The parent hosts node-0 itself; only later nodes get workers.
         shards: List[Any] = []
         for i in range(self.nodes):
+            shard_class = (
+                ProcessShard if i and self.transport == "process" else InlineShard
+            )
             shard = shard_class(f"node-{i}", **node_kwargs)
             stack.callback(shard.close)
             shards.append(shard)
@@ -252,6 +258,8 @@ class FleetSimulator:
                         [(e.index, e.session, e.spec.key) for e in buffers[i]],
                     )
                 demands: List[NodeDemand] = []
+                # Collecting node-0 runs its epoch in the parent while
+                # the workers run theirs.
                 for shard in shards:
                     ((decisions, demand, (drain, spans)),) = shard.collect()
                     for sid, _index, decision in decisions:

@@ -65,6 +65,32 @@ def test_worker_failure_raises_shard_error_with_remote_traceback(mini):
         shard.close()
 
 
+def test_inline_failure_raises_shard_error_with_its_traceback(mini):
+    spec, kernels, events = mini
+    shard = InlineShard("n")
+    shard.post("remove_session", "never-added")
+    with pytest.raises(ShardError) as excinfo:
+        shard.collect()
+    assert excinfo.value.node_id == "n"
+    assert excinfo.value.command == "remove_session"
+    assert "KeyError" in excinfo.value.remote_traceback
+    assert isinstance(excinfo.value.__cause__, KeyError)
+    # One bad call does not wedge the shard: it keeps serving.
+    shard.post("add_session", spec, kernels)
+    shard.post("step", events)
+    _, decisions = shard.collect()
+    assert len(decisions) == len(events)
+
+
+def test_inline_shard_runs_posted_calls_at_collect(mini):
+    spec, kernels, _ = mini
+    shard = InlineShard("n")
+    shard.post("add_session", spec, kernels)
+    assert shard.node.session_ids() == []
+    shard.collect()
+    assert shard.node.session_ids() == [spec.session_id]
+
+
 def test_shard_error_is_attributed_to_the_right_command(mini):
     spec, kernels, events = mini
     shard = ProcessShard("n")
