@@ -2,11 +2,11 @@
 
 ``repro lint`` machine-checks the correctness properties the engine,
 runtime, and obs layers rely on but cannot enforce at runtime:
-simulated-time discipline (RL001), seeded randomness (RL002) and
-process-pool pickle safety (RL004).  Invariants a test can pin
-(serializer and trace-format coverage, describable fingerprint inputs,
-obs purity, memo staleness, mutable defaults, budget conservation, the
-metrics registry's lock discipline) are pinned by tests instead.  See
+simulated-time discipline (RL001) and seeded randomness (RL002).
+Invariants a test can pin (serializer and trace-format coverage,
+describable fingerprint inputs, obs purity, memo staleness, mutable
+defaults, budget conservation, the metrics registry's lock discipline,
+worker-process pickle safety) are pinned by tests instead.  See
 ``docs/ANALYSIS.md`` for the full catalogue, the suppression syntax,
 and how to add a rule.
 

@@ -4,7 +4,7 @@ Syntax (anywhere a comment is legal)::
 
     x = time.time()  # repro-lint: disable=RL001
     y = foo()        # repro-lint: disable=RL001,RL002
-    # repro-lint: disable-file=RL004
+    # repro-lint: disable-file=RL002
     # repro-lint: disable-file=ALL
 
 ``disable`` applies to the findings reported on the comment's own line;

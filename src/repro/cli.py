@@ -147,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_fleet.add_argument(
         "--quick", action="store_true",
-        help="smaller trace and the {1,4}-node grid (CI smoke mode)",
+        help="smaller trace, the {1,4}-node grid and 3 runs of it "
+        "(CI smoke mode)",
     )
     bench_fleet.add_argument(
         "-o", "--output", default=None, metavar="PATH",
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_fleet.add_argument(
         "--min-speedup", default=None, type=float, metavar="X",
         help="fail unless the best 4-node speedup over the single-node "
-        "batched baseline reaches X (pass only on multi-core hosts)",
+        "baseline reaches X (pass only on multi-core hosts)",
     )
 
     fleet = sub.add_parser(

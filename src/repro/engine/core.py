@@ -11,21 +11,24 @@ modules and the simulator.  It does two things:
   hit returns a run that is bit-identical to recomputing it.
 * **Parallel fan-out.**  :meth:`prefetch` partitions a request matrix
   into cache hits and misses and computes each miss through one
-  function, in-process at ``jobs=1`` and on a ``ProcessPoolExecutor``
-  otherwise.  Workers receive the context's simulator and trained
-  predictor once (at pool start); one loop installs, stores and merges
-  every result in request order, whichever process computed it.
+  function, in-process at ``jobs=1`` and otherwise on
+  :class:`~repro.workers.Worker` processes, the transport the fleet's
+  shards use.  Each worker receives the context's simulator and
+  trained predictor once, when it starts; one loop installs, stores
+  and merges every result in request order, whichever process
+  computed it.
 
-Failure semantics: a worker exception is re-raised in the parent as
-:class:`EngineWorkerError` carrying the worker's original formatted
-traceback; corrupt or truncated cache entries are silent misses.
+Failure semantics: a request whose worker raised, died or missed the
+transport's reply deadline raises :class:`EngineWorkerError` in the
+parent, carrying the worker's original formatted traceback or the
+exit code or deadline; corrupt or truncated cache entries are silent
+misses.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -38,6 +41,7 @@ from repro.obs import Instrumentation, NOOP, or_noop, publish_cache_stats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.sim.trace import RunResult
+from repro.workers import Worker, WorkerError, wait
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -56,7 +60,8 @@ class EngineError(RuntimeError):
 
 
 class EngineWorkerError(EngineError):
-    """A worker process failed; carries the original remote traceback.
+    """A worker process failed, died or hung; carries the original
+    remote traceback or the transport's reason.
 
     Attributes:
         request: The request that failed.
@@ -80,7 +85,8 @@ class EngineStats:
         jobs: Configured worker count.
         requests: Requests examined by prefetch/fetch.
         computed: Requests actually simulated (cache misses).
-        parallel_computed: Subset of ``computed`` done by pool workers.
+        parallel_computed: Subset of ``computed`` done by worker
+            processes.
         compute_s: Wall-clock time spent computing misses.
         cache: Hit/miss counters of the result cache.
     """
@@ -248,12 +254,13 @@ class ExperimentEngine:
         """Materialize a request matrix into the context's run store.
 
         Cache hits are loaded; misses are computed by
-        :func:`_compute_request` — on a process pool when ``jobs > 1``
-        and more than one request misses, in-process otherwise — then
-        installed into ``ctx._runs`` and stored, in request order, so
-        the experiment modules that follow only ever see in-memory
-        hits.  A worker failure raises :class:`EngineWorkerError`; an
-        in-process failure raises as it is.
+        :func:`_compute_request` — on worker processes when
+        ``jobs > 1`` and more than one request misses, in-process
+        otherwise — then installed into ``ctx._runs`` and stored, in
+        request order, so the experiment modules that follow only ever
+        see in-memory hits.  A worker failure raises
+        :class:`EngineWorkerError`; an in-process failure raises as it
+        is.  Every worker is reaped before this returns or raises.
 
         Returns:
             The engine's cumulative stats (also kept on ``self.stats``).
@@ -282,7 +289,7 @@ class ExperimentEngine:
         obs = self._obs_for(ctx)
         start = time.perf_counter()
         if self.jobs > 1 and len(todo) > 1:
-            results = self._pool_results(ctx, todo, obs.enabled)
+            results = self._worker_results(ctx, todo, obs.enabled)
             mode = "worker"
         else:
             # Lazy: each result is installed before the next request
@@ -292,23 +299,26 @@ class ExperimentEngine:
                 for request in todo
             )
             mode = "serial"
-        for request, runs, captured in results:
-            ctx._runs.update(runs)
-            self.store_request(ctx, request, runs, described)
-            self.stats.computed += 1
-            if mode == "worker":
-                self.stats.parallel_computed += 1
-            if captured is not None:
-                obs.registry.merge(captured["registry"])
-                self._record_task(obs, mode, captured["task_s"])
-                # The capture has no health monitor, so the live one
-                # reads each launch span right after the tracer receives
-                # it, the order a live session feeds it: a health-on
-                # engine run reports what ``repro obs health`` computes
-                # from the written trace.
-                for span in captured["spans"]:
-                    obs.tracer.emit(span)
-                    obs.health.observe_span(span)
+        # Closing the results reaps every worker, also when a result
+        # raises while it is installed.
+        with contextlib.closing(results):
+            for request, runs, captured in results:
+                ctx._runs.update(runs)
+                self.store_request(ctx, request, runs, described)
+                self.stats.computed += 1
+                if mode == "worker":
+                    self.stats.parallel_computed += 1
+                if captured is not None:
+                    obs.registry.merge(captured["registry"])
+                    self._record_task(obs, mode, captured["task_s"])
+                    # The capture has no health monitor, so the live one
+                    # reads each launch span right after the tracer
+                    # receives it, the order a live session feeds it: a
+                    # health-on engine run reports what ``repro obs
+                    # health`` computes from the written trace.
+                    for span in captured["spans"]:
+                        obs.tracer.emit(span)
+                        obs.health.observe_span(span)
         self.stats.compute_s += time.perf_counter() - start
         if obs.enabled:
             publish_cache_stats(obs.registry, self.cache.stats, scope="engine")
@@ -331,53 +341,71 @@ class ExperimentEngine:
             "Wall-clock seconds spent computing one request",
         ).observe(seconds, mode=mode)
 
-    def _pool_results(
+    def _worker_results(
         self, ctx: Any, todo: List[RunRequest], capture: bool
     ) -> Iterator[Tuple[RunRequest, Dict[RunKey, RunResult], Any]]:
-        """Compute the misses on a process pool; yield
-        ``(request, runs, captured)`` in request order."""
+        """Compute the misses on worker processes; yield
+        ``(request, runs, captured)`` in request order.
+
+        Each worker hosts one context rebuilt from the parent's and is
+        handed the next request as soon as it replies; a worker whose
+        request failed is handed none.  A request whose worker raised,
+        died or missed the reply deadline raises
+        :class:`EngineWorkerError` once every request before it is
+        yielded, so the first failure in request order is the one
+        raised.
+        """
         # Materialize the predictor up front: workers must never each
         # pay for Random Forest training, and the trained object ships
-        # once per worker via the pool initializer.
+        # once per worker in its context spec.
         if any("predictor" in VARIANTS[r.variant].needs(r) for r in todo):
             ctx.predictor
-        max_workers = min(self.jobs, len(todo), os.cpu_count() or self.jobs)
-        spec_bytes = pickle.dumps(
-            {
-                "context": type(ctx),
-                "simulator": ctx.sim,
-                "predictor": ctx._predictor,
-                "cache_dir": ctx._cache_dir,
-                "alpha": ctx.alpha,
-                "capture": capture,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_worker_init,
-            initargs=(spec_bytes,),
-        ) as pool:
-            # Results are collected in submission (request) order, not
-            # completion order, so worker span re-emission — and the
-            # first-failure raise — is deterministic across job counts.
-            futures = [
-                (request, pool.submit(_worker_compute, request))
-                for request in todo
-            ]
-            try:
-                for request, future in futures:
-                    status, payload, captured = future.result()
-                    if status != "ok":
-                        raise EngineWorkerError(request, payload)
-                    runs = {
-                        tuple(key): run_result_from_dict(run_dict)
-                        for key, run_dict in payload
-                    }
-                    yield request, runs, captured
-            finally:
-                for _, future in futures:
-                    future.cancel()
+        spec = (type(ctx), ctx.sim, ctx._predictor, ctx._cache_dir, ctx.alpha,
+                capture)
+        count = min(self.jobs, len(todo), os.cpu_count() or self.jobs)
+        pending = iter(range(len(todo)))
+        busy: Dict[Worker, int] = {}
+        outcomes: Dict[int, Any] = {}  # request index -> reply or WorkerError
+
+        def hand(worker: Worker) -> None:
+            """Post the next request, if any, to ``worker``."""
+            index = next(pending, None)
+            if index is not None:
+                worker.post("compute", todo[index])
+                busy[worker] = index
+
+        with contextlib.ExitStack() as stack:
+            for i in range(count):
+                worker = Worker(f"engine-{i}", _EngineHost, *spec)
+                stack.callback(worker.close)
+                hand(worker)
+            for index, request in enumerate(todo):
+                while index not in outcomes:
+                    # ``index`` is the oldest request in flight.
+                    waiting = sorted(busy, key=busy.__getitem__)
+                    try:
+                        ready = wait(waiting)
+                    except WorkerError as exc:  # it missed the reply deadline
+                        outcomes[index] = exc
+                        break
+                    for worker in ready:
+                        slot = busy.pop(worker)
+                        try:
+                            outcomes[slot] = worker.collect()[0]
+                        except WorkerError as exc:
+                            outcomes[slot] = exc
+                        else:
+                            hand(worker)
+                outcome = outcomes.pop(index)
+                if isinstance(outcome, WorkerError):
+                    raise EngineWorkerError(
+                        request, outcome.remote_traceback
+                    ) from outcome
+                payload, captured = outcome
+                runs = {
+                    key: run_result_from_dict(run) for key, run in payload.items()
+                }
+                yield request, runs, captured
 
 
 # ----- request computation with span capture --------------------------------
@@ -409,53 +437,24 @@ def _compute_request(
     }
 
 
-# ----- worker side ----------------------------------------------------------
+class _EngineHost:
+    """What an engine worker hosts: one context rebuilt from the parent's.
 
-_WORKER_CTX: Any = None
-_WORKER_CAPTURE = False
-
-
-def _worker_init(spec_bytes: bytes) -> None:
-    """Build this worker's private experiment context from the spec.
-
-    The spec carries the parent context's class (pickled by reference),
-    so the engine itself never imports the experiments package.
+    The parent passes its context's class (pickled by reference), so
+    the engine itself never imports the experiments package.
     """
-    global _WORKER_CTX, _WORKER_CAPTURE
-    spec = pickle.loads(spec_bytes)
-    _WORKER_CTX = spec["context"](
-        simulator=spec["simulator"],
-        predictor=spec["predictor"],
-        cache_dir=spec["cache_dir"],
-        alpha=spec["alpha"],
-    )
-    _WORKER_CAPTURE = spec["capture"]
 
+    def __init__(self, context: Any, simulator: Any, predictor: Any,
+                 cache_dir: Optional[str], alpha: float, capture: bool) -> None:
+        self.ctx = context(simulator=simulator, predictor=predictor,
+                           cache_dir=cache_dir, alpha=alpha)
+        self.capture = capture
 
-def _worker_compute(request: RunRequest) -> Tuple[str, Any, Any]:
-    """Execute one request; never raises across the process boundary.
-
-    Returns ``("ok", [(key, run_dict), ...], captured)`` on success
-    (``captured`` as :func:`_compute_request` returns it) or
-    ``("err", traceback_text, None)`` on failure, so the parent can
-    re-raise with the worker's original traceback attached.
-    """
-    try:
-        if _WORKER_CTX is None:
-            raise RuntimeError("engine worker used before initialization")
-        runs, captured = _compute_request(_WORKER_CTX, request, _WORKER_CAPTURE)
-        return (
-            "ok",
-            [
-                (list(key), run_result_to_dict(run))
-                for key, run in runs.items()
-            ],
-            captured,
-        )
-    except BaseException:
-        import traceback
-
-        return ("err", traceback.format_exc(), None)
+    def compute(self, request: RunRequest) -> Tuple[Dict[RunKey, Any], Any]:
+        """One request's runs as JSON-able dicts (the cache
+        serialization), and its capture."""
+        runs, captured = _compute_request(self.ctx, request, self.capture)
+        return {key: run_result_to_dict(run) for key, run in runs.items()}, captured
 
 
 def canonical_requests(

@@ -13,7 +13,7 @@ A :class:`RunRequest` names one unit of cacheable, parallelizable work:
   key includes.
 
 ``ExperimentContext`` methods (and through them ``repro run`` and
-``repro analyze``) and the engine, in-process or on its worker pool,
+``repro analyze``) and the engine, in-process or on its workers,
 execute requests through this registry, which is what makes
 ``--jobs 4`` byte-identical to ``--jobs 1``: there is exactly one
 implementation of every run.

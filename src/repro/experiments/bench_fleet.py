@@ -15,6 +15,11 @@ sizes and global caps:
   throttling engages every epoch) and ``loose`` (120%, so the
   allocator runs but never bites).
 
+The whole grid runs :data:`_FULL_RUNS` times (:data:`_QUICK_RUNS` in
+``--quick`` mode), point after point, so host drift hits every point
+alike; each point keeps its per-run rates and reports their median,
+and the speedups divide medians.
+
 Results append to ``BENCH_fleet.json`` so fleet throughput is tracked
 across changes to the shard protocol, and each entry records
 ``cpu_count``: the multi-node speedup is a property of the host's
@@ -34,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 from typing import Dict, List, Optional
 
@@ -51,6 +57,10 @@ DEFAULT_OUTPUT = "BENCH_fleet.json"
 #: Fleet sizes timed per cap label.
 _FULL_NODES = (1, 4, 8)
 _QUICK_NODES = (1, 4)
+
+#: Timed runs of the whole grid.
+_FULL_RUNS = 5
+_QUICK_RUNS = 3
 
 #: Cap labels as fractions of the fleet's aggregate TDP.
 CAP_FRACTIONS = {"tight": 0.6, "loose": 1.2}
@@ -104,7 +114,6 @@ def _time_grid_point(
         "transport": sim.transport,
         "launches": launches,
         "epochs": len(report.epochs),
-        "elapsed_s": round(elapsed, 4),
         "decisions_per_s": round(launches / elapsed, 2),
         "energy_j": round(total.energy_j, 4),
         "throughput_ips": round(
@@ -142,8 +151,8 @@ def run_bench_fleet(
     """Run the fleet grid and append to the trajectory file.
 
     Args:
-        quick: Smaller trace and the {1, 4}-node grid — the CI smoke
-            configuration.
+        quick: Smaller trace, the {1, 4}-node grid and
+            :data:`_QUICK_RUNS` runs of it — the CI smoke configuration.
         output: Trajectory JSON path.
         label: Entry label (defaults to ``"quick"``/``"full"``).
         seed: Workload seed; the same seed always builds the same
@@ -162,17 +171,28 @@ def run_bench_fleet(
     tdp_w = APUModel().tdp_w
     node_grid = _QUICK_NODES if quick else _FULL_NODES
 
+    points = [
+        (cap_label, nodes, fraction * tdp_w * nodes)
+        for cap_label, fraction in sorted(CAP_FRACTIONS.items())
+        for nodes in node_grid
+    ]
+    runs = [
+        [
+            _time_grid_point(trace, nodes, cap_w, epoch_launches=epoch_launches)
+            for _, nodes, cap_w in points
+        ]
+        for _ in range(_QUICK_RUNS if quick else _FULL_RUNS)
+    ]
     grid: List[Dict[str, object]] = []
-    for cap_label, fraction in sorted(CAP_FRACTIONS.items()):
-        for nodes in node_grid:
-            point = _time_grid_point(
-                trace,
-                nodes,
-                fraction * tdp_w * nodes,
-                epoch_launches=epoch_launches,
-            )
-            point["cap"] = cap_label
-            grid.append(point)
+    for (cap_label, _, _), timed in zip(points, zip(*runs)):
+        rates = [p["decisions_per_s"] for p in timed]
+        grid.append({
+            **timed[0],
+            "cap": cap_label,
+            "decisions_per_s": statistics.median(rates),
+            "runs_decisions_per_s": rates,
+            "budget_conserved": all(p["budget_conserved"] for p in timed),
+        })
 
     speedups: Dict[str, float] = {}
     for cap_label in CAP_FRACTIONS:
@@ -240,7 +260,7 @@ def format_fleet_entry(entry: Dict[str, object]) -> str:
     if isinstance(speedups, dict):
         for cap_label, value in sorted(speedups.items()):
             lines.append(
-                f"{SPEEDUP_NODES}-node speedup vs single-node batched "
+                f"{SPEEDUP_NODES}-node speedup vs single-node "
                 f"({cap_label}): {value:.2f}x"
             )
     return "\n".join(lines)

@@ -125,7 +125,8 @@ class ExperimentContext:
     :meth:`_run`: first against the in-memory store, then (when an
     engine is attached) against the engine's content-addressed disk
     cache, and only then computed — by this process, or by the engine's
-    worker pool during a :meth:`~repro.engine.core.ExperimentEngine.prefetch`.
+    worker processes during a
+    :meth:`~repro.engine.core.ExperimentEngine.prefetch`.
 
     Args:
         benchmark_names: Benchmarks to evaluate (defaults to all 15).

@@ -21,7 +21,7 @@ slowest-varying, CU fastest-varying), so ``table.configs[i]`` and
 
 Every column is computed eagerly in ``__init__`` from the
 ``HardwareConfig`` properties.  Instances are plain data — safe to
-pickle into engine worker processes (RL004) and stable under
+pickle into engine worker processes and stable under
 ``engine.fingerprint.describe()``: the only derived state that depends
 on *usage* (the per-CPU-power-model column memo and the move tables)
 lives in module-level memos, never in ``__dict__``.

@@ -21,7 +21,7 @@ def test_lint_bad_fixture_json_exit_one(capsys):
 
 
 def test_lint_good_fixture_exit_zero(capsys):
-    code = main(["lint", str(FIXTURES / "rl004" / "good_pool.py")])
+    code = main(["lint", str(FIXTURES / "rl002" / "good_rng.py")])
     assert code == 0
     assert "0 findings" in capsys.readouterr().out
 
@@ -31,7 +31,7 @@ def test_list_rules(capsys):
     assert code == 0
     out = capsys.readouterr().out
     listed = {line.split()[0] for line in out.splitlines()}
-    assert listed == {"RL001", "RL002", "RL004"}
+    assert listed == {"RL001", "RL002"}
 
 
 def test_unknown_rule_exits_two(capsys):

@@ -64,16 +64,16 @@ def test_file_wide_suppression():
 
 
 def test_all_wildcard_suppression_covers_every_rule():
-    result = lint_fixture("suppressed/all_rules.py")
+    result = lint_fixture("suppressed/repro/sim/all_rules.py")
     assert result.findings == []
-    # One RL002 (unseeded default_rng) and one RL004 (a lambda
-    # submitted to a process pool).
+    # One RL001 (a wall-clock read on a simulated-time path) and one
+    # RL002 (unseeded default_rng).
     assert result.suppressed == 2
 
 
 def test_exit_codes():
-    assert lint_fixture("rl004/good_pool.py").exit_code == 0
-    assert lint_fixture("rl004/bad_pool.py").exit_code == 1
+    assert lint_fixture("rl002/good_rng.py").exit_code == 0
+    assert lint_fixture("rl002/bad_rng.py").exit_code == 1
 
 
 def test_findings_are_sorted():
@@ -90,4 +90,4 @@ def test_files_checked_counts_every_file():
 def test_registered_rule_ids():
     ids = [rule.id for rule in all_rules()]
     assert ids == sorted(ids)
-    assert set(ids) == {"RL001", "RL002", "RL004"}
+    assert set(ids) == {"RL001", "RL002"}

@@ -8,17 +8,22 @@ Covers the ISSUE acceptance bars directly:
 * ``use_cache=False`` computes without touching the disk.
 """
 
+import dataclasses
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
 
+from repro import workers
 from repro.engine import (
     EngineWorkerError,
     ExperimentEngine,
     RunRequest,
     canonical_requests,
 )
+from repro.engine.variants import VARIANTS
 from repro.obs import HealthMonitor, make_instrumentation
 
 from .conftest import NAMES, small_context
@@ -170,6 +175,75 @@ class TestParallelEngine:
         assert "no_such_manager_option" in message  # the original error
         assert "Traceback" in message  # the worker's formatted traceback
         assert excinfo.value.request == bad
+
+
+def turbo_that(monkeypatch, **acts):
+    """Make computing a benchmark's Turbo run call ``acts[benchmark]()``
+    first.  Workers fork after the patch, so they inherit it."""
+    turbo = VARIANTS["turbo"]
+
+    def compute(ctx, request, obs):
+        acts.get(request.benchmark, lambda: None)()
+        return turbo.compute(ctx, request, obs)
+
+    monkeypatch.setitem(
+        VARIANTS, "turbo", dataclasses.replace(turbo, compute=compute)
+    )
+
+
+class TestWorkerFaults:
+    """A killed or hung worker raises naming its request, and every
+    worker is reaped when prefetch raises."""
+
+    def prefetch_failing(self, cache_dir, requests):
+        before = set(multiprocessing.active_children())
+        engine = ExperimentEngine(jobs=2, cache_dir=str(cache_dir))
+        ctx = small_context(cache_dir, engine)
+        start = time.monotonic()
+        with pytest.raises(EngineWorkerError) as excinfo:
+            engine.prefetch(ctx, requests)
+        assert time.monotonic() - start < 5.0
+        assert not set(multiprocessing.active_children()) - before
+        assert isinstance(excinfo.value.__cause__, workers.WorkerError)
+        return ctx, excinfo.value
+
+    def test_killed_worker(self, cache_dir, monkeypatch):
+        turbo_that(monkeypatch, kmeans=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        ctx, error = self.prefetch_failing(
+            cache_dir, [RunRequest("NBody", "turbo"), RunRequest("kmeans", "turbo")]
+        )
+        assert error.request == RunRequest("kmeans", "turbo")
+        assert "kmeans/turbo()" in str(error)
+        assert "worker exited with code -9 before replying" in str(error)
+        # The request before the failure was installed.
+        assert ("NBody", "turbo") in ctx._runs
+
+    def test_hung_worker(self, cache_dir, monkeypatch):
+        turbo_that(monkeypatch, kmeans=lambda: time.sleep(60.0))
+        monkeypatch.setattr(workers, "REPLY_DEADLINE_S", 0.5)
+        # The hung request comes first, so it is the oldest in flight
+        # whenever the deadline passes, however slow the other one is.
+        _, error = self.prefetch_failing(
+            cache_dir, [RunRequest("kmeans", "turbo"), RunRequest("NBody", "turbo")]
+        )
+        assert error.request == RunRequest("kmeans", "turbo")
+        assert "kmeans/turbo()" in str(error)
+        assert "no reply within the 0.5 s reply deadline" in str(error)
+
+    def test_first_failure_in_request_order_is_raised(self, cache_dir, monkeypatch):
+        def fail_late():
+            time.sleep(0.5)
+            raise RuntimeError("kmeans failed last")
+
+        def fail_now():
+            raise RuntimeError("NBody failed first")
+
+        turbo_that(monkeypatch, kmeans=fail_late, NBody=fail_now)
+        _, error = self.prefetch_failing(
+            cache_dir, [RunRequest("kmeans", "turbo"), RunRequest("NBody", "turbo")]
+        )
+        assert error.request == RunRequest("kmeans", "turbo")
+        assert "kmeans failed last" in error.remote_traceback
 
 
 class TestPrefetchDedup:

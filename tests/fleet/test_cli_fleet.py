@@ -82,6 +82,10 @@ def test_bench_fleet_quick_appends_trajectory(tmp_path, capsys, monkeypatch):
     assert entry["cpu_count"] >= 1
     assert {p["cap"] for p in entry["grid"]} == {"tight", "loose"}
     assert all(p["budget_conserved"] for p in entry["grid"])
+    for point in entry["grid"]:
+        rates = point["runs_decisions_per_s"]
+        assert len(rates) == bench_fleet._QUICK_RUNS
+        assert point["decisions_per_s"] == sorted(rates)[len(rates) // 2]
     # A second run appends rather than overwrites.
     assert main(["bench", "fleet", "--quick", "-o", out, "-l", "again"]) == 0
     trajectory = json.load(open(out, encoding="utf-8"))["trajectory"]

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
+from repro import workers
 from repro.fleet import InlineShard, ProcessShard, ShardError
-from repro.fleet import shard as shard_module
 from repro.fleet.node import FleetNode
 
 from tests.fleet.conftest import build_schedule_trace
@@ -140,7 +140,7 @@ def test_hung_worker_raises_shard_error_at_the_reply_deadline(mini, monkeypatch)
 
     # The worker forks after the patch, so its step hangs.
     monkeypatch.setattr(FleetNode, "step", hang)
-    monkeypatch.setattr(shard_module, "REPLY_DEADLINE_S", 0.5)
+    monkeypatch.setattr(workers, "REPLY_DEADLINE_S", 0.5)
     previous = signal.signal(signal.SIGALRM, give_up)
     signal.alarm(20)
     shard = ProcessShard("n")

@@ -32,6 +32,7 @@ from repro.workloads.traces.scenarios import ScenarioGenerator
 from tests.batched_replay import replay_batched
 
 from .conftest import APP, make_manager
+from .test_metrics import worker_drains
 
 pytestmark = pytest.mark.obs
 
@@ -363,13 +364,10 @@ class TestWorkerMerge:
     """Health series survive the worker→parent snapshot/merge path."""
 
     def test_process_pool_merge_accumulates_health_series(self):
-        import concurrent.futures
-
         parent = MetricsRegistry()
         HealthMonitor(parent)  # parent-side families pre-registered
-        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            for snap in pool.map(_health_worker_snapshot, range(3)):
-                parent.merge(snap)
+        for snap in worker_drains(_health_worker_snapshot, 3):
+            parent.merge(snap)
         assert parent.counter("repro_health_decisions_total").total() == 6.0
         error = parent.histogram(
             "repro_health_rel_error", buckets=ERROR_BUCKETS

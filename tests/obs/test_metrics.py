@@ -1,11 +1,9 @@
 """Registry semantics: labels, bucket edges, snapshot/merge, no-op cost.
 
-The merge contract is what lets engine workers ship their metrics back
-to the parent process, so it is exercised both in-process and across a
-real ``ProcessPoolExecutor`` boundary.
+The merge contract is what lets engine workers and fleet nodes ship
+their metrics back to the parent process, so it is exercised both
+in-process and across the worker-process transport they use.
 """
-
-import concurrent.futures
 
 import pytest
 
@@ -16,6 +14,7 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     _NULL_METRIC,
 )
+from repro.workers import Worker
 
 pytestmark = pytest.mark.obs
 
@@ -175,12 +174,32 @@ def _worker_snapshot(worker_id):
     return registry.drain()
 
 
+class Snapshots:
+    """What a test worker hosts: drains built on demand."""
+
+    def __init__(self, snapshot):
+        self.snapshot = snapshot
+
+
+def worker_drains(snapshot, count, workers=2):
+    """``snapshot(i)`` for each ``i < count``, computed on a pool of
+    transport workers, in order."""
+    pool = [Worker(f"w{i}", Snapshots, snapshot) for i in range(workers)]
+    try:
+        for i in range(count):
+            pool[i % workers].post("snapshot", i)
+        replies = [worker.collect() for worker in pool]
+        return [replies[i % workers][i // workers] for i in range(count)]
+    finally:
+        for worker in pool:
+            worker.close()
+
+
 class TestProcessPoolMerge:
     def test_merge_across_process_boundary(self):
         parent = MetricsRegistry()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            for snap in pool.map(_worker_snapshot, range(3)):
-                parent.merge(snap)
+        for snap in worker_drains(_worker_snapshot, 3):
+            parent.merge(snap)
         assert parent.counter("work_total").value() == 6.0  # 1 + 2 + 3
         assert parent.histogram("work_seconds", buckets=(1.0,)).count() == 3
         assert parent.sources == 4  # parent + 3 workers
